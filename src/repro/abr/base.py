@@ -33,6 +33,11 @@ __all__ = ["DecisionContext", "BatchDecisionContext", "ABRAlgorithm", "BatchDeci
 class DecisionContext:
     """Everything the player knows when it must pick the next chunk's track.
 
+    The session cores pass an attribute-compatible object that they
+    rewrite for every decision, so a context is valid only during the
+    ``select_level`` / ``requested_idle_s`` call that receives it:
+    algorithms copy the fields they keep, never the object.
+
     Attributes
     ----------
     chunk_index:

@@ -1,49 +1,64 @@
-"""Event-driven session cores for the fleet simulator.
+"""The §6.1 player model, written once: configs, results and the
+event-driven session cores.
 
-:class:`~repro.player.session.StreamingSession` and
-:class:`~repro.player.live.LiveStreamingSession` are *free-running*: one
-``run()`` call owns the clock and drives the whole session to completion
-against a private link. A fleet simulation inverts that control — many
-sessions share one bottleneck, so no session may advance time on its
-own. This module refactors both loops into resumable *steppers* that
-emit one action at a time and wait for the discrete-event scheduler to
-call back with the completion time:
+A session is one (video, ABR scheme, network) triple replayed under
+repeatable conditions. Per chunk, the player
 
-- ``("fetch", size_bits)`` — the session wants a chunk; the scheduler
-  enqueues the transfer at the shared link and later calls
-  :meth:`on_fetch_done` with the (contended) finish time;
-- ``("wait", seconds)`` — the session idles (algorithm-requested idle,
-  buffer-cap drain, live availability / latency-budget wait); the
-  scheduler calls :meth:`on_wait_done` when the timer fires. While
-  waiting, the session holds **no** capacity at the bottleneck — the
-  realistic coupling a free-running loop cannot express;
+1. asks the ABR algorithm for the next chunk's track, after an optional
+   algorithm-requested idle (BOLA-E pausing on a high buffer) that never
+   drains the buffer below one chunk;
+2. if the buffer is within one chunk of its cap, idles until there is
+   room (the client "does not download the next chunk when the maximum
+   buffer size is reached", §6.1);
+3. downloads the chunk; while downloading, the buffer drains in real
+   time — if it empties, the remainder is a stall;
+4. feeds the observed throughput to the bandwidth estimator and notifies
+   the algorithm;
+5. starts playback once ``startup_latency_s`` seconds are buffered (10 s
+   in §6.1, i.e. two 5-second chunks).
+
+The live variant (§8 future work, :mod:`repro.player.live`) replaces the
+buffer cap with chunk availability at the live edge and a latency
+budget, and tracks how far playback trails the live edge.
+
+:class:`VodSessionCore` and :class:`LiveSessionCore` are the only
+per-chunk implementations of these steps. A core never owns the clock:
+it emits one action at a time and resumes when its driver calls back
+with the time the action completed:
+
+- ``("fetch", size_bits)`` — download a chunk; the driver calls
+  :meth:`on_fetch_done` with the finish time (and the time the transfer
+  actually started, when a fault delayed it);
+- ``("wait", seconds)`` — idle (algorithm-requested pause, buffer-cap
+  drain, live availability or latency-budget wait); the driver calls
+  :meth:`on_wait_done` when the timer fires. A waiting session holds no
+  link capacity;
 - ``("done",)`` — the session finished (or abandoned at its watch
   limit); read the summary attributes.
 
-The arithmetic replays the free-running loops *branch for branch* in the
-same order, so a single session on an uncontended shared link produces
-bit-identical results to ``StreamingSession.run`` /
-``LiveStreamingSession.run`` — pinned by ``tests/player/test_core.py``.
-
-Cores speak **session-relative** time to the ABR logic (the estimator
-and :class:`~repro.abr.base.DecisionContext` see a clock that starts at
-0 when the session begins, exactly like the free-running loops) while
-the scheduler passes absolute fleet time into every callback; the core
-anchors itself at :meth:`begin` and converts.
+Two kinds of driver step the cores. ``StreamingSession.run`` and
+``LiveStreamingSession.run`` replay one session against a private link,
+and the fleet simulator (:mod:`repro.fleet.sim`) interleaves thousands
+of cores on shared bottlenecks. Cores speak session-relative time to the
+ABR logic (the estimator and the decision context see a clock that
+starts at 0) while drivers pass absolute time into every callback; the
+core anchors itself at :meth:`begin` and converts.
+:func:`repro.player.session.run_lockstep_sessions` is a vectorized
+accelerator that replays :class:`VodSessionCore` for N sessions at once.
 
 Memory: a fleet run holds tens of thousands of concurrent cores, so by
 default a core accumulates only scalar summary fields (bits, stalls,
 level churn, quality sums against an optional per-video quality table).
 ``record_arrays=True`` keeps the full per-chunk arrays and lets
-:meth:`VodSessionCore.result` build a normal
-:class:`~repro.player.session.SessionResult` — used by the equivalence
-tests and single-session debugging, not by the fleet.
+``result()`` build a :class:`SessionResult` / :class:`LiveSessionResult`
+— what the private-link drivers return.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -58,14 +73,16 @@ from repro.network.estimator import (
 from repro.network.link import MIN_DOWNLOAD_DURATION_S
 from repro.util.validation import check_non_negative, check_positive
 from repro.player.buffer import PlaybackBuffer
-from repro.player.live import LiveSessionConfig
-from repro.player.session import SessionConfig, SessionResult
 from repro.video.model import Manifest
 
 __all__ = [
     "FETCH",
     "WAIT",
     "DONE",
+    "SessionConfig",
+    "SessionResult",
+    "LiveSessionConfig",
+    "LiveSessionResult",
     "VodSessionCore",
     "LiveSessionCore",
 ]
@@ -83,15 +100,214 @@ _LOW_QUALITY_VMAF = 40.0
 _INF = math.inf
 
 
+@dataclass(frozen=True)
+class SessionConfig:
+    """Player-level knobs, defaulted to the paper's §6.1 settings."""
+
+    startup_latency_s: float = 10.0
+    max_buffer_s: float = 100.0
+
+    def __post_init__(self) -> None:
+        check_positive(self.startup_latency_s, "startup_latency_s")
+        check_positive(self.max_buffer_s, "max_buffer_s")
+        if self.startup_latency_s > self.max_buffer_s:
+            raise ValueError("startup_latency_s cannot exceed max_buffer_s")
+
+
+@dataclass
+class SessionResult:
+    """Complete record of one streaming session.
+
+    All per-chunk arrays are indexed by playback position. Quality values
+    are *not* stored here — they are joined against the video's ground
+    truth by :mod:`repro.player.metrics`, keeping the session itself
+    restricted to client-observable state.
+    """
+
+    scheme: str
+    video_name: str
+    trace_name: str
+    levels: np.ndarray
+    sizes_bits: np.ndarray
+    download_start_s: np.ndarray
+    download_finish_s: np.ndarray
+    stall_s: np.ndarray
+    buffer_after_s: np.ndarray
+    idle_s: np.ndarray
+    startup_delay_s: float
+    #: Idle attribution: seconds the *algorithm* asked to pause vs.
+    #: seconds forced by the buffer cap. ``idle_s`` is their sum. None on
+    #: records predating the split (e.g. archived JSON); events fall back
+    #: to the merged ``idle`` kind then.
+    requested_idle_s: Optional[np.ndarray] = None
+    cap_idle_s: Optional[np.ndarray] = None
+
+    #: Array fields, in declaration order, with their dtypes — shared by
+    #: the JSON round-trip below.
+    _ARRAY_FIELDS = (
+        ("levels", int),
+        ("sizes_bits", float),
+        ("download_start_s", float),
+        ("download_finish_s", float),
+        ("stall_s", float),
+        ("buffer_after_s", float),
+        ("idle_s", float),
+        ("requested_idle_s", float),
+        ("cap_idle_s", float),
+    )
+
+    @property
+    def num_chunks(self) -> int:
+        """Number of chunks streamed."""
+        return int(self.levels.size)
+
+    @property
+    def total_stall_s(self) -> float:
+        """Total rebuffering time after startup (§6.1 metric iii)."""
+        return float(np.sum(self.stall_s))
+
+    @property
+    def data_usage_bits(self) -> float:
+        """Total bits downloaded (§6.1 metric v)."""
+        return float(np.sum(self.sizes_bits))
+
+    @property
+    def download_throughputs_bps(self) -> np.ndarray:
+        """Realized per-chunk download throughput."""
+        durations = self.download_finish_s - self.download_start_s
+        return self.sizes_bits / np.maximum(durations, MIN_DOWNLOAD_DURATION_S)
+
+    @property
+    def session_duration_s(self) -> float:
+        """Wall-clock time from first request to last byte."""
+        return float(self.download_finish_s[-1])
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-friendly dict: arrays become lists, floats stay exact.
+
+        ``json.dumps(result.to_dict())`` round-trips bit-exactly through
+        :meth:`from_dict` (Python's JSON float formatting is shortest
+        round-trip), so session records can be archived next to
+        ``BENCH_sweep.json`` and replayed into the event/trace tooling.
+        """
+        out: Dict[str, Any] = {
+            "scheme": self.scheme,
+            "video_name": self.video_name,
+            "trace_name": self.trace_name,
+            "startup_delay_s": float(self.startup_delay_s),
+        }
+        for name, _ in self._ARRAY_FIELDS:
+            value = getattr(self, name)
+            out[name] = None if value is None else [v.item() for v in value]
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "SessionResult":
+        """Rebuild a result from :meth:`to_dict` output (or parsed JSON)."""
+        kwargs: Dict[str, Any] = {
+            "scheme": data["scheme"],
+            "video_name": data["video_name"],
+            "trace_name": data["trace_name"],
+            "startup_delay_s": float(data["startup_delay_s"]),
+        }
+        for name, dtype in cls._ARRAY_FIELDS:
+            value = data.get(name)
+            kwargs[name] = None if value is None else np.asarray(value, dtype=dtype)
+        return cls(**kwargs)
+
+
+@dataclass(frozen=True)
+class LiveSessionConfig:
+    """Knobs of the live player.
+
+    Attributes
+    ----------
+    startup_chunks:
+        Chunks buffered before playback starts (live players start after
+        2–3 chunks, not a 10 s VoD-style target).
+    latency_budget_s:
+        Maximum backlog the player may hold; the buffer can never exceed
+        the distance to the live edge anyway, and a latency-conscious
+        player keeps it below this budget.
+    lookahead_chunks:
+        How many upcoming chunks the live manifest announces (sizes
+        visible to the ABR logic). 0 means only the next chunk.
+    """
+
+    startup_chunks: int = 2
+    latency_budget_s: float = 30.0
+    lookahead_chunks: int = 10
+
+    def __post_init__(self) -> None:
+        if self.startup_chunks < 1:
+            raise ValueError(f"startup_chunks must be >= 1, got {self.startup_chunks}")
+        check_positive(self.latency_budget_s, "latency_budget_s")
+        if self.lookahead_chunks < 0:
+            raise ValueError(f"lookahead_chunks must be >= 0, got {self.lookahead_chunks}")
+
+
+@dataclass
+class LiveSessionResult:
+    """Record of one live session (per-chunk arrays plus live metrics)."""
+
+    scheme: str
+    video_name: str
+    trace_name: str
+    levels: np.ndarray
+    sizes_bits: np.ndarray
+    download_start_s: np.ndarray
+    download_finish_s: np.ndarray
+    stall_s: np.ndarray
+    buffer_after_s: np.ndarray
+    availability_wait_s: np.ndarray
+    latency_s: np.ndarray
+    startup_delay_s: float
+
+    @property
+    def num_chunks(self) -> int:
+        """Number of chunks streamed."""
+        return int(self.levels.size)
+
+    @property
+    def total_stall_s(self) -> float:
+        """Total mid-playback rebuffering."""
+        return float(np.sum(self.stall_s))
+
+    @property
+    def mean_latency_s(self) -> float:
+        """Mean distance between playback position and the live edge.
+
+        A zero-chunk session has no latency samples; defined as 0.0
+        (rather than NaN) so aggregations over session populations never
+        poison their sums.
+        """
+        if self.latency_s.size == 0:
+            return 0.0
+        return float(np.mean(self.latency_s))
+
+    @property
+    def peak_latency_s(self) -> float:
+        """Worst-case live latency over the session (0.0 when no chunks
+        were streamed — same convention as :attr:`mean_latency_s`)."""
+        if self.latency_s.size == 0:
+            return 0.0
+        return float(np.max(self.latency_s))
+
+    @property
+    def data_usage_bits(self) -> float:
+        """Total bits downloaded."""
+        return float(np.sum(self.sizes_bits))
+
+
 class _ReusableContext:
     """Mutable stand-in for :class:`~repro.abr.base.DecisionContext`.
 
     A fleet run makes one ABR decision per chunk across millions of
     chunks; constructing a frozen dataclass per decision is pure
-    allocation churn. Every algorithm reads the context's attributes
-    during ``select_level`` / ``requested_idle_s`` and none retains the
-    object (pinned by the core-equivalence tests), so each core reuses
-    one instance and rewrites the six fields in place.
+    allocation churn. Algorithms read the context's attributes during
+    ``select_level`` / ``requested_idle_s`` and never retain the object
+    (the :class:`~repro.abr.base.DecisionContext` contract), so each
+    core reuses one instance and rewrites the six fields in place.
     """
 
     __slots__ = (
@@ -110,6 +326,7 @@ class _ReusableContext:
         self.last_level: Optional[int] = None
         self.bandwidth_bps = 0.0
         self.playing = False
+
 
 # Wait phases: what the core resumes into when its timer fires.
 _RESUME_DECIDE = 1  # after an algorithm-requested idle: rebuild context
@@ -164,7 +381,6 @@ class _CoreBase:
         "_finishes",
         "_stalls",
         "_buffers",
-        "_idles",
         "_requested_idles",
         "_cap_idles",
     )
@@ -178,61 +394,23 @@ class _CoreBase:
         quality_rows: Optional[np.ndarray],
         record_arrays: bool,
     ) -> None:
-        self.algorithm = algorithm
         self.manifest = manifest
         self.estimator = estimator if estimator is not None else HarmonicMeanEstimator()
-        n = manifest.num_chunks
-        self.watch_chunks = n if watch_chunks is None else min(int(watch_chunks), n)
-        if self.watch_chunks < 0:
-            raise ValueError(f"watch_chunks must be >= 0, got {watch_chunks}")
         self._quality_rows = quality_rows
         self._record = record_arrays
         self._ctx = _ReusableContext()
         self._chunk_duration_s = manifest.chunk_duration_s
         self._num_tracks = manifest.num_tracks
-        self._num_chunks = n
+        self._num_chunks = manifest.num_chunks
         self._size_rows = manifest.size_rows
-        # Hot-path gates (see the fused on_fetch_done): the default
-        # harmonic estimator and the no-op ABR hooks are special-cased so
-        # the per-chunk path skips pure-dispatch work. Each gate tests
-        # the *class*, so any override takes the faithful slow path.
+        # Hot-path gate (see the fused on_fetch_done): the default
+        # harmonic estimator's observe/predict arithmetic is inlined.
         est = self.estimator
         self._fast_est = (
             est if type(est) is HarmonicMeanEstimator and est.window < 8 else None
         )
-        alg_cls = type(algorithm)
-        self._notify = (
-            algorithm.notify_download
-            if alg_cls.notify_download is not ABRAlgorithm.notify_download
-            else None
-        )
-        self._has_idle = alg_cls.requested_idle_s is not ABRAlgorithm.requested_idle_s
-        # Exact-class gate (a subclass may override select_level): the
-        # fused per-chunk paths inline RBA's descending feasibility scan
-        # to skip the call frame on the fleet's hottest dispatch.
-        self._fast_rba = algorithm if alg_cls is RateBasedAlgorithm else None
-        self.origin_s = 0.0
         self.buffer = PlaybackBuffer()
-        self.chunk = 0
-        self.playing = False
-        self.startup_delay_s = 0.0
-        self.last_level: Optional[int] = None
-        self.finished = False
-        self.total_stall_s = 0.0
-        self.total_bits = 0.0
-        self.sum_level = 0.0
-        self.level_switches = 0
-        self.sum_quality = 0.0
-        self.sum_abs_quality_delta = 0.0
-        self.low_quality_chunks = 0
-        self.end_s = 0.0
-        self._last_quality = 0.0
-        self._phase = 0
-        self._pending_level = 0
-        self._pending_size = 0.0
-        self._pending_requested_idle = 0.0
-        self._pending_cap_idle = 0.0
-        self._fetch_emit_s = 0.0
+        self._arm(algorithm, watch_chunks)
         if record_arrays:
             self._levels: list = []
             self._sizes: list = []
@@ -240,7 +418,6 @@ class _CoreBase:
             self._finishes: list = []
             self._stalls: list = []
             self._buffers: list = []
-            self._idles: list = []
             self._requested_idles: list = []
             self._cap_idles: list = []
 
@@ -251,22 +428,34 @@ class _CoreBase:
         immutable collaborators — manifest, config, quality rows, the
         estimator instance (``begin`` clears its history) — are already
         right; only the algorithm binding and the per-session state need
-        rewriting. Every field below ends up with exactly the value a
-        fresh ``__init__`` would produce, so a recycled core is
-        state-identical to a new one. Recording cores are never pooled
-        (their per-chunk arrays would need clearing).
+        rewriting. ``__init__`` arms a new core through the same
+        :meth:`_arm`, so a recycled core is state-identical to a new
+        one. Recording cores are never pooled (their per-chunk arrays
+        would need clearing).
         """
         if self._record:
             raise ValueError("recording cores cannot be pooled")
+        self._arm(algorithm, watch_chunks)
+
+    def _arm(self, algorithm: ABRAlgorithm, watch_chunks: Optional[int]) -> None:
+        """Bind ``algorithm`` and zero every per-session field."""
         self.algorithm = algorithm
-        alg_cls = type(algorithm)
+        # Hot-path gates: the no-op ABR hooks are skipped on the
+        # per-chunk path. Each gate reads the hook off the *class*, so
+        # any override takes the faithful path; a duck-typed wrapper
+        # whose class lacks the method (it forwards per instance) counts
+        # as overriding it.
+        cls = type(algorithm)
+        notify = getattr(cls, "notify_download", None)
         self._notify = (
-            algorithm.notify_download
-            if alg_cls.notify_download is not ABRAlgorithm.notify_download
-            else None
+            None if notify is ABRAlgorithm.notify_download else algorithm.notify_download
         )
-        self._has_idle = alg_cls.requested_idle_s is not ABRAlgorithm.requested_idle_s
-        self._fast_rba = algorithm if alg_cls is RateBasedAlgorithm else None
+        idle = getattr(cls, "requested_idle_s", None)
+        self._has_idle = idle is not ABRAlgorithm.requested_idle_s
+        # Exact-class gate (a subclass may override select_level): the
+        # fused per-chunk paths inline RBA's descending feasibility scan
+        # to skip the call frame on the fleet's hottest dispatch.
+        self._fast_rba = algorithm if cls is RateBasedAlgorithm else None
         n = self._num_chunks
         self.watch_chunks = n if watch_chunks is None else min(int(watch_chunks), n)
         if self.watch_chunks < 0:
@@ -278,7 +467,7 @@ class _CoreBase:
         self.chunk = 0
         self.playing = False
         self.startup_delay_s = 0.0
-        self.last_level = None
+        self.last_level: Optional[int] = None
         self.finished = False
         self.total_stall_s = 0.0
         self.total_bits = 0.0
@@ -318,31 +507,6 @@ class _CoreBase:
                 f"(valid: 0..{self.manifest.num_tracks - 1})"
             )
 
-    def _account_chunk(self, level: int, size: float, stall: float) -> None:
-        """Fold one completed chunk into the scalar summary."""
-        i = self.chunk
-        self.total_stall_s += stall
-        self.total_bits += size
-        self.sum_level += level
-        last = self.last_level
-        if last is not None and level != last:
-            self.level_switches += 1
-        rows = self._quality_rows
-        if rows is not None:
-            # Row-then-item indexing keeps plain Python floats when the
-            # caller passes nested tuples (the fleet does); a 2-D
-            # ndarray still works through the same expression.
-            quality = rows[level][i]
-            self.sum_quality += quality
-            if quality < _LOW_QUALITY_VMAF:
-                self.low_quality_chunks += 1
-            if i > 0:
-                # abs() without the builtin call: -d flips the sign bit,
-                # exactly abs for the finite deltas quality rows produce.
-                d = quality - self._last_quality
-                self.sum_abs_quality_delta += d if d >= 0.0 else -d
-            self._last_quality = quality
-
     @property
     def mean_level(self) -> float:
         """Mean selected level over the streamed chunks (0 if none)."""
@@ -367,13 +531,12 @@ class _CoreBase:
 
 
 class VodSessionCore(_CoreBase):
-    """Resumable stepper replaying :meth:`StreamingSession.run` exactly.
+    """Resumable stepper for one VoD session (the §6.1 steps above).
 
-    Per chunk, in the free-running loop's order: decision context (with
-    an optional algorithm-requested idle capped at one buffered chunk,
-    after which the context is rebuilt), buffer-cap idle, download with
-    stall accounting, estimator observation + download notification,
-    startup check.
+    Per chunk: decision context (with an optional algorithm-requested
+    idle capped at one buffered chunk, after which the context is
+    rebuilt), buffer-cap idle, download with stall accounting, estimator
+    observation + download notification, startup check.
     """
 
     __slots__ = ("config",)
@@ -409,8 +572,8 @@ class VodSessionCore(_CoreBase):
         rel_now = now_s - self.origin_s
         if self._phase == _RESUME_DECIDE:
             # The clock moved during the requested idle, so the context
-            # (and its bandwidth estimate) is rebuilt — mirroring the
-            # free-running loop's re-query.
+            # (and its bandwidth estimate) is rebuilt before the
+            # algorithm is queried again.
             return self._choose(self._context(rel_now), rel_now)
         return self._emit_fetch(now_s)
 
@@ -420,20 +583,19 @@ class VodSessionCore(_CoreBase):
         ``transfer_start_s`` is when the link actually began serving the
         request (later than the fetch emission when a latency fault
         delayed it); the download duration the player measures — and
-        drains/observes against — excludes that delay, exactly like the
-        free-running loop does with a :class:`FaultedLink`.
+        drains/observes against — excludes that delay.
         """
         # The whole per-chunk tail — buffer drain/fill, estimator
-        # observe/predict, accounting, and the next decision — is fused
-        # into one frame with the collaborators' arithmetic inlined
-        # branch-for-branch (PlaybackBuffer.drain/fill,
-        # HarmonicMeanEstimator.observe/predict_bps, _account_chunk,
-        # _decide/_choose). A fleet run enters here once per chunk,
-        # ~10M times on the default spec, and the call/dispatch overhead
-        # of the faithful method chain dominated the fleet profile.
-        # Every float operation keeps the original operand order, so the
-        # results are bit-identical — pinned by the core-equivalence
-        # tests and the fleet golden fingerprints.
+        # observe/predict, summary accounting, and the next decision —
+        # is fused into one frame with the collaborators' arithmetic
+        # inlined branch-for-branch (PlaybackBuffer.drain/fill,
+        # HarmonicMeanEstimator.observe/predict_bps, _decide/_choose).
+        # A fleet run enters here once per chunk, ~10M times on the
+        # default spec, and the call/dispatch overhead of the method
+        # chain dominated the fleet profile. Every float operation keeps
+        # the collaborators' operand order, so the results are
+        # bit-identical — pinned by the reference-loop tests and the
+        # fleet golden fingerprints.
         rel_now = now_s - self.origin_s
         start_abs = self._fetch_emit_s if transfer_start_s is None else transfer_start_s
         download_s = now_s - start_abs
@@ -476,7 +638,7 @@ class VodSessionCore(_CoreBase):
         notify = self._notify
         if notify is not None:
             notify(self.chunk, level, size, download_s, buf_level, rel_now)
-        # _account_chunk(level, size, stall).
+        # Fold the chunk into the scalar summary.
         i = self.chunk
         self.total_stall_s += stall
         self.total_bits += size
@@ -486,6 +648,9 @@ class VodSessionCore(_CoreBase):
             self.level_switches += 1
         rows = self._quality_rows
         if rows is not None:
+            # Row-then-item indexing keeps plain Python floats when the
+            # caller passes nested tuples (the fleet does); a 2-D
+            # ndarray still works through the same expression.
             quality = rows[level][i]
             self.sum_quality += quality
             if quality < _LOW_QUALITY_VMAF:
@@ -503,7 +668,6 @@ class VodSessionCore(_CoreBase):
             self._finishes.append(rel_now)
             self._stalls.append(stall)
             self._buffers.append(buf_level)
-            self._idles.append(self._pending_requested_idle + self._pending_cap_idle)
             self._requested_idles.append(self._pending_requested_idle)
             self._cap_idles.append(self._pending_cap_idle)
         self.last_level = level
@@ -633,6 +797,8 @@ class VodSessionCore(_CoreBase):
         """Per-chunk :class:`SessionResult` (requires ``record_arrays``)."""
         if not self._record:
             raise ValueError("construct the core with record_arrays=True")
+        requested_idle_s = np.asarray(self._requested_idles, dtype=float)
+        cap_idle_s = np.asarray(self._cap_idles, dtype=float)
         return SessionResult(
             scheme=self.algorithm.name,
             video_name=self.manifest.video_name,
@@ -643,25 +809,34 @@ class VodSessionCore(_CoreBase):
             download_finish_s=np.asarray(self._finishes, dtype=float),
             stall_s=np.asarray(self._stalls, dtype=float),
             buffer_after_s=np.asarray(self._buffers, dtype=float),
-            idle_s=np.asarray(self._idles, dtype=float),
+            idle_s=requested_idle_s + cap_idle_s,
             startup_delay_s=self.startup_delay_s,
-            requested_idle_s=np.asarray(self._requested_idles, dtype=float),
-            cap_idle_s=np.asarray(self._cap_idles, dtype=float),
+            requested_idle_s=requested_idle_s,
+            cap_idle_s=cap_idle_s,
         )
 
 
 class LiveSessionCore(_CoreBase):
-    """Resumable stepper replaying :meth:`LiveStreamingSession.run`.
+    """Resumable stepper for one live session.
 
     The broadcast's chunk ``i`` becomes available ``i * delta`` seconds
     after the session joins (each fleet session watches its own program
     from its own live edge). Availability waits and latency-budget
     drains become ``("wait", ...)`` actions; live latency accumulates
-    into :attr:`sum_latency_s` / :attr:`peak_latency_s` instead of a
-    per-chunk array.
+    into :attr:`sum_latency_s` / :attr:`peak_latency_s` (and, with
+    ``record_arrays``, into the per-chunk ``latency_s`` array).
     """
 
-    __slots__ = ("config", "sum_latency_s", "peak_latency_s", "total_wait_s")
+    __slots__ = (
+        "config",
+        "sum_latency_s",
+        "peak_latency_s",
+        "total_wait_s",
+        "_pending_wait",
+        "_pending_wait_stall",
+        "_waits",
+        "_latencies",
+    )
 
     def __init__(
         self,
@@ -677,15 +852,19 @@ class LiveSessionCore(_CoreBase):
             algorithm, manifest, estimator, watch_chunks, quality_rows, record_arrays
         )
         self.config = LiveSessionConfig() if config is None else config
-        self.sum_latency_s = 0.0
-        self.peak_latency_s = 0.0
-        self.total_wait_s = 0.0
+        if record_arrays:
+            self._waits: list = []
+            self._latencies: list = []
 
-    def reset_for(self, algorithm: ABRAlgorithm, watch_chunks: Optional[int]) -> None:
-        super().reset_for(algorithm, watch_chunks)
+    def _arm(self, algorithm: ABRAlgorithm, watch_chunks: Optional[int]) -> None:
+        super()._arm(algorithm, watch_chunks)
         self.sum_latency_s = 0.0
         self.peak_latency_s = 0.0
         self.total_wait_s = 0.0
+        # The pending chunk's availability wait and the stall it caused;
+        # read (and cleared) only when recording per-chunk arrays.
+        self._pending_wait = 0.0
+        self._pending_wait_stall = 0.0
 
     def begin(self, now_s: float):
         self.origin_s = now_s
@@ -693,7 +872,8 @@ class LiveSessionCore(_CoreBase):
         self.algorithm.prepare(self.manifest)
         if self.watch_chunks == 0:
             return self._finish(0.0)
-        return self._await_chunk(0.0)
+        # Chunk 0 exists the moment the session joins the live edge.
+        return self._budget_then_choose(0.0)
 
     def on_wait_done(self, now_s: float):
         rel_now = now_s - self.origin_s
@@ -750,7 +930,7 @@ class LiveSessionCore(_CoreBase):
         notify = self._notify
         if notify is not None:
             notify(i, level, size, download_s, buf_level, rel_now)
-        # _account_chunk(level, size, stall).
+        # Fold the chunk into the scalar summary (see the VoD path).
         self.total_stall_s += stall
         self.total_bits += size
         self.sum_level += level
@@ -781,35 +961,36 @@ class LiveSessionCore(_CoreBase):
         self.sum_latency_s += latency
         if latency > self.peak_latency_s:
             self.peak_latency_s = latency
+        if self._record:
+            self._levels.append(level)
+            self._sizes.append(size)
+            self._starts.append(start_abs - self.origin_s)
+            self._finishes.append(rel_now)
+            self._stalls.append(self._pending_wait_stall + stall)
+            self._buffers.append(buf_level)
+            self._waits.append(self._pending_wait)
+            self._latencies.append(latency)
+            self._pending_wait = 0.0
+            self._pending_wait_stall = 0.0
         i += 1
         self.chunk = i
         if i >= self.watch_chunks:
             return self._finish(rel_now)
-        # _await_chunk(rel_now) inlined (the method remains for begin()
-        # and the wait-resume path): wait for the chunk to exist at the
-        # live edge, else fall through to the budget check + choice.
+        # Wait for the chunk to exist at the live edge, else fall
+        # through to the budget check + choice.
         wait = i * delta - rel_now
         if wait > 0:
             if self.playing:
-                self.total_stall_s += buffer.drain(wait)
+                stall = buffer.drain(wait)
+                self.total_stall_s += stall
+                self._pending_wait_stall = stall
             self.total_wait_s += wait
+            self._pending_wait = wait
             self._phase = _RESUME_AVAIL
             return (WAIT, wait)
         return self._budget_then_choose(rel_now)
 
     # -- internal phases ------------------------------------------------
-
-    def _await_chunk(self, rel_now: float):
-        # Wait for the chunk to exist at the live edge.
-        available_at = self.chunk * self._chunk_duration_s
-        wait = available_at - rel_now
-        if wait > 0:
-            if self.playing:
-                self.total_stall_s += self.buffer.drain(wait)
-            self.total_wait_s += wait
-            self._phase = _RESUME_AVAIL
-            return (WAIT, wait)
-        return self._budget_then_choose(rel_now)
 
     def _budget_then_choose(self, rel_now: float):
         # Keep the backlog inside the latency budget: if the buffer is
@@ -822,51 +1003,8 @@ class LiveSessionCore(_CoreBase):
             self._phase = _RESUME_FETCH
             self._prepare_choice(rel_now + drain_for)
             return (WAIT, drain_for)
-        # _prepare_choice(rel_now) + _emit_fetch inlined — one live
-        # decision per chunk; same doubles as the method chain.
-        chunk = self.chunk
-        ctx = self._ctx
-        ctx.chunk_index = chunk
-        ctx.now_s = rel_now
-        ctx.buffer_s = buffer.level_s
-        ctx.last_level = self.last_level
-        est = self._fast_est
-        if est is not None:
-            n = len(est._samples)
-            if n == 0:
-                bw = est.initial_estimate_bps
-            else:
-                # sum() over the precomputed inverses is the same
-                # sequential left fold of the same doubles (see
-                # HarmonicMeanEstimator).
-                bw = n / sum(est._inverses)
-                if not 0.0 < bw < _INF:
-                    bw = est.initial_estimate_bps
-        else:
-            bw = self.estimator.predict_bps(rel_now)
-        ctx.bandwidth_bps = bw
-        ctx.playing = self.playing
-        rba = self._fast_rba
-        if rba is not None:
-            # RateBasedAlgorithm.select_level inlined (see the VoD
-            # fused path): same scan, same doubles, no call frame.
-            buf_s = ctx.buffer_s
-            srows = rba._size_rows
-            reserve_s = rba._reserve_s
-            level = 0
-            for lv in range(rba._top, -1, -1):
-                if buf_s - srows[lv][chunk] / bw >= reserve_s:
-                    level = lv
-                    break
-        else:
-            level = int(self.algorithm.select_level(ctx))
-        if level < 0 or level >= self._num_tracks:
-            self._validate_level(level)  # cold: raises the standard message
-        self._pending_level = level
-        size = self._size_rows[level][chunk]
-        self._pending_size = size
-        self._fetch_emit_s = self.origin_s + rel_now
-        return (FETCH, size)
+        self._prepare_choice(rel_now)
+        return self._emit_fetch(self.origin_s + rel_now)
 
     def _prepare_choice(self, rel_now: float) -> None:
         # _context + the harmonic predict fast path inlined (one live
@@ -930,3 +1068,22 @@ class LiveSessionCore(_CoreBase):
     def mean_latency_s(self) -> float:
         """Mean live latency over the streamed chunks (0 if none)."""
         return self.sum_latency_s / self.chunk if self.chunk else 0.0
+
+    def result(self, trace_name: str = "") -> LiveSessionResult:
+        """Per-chunk :class:`LiveSessionResult` (requires ``record_arrays``)."""
+        if not self._record:
+            raise ValueError("construct the core with record_arrays=True")
+        return LiveSessionResult(
+            scheme=self.algorithm.name,
+            video_name=self.manifest.video_name,
+            trace_name=trace_name,
+            levels=np.asarray(self._levels, dtype=int),
+            sizes_bits=np.asarray(self._sizes, dtype=float),
+            download_start_s=np.asarray(self._starts, dtype=float),
+            download_finish_s=np.asarray(self._finishes, dtype=float),
+            stall_s=np.asarray(self._stalls, dtype=float),
+            buffer_after_s=np.asarray(self._buffers, dtype=float),
+            availability_wait_s=np.asarray(self._waits, dtype=float),
+            latency_s=np.asarray(self._latencies, dtype=float),
+            startup_delay_s=self.startup_delay_s,
+        )

@@ -22,102 +22,21 @@ live setting (a 60 s target is obviously not live-compatible; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.abr.base import ABRAlgorithm, DecisionContext
-from repro.network.estimator import BandwidthEstimator, HarmonicMeanEstimator
+from repro.abr.base import ABRAlgorithm
+from repro.network.estimator import BandwidthEstimator
 from repro.network.link import TraceLink
-from repro.player.buffer import PlaybackBuffer
-from repro.util.validation import check_positive
+from repro.player.core import (
+    DONE,
+    WAIT,
+    LiveSessionConfig,
+    LiveSessionCore,
+    LiveSessionResult,
+)
 from repro.video.model import Manifest, VideoAsset
 
 __all__ = ["LiveSessionConfig", "LiveSessionResult", "LiveStreamingSession", "run_live_session"]
-
-
-@dataclass(frozen=True)
-class LiveSessionConfig:
-    """Knobs of the live player.
-
-    Attributes
-    ----------
-    startup_chunks:
-        Chunks buffered before playback starts (live players start after
-        2–3 chunks, not a 10 s VoD-style target).
-    latency_budget_s:
-        Maximum backlog the player may hold; the buffer can never exceed
-        the distance to the live edge anyway, and a latency-conscious
-        player keeps it below this budget.
-    lookahead_chunks:
-        How many upcoming chunks the live manifest announces (sizes
-        visible to the ABR logic). 0 means only the next chunk.
-    """
-
-    startup_chunks: int = 2
-    latency_budget_s: float = 30.0
-    lookahead_chunks: int = 10
-
-    def __post_init__(self) -> None:
-        if self.startup_chunks < 1:
-            raise ValueError(f"startup_chunks must be >= 1, got {self.startup_chunks}")
-        check_positive(self.latency_budget_s, "latency_budget_s")
-        if self.lookahead_chunks < 0:
-            raise ValueError(f"lookahead_chunks must be >= 0, got {self.lookahead_chunks}")
-
-
-@dataclass
-class LiveSessionResult:
-    """Record of one live session (per-chunk arrays plus live metrics)."""
-
-    scheme: str
-    video_name: str
-    trace_name: str
-    levels: np.ndarray
-    sizes_bits: np.ndarray
-    download_start_s: np.ndarray
-    download_finish_s: np.ndarray
-    stall_s: np.ndarray
-    buffer_after_s: np.ndarray
-    availability_wait_s: np.ndarray
-    latency_s: np.ndarray
-    startup_delay_s: float
-
-    @property
-    def num_chunks(self) -> int:
-        """Number of chunks streamed."""
-        return int(self.levels.size)
-
-    @property
-    def total_stall_s(self) -> float:
-        """Total mid-playback rebuffering."""
-        return float(np.sum(self.stall_s))
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean distance between playback position and the live edge.
-
-        A zero-chunk session has no latency samples; defined as 0.0
-        (rather than NaN) so aggregations over session populations never
-        poison their sums.
-        """
-        if self.latency_s.size == 0:
-            return 0.0
-        return float(np.mean(self.latency_s))
-
-    @property
-    def peak_latency_s(self) -> float:
-        """Worst-case live latency over the session (0.0 when no chunks
-        were streamed — same convention as :attr:`mean_latency_s`)."""
-        if self.latency_s.size == 0:
-            return 0.0
-        return float(np.max(self.latency_s))
-
-    @property
-    def data_usage_bits(self) -> float:
-        """Total bits downloaded."""
-        return float(np.sum(self.sizes_bits))
 
 
 class LiveStreamingSession:
@@ -141,99 +60,24 @@ class LiveStreamingSession:
         The broadcast starts producing at wall-clock 0 and emits chunk
         ``i`` at ``i * delta``; the player joins at time 0 and therefore
         watches the whole program at some latency behind the live edge.
+        The session steps a :class:`~repro.player.core.LiveSessionCore`,
+        advancing the clock through its waits and downloading each
+        requested chunk over ``link``.
         """
-        if estimator is None:
-            estimator = HarmonicMeanEstimator()
-        estimator.reset()
-        algorithm.prepare(manifest)
-
-        n = manifest.num_chunks
-        delta = manifest.chunk_duration_s
-        buffer = PlaybackBuffer()
-        now = 0.0
-        playing = False
-        startup_delay = 0.0
-        played_s = 0.0  # playback position in content time
-        last_level: Optional[int] = None
-
-        levels = np.zeros(n, dtype=int)
-        sizes = np.zeros(n, dtype=float)
-        starts = np.zeros(n, dtype=float)
-        finishes = np.zeros(n, dtype=float)
-        stalls = np.zeros(n, dtype=float)
-        buffers = np.zeros(n, dtype=float)
-        waits = np.zeros(n, dtype=float)
-        latencies = np.zeros(n, dtype=float)
-
-        for i in range(n):
-            # Wait for the chunk to exist at the live edge.
-            available_at = i * delta
-            wait = max(0.0, available_at - now)
-            if wait > 0:
-                if playing:
-                    stalls[i] += buffer.drain(wait)
-                now += wait
-            waits[i] = wait
-
-            # Keep the backlog inside the latency budget: if the buffer
-            # is at the budget, let it drain one chunk first.
-            if playing and buffer.level_s + delta > self.config.latency_budget_s:
-                drain_for = buffer.level_s + delta - self.config.latency_budget_s
-                buffer.drain(drain_for)  # cannot stall: draining from above
-                now += drain_for
-
-            ctx = DecisionContext(
-                chunk_index=i,
-                now_s=now,
-                buffer_s=buffer.level_s,
-                last_level=last_level,
-                bandwidth_bps=estimator.predict_bps(now),
-                playing=playing,
-            )
-            level = int(algorithm.select_level(ctx))
-            if not 0 <= level < manifest.num_tracks:
-                raise ValueError(f"{algorithm.name} selected invalid level {level}")
-
-            size = manifest.chunk_size_bits(level, i)
-            result = link.download(size, now)
-            if playing:
-                stalls[i] += buffer.drain(result.duration_s)
-            now = result.finish_s
-            buffer.fill(delta)
-            estimator.observe(size, result.duration_s, now)
-            algorithm.notify_download(i, level, size, result.duration_s, buffer.level_s, now)
-
-            levels[i] = level
-            sizes[i] = size
-            starts[i] = result.start_s
-            finishes[i] = now
-            buffers[i] = buffer.level_s
-            last_level = level
-
-            if not playing and buffer.level_s >= self.config.startup_chunks * delta:
-                playing = True
-                startup_delay = now
-
-            # Live latency: content time at the live edge minus the
-            # player's playback position (downloaded minus buffered).
-            played_s = (i + 1) * delta - buffer.level_s
-            live_edge_s = min(now, n * delta)
-            latencies[i] = max(0.0, live_edge_s - played_s)
-
-        return LiveSessionResult(
-            scheme=algorithm.name,
-            video_name=manifest.video_name,
-            trace_name=link.trace.name,
-            levels=levels,
-            sizes_bits=sizes,
-            download_start_s=starts,
-            download_finish_s=finishes,
-            stall_s=stalls,
-            buffer_after_s=buffers,
-            availability_wait_s=waits,
-            latency_s=latencies,
-            startup_delay_s=startup_delay,
+        core = LiveSessionCore(
+            algorithm, manifest, self.config, estimator, record_arrays=True
         )
+        now = 0.0
+        action = core.begin(now)
+        while action[0] != DONE:
+            if action[0] == WAIT:
+                now += action[1]
+                action = core.on_wait_done(now)
+            else:
+                download = link.download(action[1], now)
+                now = download.finish_s
+                action = core.on_fetch_done(now, download.start_s)
+        return core.result(link.trace.name)
 
 
 def run_live_session(

@@ -1,41 +1,26 @@
-"""Trace-driven streaming session simulator.
+"""Trace-driven streaming sessions: the §6.1 evaluation harness.
 
-This is the §6.1 evaluation harness: one session = one (video, ABR
-scheme, network trace) triple replayed under identical, repeatable
-conditions. The loop follows the standard sequential-download player
-model shared by the MPC/BOLA/Pensieve simulators and the paper:
-
-1. ask the ABR algorithm for the next chunk's track;
-2. if the buffer is within one chunk of its cap, idle until there is room
-   (the client "does not download the next chunk when the maximum buffer
-   size is reached", §6.1);
-3. download the chunk over the trace-driven link; while downloading, the
-   buffer drains in real time — if it empties, the remainder is a stall;
-4. feed the observed throughput to the bandwidth estimator and notify
-   the algorithm;
-5. playback begins once ``startup_latency_s`` seconds are buffered
-   (10 s in §6.1, i.e. two 5-second chunks).
-
-After the last download, the remaining buffer plays out stall-free.
+One session = one (video, ABR scheme, network trace) triple replayed
+under identical, repeatable conditions. :class:`StreamingSession` drives
+a :class:`~repro.player.core.VodSessionCore` — the one implementation of
+the §6.1 player steps — against the caller's private link: it advances
+the clock through the core's waits and downloads each requested chunk.
+:func:`run_lockstep_sessions` is the batch accelerator: it replays the
+same core arithmetic for N sessions of one (scheme, video) pair with
+numpy lanes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.abr.base import ABRAlgorithm, BatchDecider, BatchDecisionContext, DecisionContext
-from repro.network.estimator import (
-    BandwidthEstimator,
-    BatchHarmonicMeanEstimator,
-    HarmonicMeanEstimator,
-)
+from repro.abr.base import ABRAlgorithm, BatchDecider, BatchDecisionContext
+from repro.network.estimator import BandwidthEstimator, BatchHarmonicMeanEstimator
 from repro.network.link import MIN_DOWNLOAD_DURATION_S, StackedLinks, TraceLink
-from repro.player.buffer import PlaybackBuffer
-from repro.util.validation import check_positive
+from repro.player.core import DONE, WAIT, SessionConfig, SessionResult, VodSessionCore
 from repro.video.model import Manifest, VideoAsset
 
 if TYPE_CHECKING:  # telemetry is an optional layer; no runtime import here
@@ -49,122 +34,6 @@ __all__ = [
     "run_session",
     "run_lockstep_sessions",
 ]
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Player-level knobs, defaulted to the paper's §6.1 settings."""
-
-    startup_latency_s: float = 10.0
-    max_buffer_s: float = 100.0
-
-    def __post_init__(self) -> None:
-        check_positive(self.startup_latency_s, "startup_latency_s")
-        check_positive(self.max_buffer_s, "max_buffer_s")
-        if self.startup_latency_s > self.max_buffer_s:
-            raise ValueError("startup_latency_s cannot exceed max_buffer_s")
-
-
-@dataclass
-class SessionResult:
-    """Complete record of one streaming session.
-
-    All per-chunk arrays are indexed by playback position. Quality values
-    are *not* stored here — they are joined against the video's ground
-    truth by :mod:`repro.player.metrics`, keeping the session itself
-    restricted to client-observable state.
-    """
-
-    scheme: str
-    video_name: str
-    trace_name: str
-    levels: np.ndarray
-    sizes_bits: np.ndarray
-    download_start_s: np.ndarray
-    download_finish_s: np.ndarray
-    stall_s: np.ndarray
-    buffer_after_s: np.ndarray
-    idle_s: np.ndarray
-    startup_delay_s: float
-    #: Idle attribution: seconds the *algorithm* asked to pause vs.
-    #: seconds forced by the buffer cap. ``idle_s`` is their sum. None on
-    #: records predating the split (e.g. archived JSON); events fall back
-    #: to the merged ``idle`` kind then.
-    requested_idle_s: Optional[np.ndarray] = None
-    cap_idle_s: Optional[np.ndarray] = None
-
-    #: Array fields, in declaration order, with their dtypes — shared by
-    #: the JSON round-trip below.
-    _ARRAY_FIELDS = (
-        ("levels", int),
-        ("sizes_bits", float),
-        ("download_start_s", float),
-        ("download_finish_s", float),
-        ("stall_s", float),
-        ("buffer_after_s", float),
-        ("idle_s", float),
-        ("requested_idle_s", float),
-        ("cap_idle_s", float),
-    )
-
-    @property
-    def num_chunks(self) -> int:
-        """Number of chunks streamed."""
-        return int(self.levels.size)
-
-    @property
-    def total_stall_s(self) -> float:
-        """Total rebuffering time after startup (§6.1 metric iii)."""
-        return float(np.sum(self.stall_s))
-
-    @property
-    def data_usage_bits(self) -> float:
-        """Total bits downloaded (§6.1 metric v)."""
-        return float(np.sum(self.sizes_bits))
-
-    @property
-    def download_throughputs_bps(self) -> np.ndarray:
-        """Realized per-chunk download throughput."""
-        durations = self.download_finish_s - self.download_start_s
-        return self.sizes_bits / np.maximum(durations, MIN_DOWNLOAD_DURATION_S)
-
-    @property
-    def session_duration_s(self) -> float:
-        """Wall-clock time from first request to last byte."""
-        return float(self.download_finish_s[-1])
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dict: arrays become lists, floats stay exact.
-
-        ``json.dumps(result.to_dict())`` round-trips bit-exactly through
-        :meth:`from_dict` (Python's JSON float formatting is shortest
-        round-trip), so session records can be archived next to
-        ``BENCH_sweep.json`` and replayed into the event/trace tooling.
-        """
-        out: Dict[str, Any] = {
-            "scheme": self.scheme,
-            "video_name": self.video_name,
-            "trace_name": self.trace_name,
-            "startup_delay_s": float(self.startup_delay_s),
-        }
-        for name, _ in self._ARRAY_FIELDS:
-            value = getattr(self, name)
-            out[name] = None if value is None else [v.item() for v in value]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SessionResult":
-        """Rebuild a result from :meth:`to_dict` output (or parsed JSON)."""
-        kwargs: Dict[str, Any] = {
-            "scheme": data["scheme"],
-            "video_name": data["video_name"],
-            "trace_name": data["trace_name"],
-            "startup_delay_s": float(data["startup_delay_s"]),
-        }
-        for name, dtype in cls._ARRAY_FIELDS:
-            value = data.get(name)
-            kwargs[name] = None if value is None else np.asarray(value, dtype=dtype)
-        return cls(**kwargs)
 
 
 class StreamingSession:
@@ -197,179 +66,63 @@ class StreamingSession:
         entirely — the loop takes one pointer comparison per chunk and
         produces bit-identical results either way.
         """
-        if estimator is None:
-            estimator = HarmonicMeanEstimator()
-        estimator.reset()
         algorithm.bind_tracer(tracer)
-        algorithm.prepare(manifest)
         if tracer is not None:
-            # Deferred import: repro.telemetry depends on the player, so
-            # the reverse edge must not exist at module import time.
-            from repro.telemetry.tracer import ChunkRecord
-
             tracer.on_session_start(
                 algorithm.name, manifest.video_name, link.trace.name, manifest.num_chunks
             )
-
-        n = manifest.num_chunks
-        num_tracks = manifest.num_tracks
-        delta = manifest.chunk_duration_s
-        buffer = PlaybackBuffer()
-        now = 0.0
-        playing = False
-        startup_delay = 0.0
-        last_level: Optional[int] = None
-
-        # Per-chunk records accumulate in plain Python lists (appending a
-        # float beats a per-element ndarray store) and become arrays once
-        # at the end.
-        levels: list = []
-        sizes: list = []
-        starts: list = []
-        finishes: list = []
-        stalls: list = []
-        buffers: list = []
-        idles: list = []
-        requested_idles: list = []
-        cap_idles: list = []
-
-        # Hot-loop hoists: each name below resolves once instead of per
-        # chunk — attribute lookups on self/config/manifest dominate the
-        # loop once the numeric work is scalar.
-        max_buffer_s = self.config.max_buffer_s
-        startup_latency_s = self.config.startup_latency_s
-        size_rows = manifest.size_rows
-        predict_bps = estimator.predict_bps
-        observe = estimator.observe
-        select_level = algorithm.select_level
-        algorithm_requested_idle_s = algorithm.requested_idle_s
-        notify_download = algorithm.notify_download
-        download = link.download
-        drain = buffer.drain
-        fill = buffer.fill
-        time_until_level = buffer.time_until_level
-
-        def decision_context(index: int) -> DecisionContext:
-            # Snapshot of the player state the algorithm is allowed to
-            # see; reads the loop variables at call time.
-            return DecisionContext(
-                chunk_index=index,
-                now_s=now,
-                buffer_s=buffer.level_s,
-                last_level=last_level,
-                bandwidth_bps=predict_bps(now),
-                playing=playing,
-            )
-
-        for i in range(n):
-            # 1. decision (optionally preceded by an algorithm-requested
-            #    idle, e.g. BOLA pausing on a high buffer)
-            ctx = decision_context(i)
-            requested_idle = 0.0
-            if playing:
-                requested_idle = max(0.0, float(algorithm_requested_idle_s(ctx)))
-                # Never idle into a stall: stop at one chunk of buffer.
-                requested_idle = min(requested_idle, time_until_level(delta))
-                if requested_idle > 0:
-                    # The clock moved, so the context (and its bandwidth
-                    # estimate) must be rebuilt; when no idle happened the
-                    # original context — and estimator query — is reused.
-                    drain(requested_idle)
-                    now += requested_idle
-                    ctx = decision_context(i)
-            level = int(select_level(ctx))
-            if not 0 <= level < num_tracks:
-                raise ValueError(
-                    f"{algorithm.name} selected invalid level {level} "
-                    f"for chunk {i} (valid: 0..{num_tracks - 1})"
-                )
-
-            # 2. respect the buffer cap: idle until one chunk fits
-            idle = requested_idle
-            cap_idle = 0.0
-            if playing and buffer.level_s + delta > max_buffer_s:
-                cap_idle = buffer.level_s + delta - max_buffer_s
-                stall_during_idle = drain(cap_idle)
-                assert stall_during_idle == 0.0  # draining from above cap
-                now += cap_idle
-                idle += cap_idle
-
-            # 3. download; the buffer drains (and may stall) meanwhile
-            size = size_rows[level][i]
-            result = download(size, now)
-            finish = result.finish_s
-            download_s = finish - result.start_s
-            stall = drain(download_s) if playing else 0.0
-            now = finish
-            fill(delta)
-
-            # 4. learn from the observation. The duration is floored
-            # because the estimator contract requires it strictly
-            # positive — TraceLink guarantees that, but custom or
-            # faulted links may round an instant download to zero.
-            observe(size, max(download_s, MIN_DOWNLOAD_DURATION_S), now)
-            notify_download(i, level, size, download_s, buffer.level_s, now)
-
-            levels.append(level)
-            sizes.append(size)
-            starts.append(result.start_s)
-            finishes.append(now)
-            stalls.append(stall)
-            buffers.append(buffer.level_s)
-            idles.append(idle)
-            requested_idles.append(requested_idle)
-            cap_idles.append(cap_idle)
-            last_level = level
-
-            if tracer is not None:
-                # Plain floats, not numpy scalars: records must JSON-dump.
-                tracer.on_chunk(
-                    ChunkRecord(
-                        chunk_index=i,
-                        level=level,
-                        size_bits=float(size),
-                        buffer_before_s=float(ctx.buffer_s),
-                        buffer_after_s=float(buffer.level_s),
-                        requested_idle_s=float(requested_idle),
-                        cap_idle_s=float(cap_idle),
-                        stall_s=float(stall),
-                        download_start_s=float(result.start_s),
-                        download_finish_s=float(now),
-                        estimated_bandwidth_bps=float(ctx.bandwidth_bps),
-                        realized_bandwidth_bps=float(
-                            size / max(download_s, MIN_DOWNLOAD_DURATION_S)
-                        ),
-                    )
-                )
-
-            # 5. startup: playback begins once the initial target is met
-            if not playing and buffer.level_s >= startup_latency_s:
-                playing = True
-                startup_delay = now
-
-        if not playing:
-            # Very short video: startup target never reached; playback
-            # starts when the download completes.
-            startup_delay = now
-
-        if tracer is not None:
-            tracer.on_session_end(startup_delay)
-
-        return SessionResult(
-            scheme=algorithm.name,
-            video_name=manifest.video_name,
-            trace_name=link.trace.name,
-            levels=np.asarray(levels, dtype=int),
-            sizes_bits=np.asarray(sizes, dtype=float),
-            download_start_s=np.asarray(starts, dtype=float),
-            download_finish_s=np.asarray(finishes, dtype=float),
-            stall_s=np.asarray(stalls, dtype=float),
-            buffer_after_s=np.asarray(buffers, dtype=float),
-            idle_s=np.asarray(idles, dtype=float),
-            startup_delay_s=startup_delay,
-            requested_idle_s=np.asarray(requested_idles, dtype=float),
-            cap_idle_s=np.asarray(cap_idles, dtype=float),
+        core = VodSessionCore(
+            algorithm, manifest, self.config, estimator, record_arrays=True
         )
+        # The core rewrites this one context object for every decision;
+        # while a fetch is pending it holds that chunk's decision inputs.
+        decision = core._ctx
+        now = 0.0
+        action = core.begin(now)
+        while action[0] != DONE:
+            if action[0] == WAIT:
+                now += action[1]
+                action = core.on_wait_done(now)
+                continue
+            download = link.download(action[1], now)
+            now = download.finish_s
+            if tracer is None:
+                action = core.on_fetch_done(now, download.start_s)
+            else:
+                buffer_before_s = decision.buffer_s
+                estimate_bps = decision.bandwidth_bps
+                action = core.on_fetch_done(now, download.start_s)
+                tracer.on_chunk(
+                    _chunk_record(core, download, buffer_before_s, estimate_bps)
+                )
+        if tracer is not None:
+            tracer.on_session_end(core.startup_delay_s)
+        return core.result(link.trace.name)
+
+
+def _chunk_record(core: VodSessionCore, download, buffer_before_s, estimate_bps):
+    """The telemetry record of the chunk ``core`` just completed."""
+    # Deferred import: repro.telemetry depends on the player, so the
+    # reverse edge must not exist at module import time.
+    from repro.telemetry.tracer import ChunkRecord
+
+    size = core._sizes[-1]
+    download_s = download.finish_s - download.start_s
+    # Plain floats, not numpy scalars: records must JSON-dump.
+    return ChunkRecord(
+        chunk_index=core.chunk - 1,
+        level=core._levels[-1],
+        size_bits=float(size),
+        buffer_before_s=float(buffer_before_s),
+        buffer_after_s=float(core._buffers[-1]),
+        requested_idle_s=float(core._requested_idles[-1]),
+        cap_idle_s=float(core._cap_idles[-1]),
+        stall_s=float(core._stalls[-1]),
+        download_start_s=float(download.start_s),
+        download_finish_s=float(download.finish_s),
+        estimated_bandwidth_bps=float(estimate_bps),
+        realized_bandwidth_bps=float(size / max(download_s, MIN_DOWNLOAD_DURATION_S)),
+    )
 
 
 def run_lockstep_sessions(
@@ -386,13 +139,15 @@ def run_lockstep_sessions(
     Every lane streams the same manifest over its own trace, so all
     lanes share the chunk index, chunk duration, and decision schedule;
     per-lane divergence (clock, buffer, playback state, level history)
-    lives in ``(lanes,)`` arrays updated with masked numpy ops. The
-    arithmetic replays :class:`StreamingSession` branch for branch —
-    each lane of the output is bit-identical to the scalar run of that
-    (scheme, video, trace) triple, which the golden-snapshot tests pin.
+    lives in ``(lanes,)`` arrays updated with masked numpy ops. This is
+    an accelerator, not a second player model: the arithmetic replays
+    :class:`~repro.player.core.VodSessionCore` branch for branch, so
+    each lane of the output is bit-identical to the
+    :class:`StreamingSession` run of that (scheme, video, trace) triple,
+    which the golden-snapshot tests pin.
 
     The engine only supports deciders whose scalar twin never requests
-    idle time (``requested_idle_s`` returning 0.0 keeps the scalar
+    idle time (``requested_idle_s`` returning 0.0 keeps the core's
     idle branch inert); :func:`repro.experiments.batch.batch_capability`
     enforces that before a decider is ever built.
 
@@ -437,7 +192,7 @@ def run_lockstep_sessions(
             w0 = time.perf_counter()
             c0 = time.process_time()
         # 1. decision. Batchable schemes never request idle time, so the
-        #    scalar pre-decision idle branch contributes exactly 0.0.
+        #    core's pre-decision idle branch contributes exactly 0.0.
         ctx = BatchDecisionContext(
             chunk_index=i,
             now_s=now,
@@ -489,7 +244,7 @@ def run_lockstep_sessions(
         buffer = buffer + delta
 
         # 4. learn from the observation (duration floored exactly like
-        #    the scalar loop, although StackedLinks never returns zero)
+        #    the core, although StackedLinks never returns zero)
         estimator.observe(size, np.maximum(download_s, MIN_DOWNLOAD_DURATION_S))
         decider.notify_downloads(i, levels, size, download_s, buffer, now)
 

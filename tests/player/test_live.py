@@ -1,5 +1,7 @@
 """Tests for live streaming (§8 future work, implemented)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,35 @@ class TestLatency:
             FixedLevelAlgorithm(0), short_video, TraceLink(constant_trace(50.0)), config
         )
         assert result.buffer_after_s.max() <= 12.0 + 1e-6
+
+
+class TestStartup:
+    def test_startup_never_reached_starts_at_last_download(self, short_video):
+        """Regression: a broadcast shorter than ``startup_chunks`` reported
+        a 0.0 startup delay; like VoD, playback starts when the last
+        download completes."""
+        full = short_video.manifest()
+        manifest = dataclasses.replace(
+            full, chunk_sizes_bits=full.chunk_sizes_bits[:, :2]
+        )
+        config = LiveSessionConfig(startup_chunks=3)
+        result = LiveStreamingSession(config).run(
+            FixedLevelAlgorithm(0), manifest, TraceLink(constant_trace(10.0))
+        )
+        assert result.num_chunks == 2
+        assert result.startup_delay_s > 0.0
+        assert result.startup_delay_s == result.download_finish_s[-1]
+
+    def test_invalid_level_names_chunk_and_range(self, short_video):
+        manifest = short_video.manifest()
+        with pytest.raises(
+            ValueError,
+            match=rf"fixed-99 selected invalid level 99 for chunk 0 "
+            rf"\(valid: 0\.\.{manifest.num_tracks - 1}\)",
+        ):
+            LiveStreamingSession().run(
+                FixedLevelAlgorithm(99), manifest, TraceLink(constant_trace(10.0))
+            )
 
 
 class TestCavaLive:

@@ -18,7 +18,18 @@ class FixedLevelAlgorithm(ABRAlgorithm):
         self.contexts = []
 
     def select_level(self, ctx: DecisionContext) -> int:
-        self.contexts.append(ctx)
+        # A context is valid only during the call (the player rewrites
+        # one object per decision), so keep a frozen copy of its fields.
+        self.contexts.append(
+            DecisionContext(
+                chunk_index=ctx.chunk_index,
+                now_s=ctx.now_s,
+                buffer_s=ctx.buffer_s,
+                last_level=ctx.last_level,
+                bandwidth_bps=ctx.bandwidth_bps,
+                playing=ctx.playing,
+            )
+        )
         return self.level
 
 

@@ -354,7 +354,7 @@ class InnerController:
             redo = low
         else:
             return levels
-        if np.any(redo):
+        if np.count_nonzero(redo):
             resolved = self._argmin_batch(
                 chunk_index, u, bandwidth_bps, last_levels, 1.0
             )

@@ -965,15 +965,16 @@ class _EdgeSimulator:
         self.events = events
 
     def _loop_timed(self, timer: StageTimer) -> None:
-        """The same merge with per-stage wall-clock brackets.
+        """The same merge with per-stage wall-clock and CPU brackets.
 
         Kept structurally in lockstep with :meth:`_loop` (same branch
         order, same handler calls) so instrumented runs execute the
-        identical event sequence; only ``perf_counter`` brackets are
-        added around the completion query, the clock advance, and the
-        handler dispatch.
+        identical event sequence; only ``perf_counter`` /
+        ``process_time`` brackets are added around the completion query,
+        the clock advance, and the handler dispatch.
         """
         perf = time.perf_counter
+        cpu = time.process_time
         arrivals = self._arrivals  # +inf-terminated (see _draw_population)
         ai = 0
         heap = self.heap
@@ -988,32 +989,42 @@ class _EdgeSimulator:
             timer_t = heap[0][0] if heap else _INF
             earliest = arr_t if arr_t <= timer_t else timer_t
             t0 = perf()
+            c0 = cpu()
             completion = next_completion()
             t1 = perf()
-            timer.add(STAGE_COMPLETION, t1 - t0)
+            c1 = cpu()
+            timer.add(STAGE_COMPLETION, t1 - t0, c1 - c0)
             if completion is not None and completion[0] <= earliest:
                 t, session = completion
                 t0 = perf()
+                c0 = cpu()
                 advance(t)
                 t1 = perf()
+                c1 = cpu()
                 link.complete(session)
                 dispatch(session, session.core.on_fetch_done(t), t)
                 t2 = perf()
-                timer.add(STAGE_ADVANCE, t1 - t0)
-                timer.add(STAGE_DISPATCH, t2 - t1)
+                c2 = cpu()
+                timer.add(STAGE_ADVANCE, t1 - t0, c1 - c0)
+                timer.add(STAGE_DISPATCH, t2 - t1, c2 - c1)
             elif earliest != _INF:
                 if arr_t <= timer_t:
                     ai += 1
                     t0 = perf()
+                    c0 = cpu()
                     advance(arr_t)
                     t1 = perf()
+                    c1 = cpu()
                     self._arrive(arr_t, ai - 1)
                     t2 = perf()
+                    c2 = cpu()
                 else:
                     t, _seq, kind, payload = heappop(heap)
                     t0 = perf()
+                    c0 = cpu()
                     advance(t)
                     t1 = perf()
+                    c1 = cpu()
                     if kind == _EV_WAKE:
                         dispatch(payload, payload.core.on_wait_done(t), t)
                     elif kind == _EV_XFER:
@@ -1021,8 +1032,9 @@ class _EdgeSimulator:
                     else:
                         self._depart(payload, t)
                     t2 = perf()
-                timer.add(STAGE_ADVANCE, t1 - t0)
-                timer.add(STAGE_DISPATCH, t2 - t1)
+                    c2 = cpu()
+                timer.add(STAGE_ADVANCE, t1 - t0, c1 - c0)
+                timer.add(STAGE_DISPATCH, t2 - t1, c2 - c1)
             else:
                 break
             events += 1
@@ -1036,6 +1048,7 @@ class _EdgeSimulator:
         stage_timer: Optional[StageTimer] = None,
     ) -> EdgeResult:
         fold0 = time.perf_counter()
+        fold_cpu0 = time.process_time()
         # Flush the in-flight partials before reading the accumulators.
         self._flush_bucket(self.link.now_s)
         width = self.width
@@ -1089,7 +1102,11 @@ class _EdgeSimulator:
             cpu_s=time.process_time() - cpu0,
         )
         if stage_timer is not None:
-            stage_timer.add(STAGE_BUCKET_FOLD, time.perf_counter() - fold0)
+            stage_timer.add(
+                STAGE_BUCKET_FOLD,
+                time.perf_counter() - fold0,
+                time.process_time() - fold_cpu0,
+            )
             result.stages = stage_timer.as_dict()
         return result
 
@@ -1104,7 +1121,7 @@ def simulate_edge(
     """Simulate one edge's population to completion (see module docs).
 
     Passing a :class:`~repro.telemetry.spans.StageTimer` runs the
-    instrumented loop (identical event sequence, per-stage wall-clock
-    brackets) and attaches the breakdown to ``EdgeResult.stages``.
+    instrumented loop (identical event sequence, per-stage wall-clock and
+    CPU brackets) and attaches the breakdown to ``EdgeResult.stages``.
     """
     return _EdgeSimulator(spec, edge_index, videos, trace).run(stage_timer)

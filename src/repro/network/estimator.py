@@ -149,10 +149,15 @@ class BatchHarmonicMeanEstimator:
 
     The batch engine observes one download per lane per chunk, so every
     lane's ring holds the same number of samples at the same positions —
-    only the sample *values* differ. ``predict_bps`` then mirrors the
-    scalar fast path exactly: an explicit oldest-to-newest left fold of
-    ``1 / sample`` (the first addend replaces the scalar's ``0.0 + x``,
-    which is bitwise ``x`` for positive ``x``) followed by ``n / sum``.
+    only the sample *values* differ. The ring holds reciprocals: like the
+    scalar estimator's ``_inverses`` deque, ``observe`` stores
+    ``1.0 / sample`` once per sample instead of ``predict_bps``
+    re-dividing the whole window on every step. ``predict_bps`` then
+    mirrors the scalar fast path exactly: an explicit oldest-to-newest
+    left fold of the stored reciprocals (the first addend replaces the
+    builtin ``sum``'s ``0 + x``, which is bitwise ``x``) followed by
+    ``n / sum``. The addends are the same doubles the scalar path sums,
+    added in the same order, so every lane is bit-identical to it.
     Windows of 8+ samples take numpy's pairwise-summation path in the
     scalar estimator, which this fold does not reproduce — construction
     rejects them (the §5.5 window is 5).
@@ -175,7 +180,8 @@ class BatchHarmonicMeanEstimator:
         self.lanes = lanes
         self.window = window
         self.initial_estimate_bps = initial_estimate_bps
-        self._samples = np.empty((lanes, window))
+        # One contiguous row of reciprocals per ring slot.
+        self._inverses = np.empty((window, lanes))
         self._count = 0
         self._pos = 0
 
@@ -185,19 +191,22 @@ class BatchHarmonicMeanEstimator:
         # must contribute strictly positive finite inputs. A zero/negative
         # duration or size would otherwise plant an inf/NaN in the ring
         # and quietly poison the next ``window`` predictions for the lane.
-        ok = (size_bits > 0.0) & (size_bits < np.inf)
-        ok &= (duration_s > 0.0) & (duration_s < np.inf)
-        if not ok.all():
+        # NaN propagates through minimum/maximum and fails both tests.
+        ok = (np.minimum(size_bits, duration_s) > 0.0) & (
+            np.maximum(size_bits, duration_s) < np.inf
+        )
+        if np.count_nonzero(ok) != ok.size:
             raise ValueError(
                 "batch estimator observations must be strictly positive "
                 "finite sizes and durations"
             )
         with np.errstate(over="ignore", under="ignore"):
             samples = size_bits / duration_s
-        # Same clamp as the scalar path: valid inputs can still produce a
-        # quotient outside the normal float range.
-        np.clip(samples, _MIN_SAMPLE_BPS, _MAX_SAMPLE_BPS, out=samples)
-        self._samples[:, self._pos] = samples
+            # Same clamp as the scalar path: valid inputs can still
+            # produce a quotient outside the normal float range.
+            np.maximum(samples, _MIN_SAMPLE_BPS, out=samples)
+            np.minimum(samples, _MAX_SAMPLE_BPS, out=samples)
+            np.divide(1.0, samples, out=self._inverses[self._pos])
         self._pos = (self._pos + 1) % self.window
         if self._count < self.window:
             self._count += 1
@@ -207,20 +216,22 @@ class BatchHarmonicMeanEstimator:
         n = self._count
         if n == 0:
             return np.full(self.lanes, self.initial_estimate_bps)
-        samples = self._samples
-        start = (self._pos - n) % self.window
+        inverses = self._inverses
+        # Slots oldest to newest are pos - n .. pos - 1; negative indices
+        # wrap to the ring's tail exactly as ``% window`` would.
+        start = self._pos - n
         with np.errstate(over="ignore", under="ignore"):
-            inverse_sum = 1.0 / samples[:, start]
-            for k in range(1, n):
-                inverse_sum += 1.0 / samples[:, (start + k) % self.window]
+            inverse_sum = inverses[start]
+            for k in range(start + 1, self._pos):
+                inverse_sum = inverse_sum + inverses[k]
             predicted = n / inverse_sum
         # Same warm-up guard as the scalar path: the fold can overflow for
         # lanes holding clamped near-extreme samples — substitute the
         # cold-start estimate for such lanes only; healthy lanes keep
         # their bit-exact fold result.
-        bad = ~((predicted > 0.0) & (predicted < np.inf))
-        if bad.any():
-            predicted = np.where(bad, self.initial_estimate_bps, predicted)
+        ok = (predicted > 0.0) & (predicted < np.inf)
+        if np.count_nonzero(ok) != self.lanes:
+            predicted = np.where(ok, predicted, self.initial_estimate_bps)
         return predicted
 
     def reset(self) -> None:

@@ -340,7 +340,8 @@ class StackedLinks:
     plane) are stacked into one dense ``(lanes, width)`` matrix, padded
     with ``+inf`` so short rows never participate in the crossing search.
     ``download_finish`` then advances every lane with a handful of
-    vectorized operations.
+    vectorized operations, so one call costs about the same at 2 lanes
+    as at 64.
 
     **Bit-identity contract**: each lane's result is the exact double
     :meth:`TraceLink.download` would produce. Every branch of the scalar
@@ -348,9 +349,11 @@ class StackedLinks:
 
     - the wrap fold and interval split mirror ``_cumulative_at_array``
       (the scalar method's proven numpy twin);
-    - ``bisect_left(cum_row, within)`` equals the count of table entries
-      strictly below ``within`` (left insertion point), computed as a
-      row-wise boolean sum — ``+inf`` padding contributes nothing;
+    - ``bisect_left(cum_row, within)`` is the index of the first table
+      entry not below ``within`` (left insertion point), found by a
+      two-level blocked search (see :meth:`_bisect_left`) — ``+inf``
+      padding is never below a finite target, so it never moves the
+      result;
     - the three offset branches (already-crossed / zero-rate / fractional
       interval) select between expressions evaluated with the scalar
       path's operand order, with a guarded divisor so the masked-out
@@ -364,6 +367,11 @@ class StackedLinks:
     validation has no batch counterpart.
     """
 
+    #: Entries per block of the two-level crossing search. A 1081-entry
+    #: LTE table pads to 34 blocks, so each level compares a few dozen
+    #: entries per lane.
+    BLOCK = 32
+
     def __init__(self, links: Sequence[TraceLink]) -> None:
         if not links:
             raise ValueError("need at least one link")
@@ -376,101 +384,121 @@ class StackedLinks:
         self._bits_per_period = np.array(
             [link._bits_per_period for link in self.links]
         )
-        self._num_intervals = np.array(
-            [link._num_intervals for link in self.links], dtype=np.int64
+        self._last_interval = np.array(
+            [link._num_intervals - 1 for link in self.links], dtype=np.int64
         )
-        width = max(link._num_intervals for link in self.links) + 1
+        block = self.BLOCK
+        # Row width: the longest table (num_intervals + 1 entries) plus
+        # at least one +inf entry, rounded up to whole blocks. The last
+        # block therefore always ends in +inf, above any finite target.
+        longest = max(link._num_intervals for link in self.links) + 1
+        width = (longest // block + 1) * block
         cum = np.full((lanes, width), _INF)
         rates = np.zeros((lanes, width))
         for j, link in enumerate(self.links):
             n_j = link._num_intervals
             cum[j, : n_j + 1] = link._cumulative_bits
             rates[j, :n_j] = link.trace.throughputs_bps
-        self._cum = cum
-        self._rates = rates
-        self._lane_index = np.arange(lanes)
-        # Flat twins + per-lane row offsets: ``take`` on a 1-D array is
+        # Flat tables + per-lane row offsets: ``take`` on a 1-D array is
         # measurably cheaper than a 2-D fancy gather on this hot path.
         self._cum_flat = cum.ravel()
         self._rates_flat = rates.ravel()
-        self._row_offset = self._lane_index * width
-        self._width = width
-        # Descending power-of-two steps for the branchless bisection:
-        # the first step is >= width, and the guarded descent touches
-        # each lane's row O(log width) times instead of scanning it.
-        self._bisect_steps = [
-            1 << k for k in range(max(width, 1).bit_length(), -1, -1)
-        ]
+        self._row_offset = np.arange(lanes) * width
+        # The crossing search's two levels: every block's last entry per
+        # lane, and the table as one row per (lane, block).
+        blocks = width // block
+        self._block_last = np.ascontiguousarray(cum[:, block - 1 :: block])
+        self._blocks = self._cum_flat.reshape(lanes * blocks, block)
+        self._lane_block = np.arange(lanes) * blocks
 
     def _bisect_left(self, within: np.ndarray) -> np.ndarray:
         """Per-lane ``bisect_left(cum_row, within)`` (left insertion point).
 
-        Branchless binary search: ``pos`` counts elements strictly below
-        ``within``, growing by guarded power-of-two steps. Indices are
-        exact integers, so this is bit-for-bit the scalar ``bisect_left``
-        — the +inf padding never compares below a finite target, making
-        the padded rows interchangeable with the ragged originals.
+        ``bisect_left`` is the index of the first entry not below
+        ``within``; a sorted row puts it in the first block whose last
+        entry is not below ``within``. Level one finds that block among
+        the block-last entries, level two finds the entry inside the
+        block. Both levels take the first index where ``entry >= within``
+        (``argmax`` of a boolean row returns its first ``True``), and one
+        always exists: every row's last block ends in ``+inf``, and the
+        chosen block's last entry is not below ``within`` by choice. The
+        result is the same exact integer the scalar ``bisect_left``
+        returns.
         """
-        width = self._width
-        flat = self._cum_flat
-        # Gather index for candidate pos+step is offset + (pos+step-1).
-        base = self._row_offset - 1
-        pos = np.zeros(self.lanes, dtype=np.int64)
-        for step in self._bisect_steps:
-            cand = pos + step
-            # mode="clip" keeps out-of-row candidates in bounds; the
-            # validity mask discards them regardless of gathered value.
-            vals = flat.take(base + cand, mode="clip")
-            ok = (cand <= width) & (vals < within)
-            pos = np.where(ok, cand, pos)
-        return pos
+        target = within[:, None]
+        block = (self._block_last >= target).argmax(axis=1)
+        entries = self._blocks.take(self._lane_block + block, axis=0)
+        return block * self.BLOCK + (entries >= target).argmax(axis=1)
 
     def cumulative_at(self, t_s: np.ndarray) -> np.ndarray:
         """Per-lane bits deliverable in ``[0, t_s)``; mirrors the scalar
         ``_cumulative_at`` through the same expressions as the proven
-        ``_cumulative_at_array`` twin, with per-lane tables."""
-        periods, remainder = np.divmod(t_s, self._period_s)
-        wrap = remainder >= self._period_s
-        if np.any(wrap):
-            periods = periods + wrap
-            remainder = np.where(wrap, 0.0, remainder)
+        ``_cumulative_at_array`` twin, with per-lane tables.
+
+        Like the scalar path, the period fold runs only when some lane
+        has reached its period end: ``divmod(t, period)`` of a smaller
+        non-negative ``t`` is exactly ``(0.0, t)``, and ``0.0 * bits +
+        partial`` is ``partial``. The scalar path adds the partial
+        interval only when ``frac > 0``; rates are finite and
+        non-negative, so the product is exactly ``0.0`` when ``frac ==
+        0`` and adding it leaves the table entry unchanged.
+        """
+        periods = None
+        remainder = t_s
+        if np.count_nonzero(t_s >= self._period_s):
+            periods, remainder = np.divmod(t_s, self._period_s)
+            wrap = remainder >= self._period_s
+            if np.count_nonzero(wrap):
+                periods = periods + wrap
+                remainder = np.where(wrap, 0.0, remainder)
         index = remainder / self._interval
-        whole = np.minimum(index.astype(np.int64), self._num_intervals - 1)
+        whole = np.minimum(index.astype(np.int64), self._last_interval)
         frac = index - whole
         flat_idx = self._row_offset + whole
-        partial = self._cum_flat.take(flat_idx) + np.where(
-            frac > 0, self._rates_flat.take(flat_idx) * frac * self._interval, 0.0
+        partial = self._cum_flat.take(flat_idx) + (
+            self._rates_flat.take(flat_idx) * frac * self._interval
         )
+        if periods is None:
+            return partial
         return periods * self._bits_per_period + partial
 
     def download_finish(self, size_bits: np.ndarray, start_s: np.ndarray) -> np.ndarray:
         """Per-lane finish time of downloading ``size_bits`` from ``start_s``."""
         target = self.cumulative_at(start_s) + size_bits
-        periods, within = np.divmod(target, self._bits_per_period)
-        index = self._bisect_left(within) - 1
-        index = np.minimum(np.maximum(index, 0), self._num_intervals - 1)
+        # Same period fold as cumulative_at: skipped unless some lane's
+        # target reaches a whole period.
+        periods = None
+        within = target
+        if np.count_nonzero(target >= self._bits_per_period):
+            periods, within = np.divmod(target, self._bits_per_period)
+        # The scalar path clamps the interval index into [0, n - 1]. Only
+        # the lower clamp can bind: ``within`` never exceeds the row's
+        # last finite entry (the whole-period total it was reduced by),
+        # so at most n entries lie below it.
+        index = np.maximum(self._bisect_left(within) - 1, 0)
         flat_idx = self._row_offset + index
         already = self._cum_flat.take(flat_idx)
         rate = self._rates_flat.take(flat_idx)
         rate_safe = np.where(rate > 0, rate, 1.0)
+        interval_start = index * self._interval
         offset = np.where(
             within <= already,
-            index * self._interval,
+            interval_start,
             np.where(
                 rate <= 0,
                 (index + 1) * self._interval,
-                index * self._interval + (within - already) / rate_safe,
+                interval_start + (within - already) / rate_safe,
             ),
         )
-        finish_s = periods * self._period_s + offset
+        finish_s = offset if periods is None else periods * self._period_s + offset
         floored = finish_s <= start_s
-        if np.any(floored):
+        if np.count_nonzero(floored):
             fallback = start_s + np.maximum(
                 size_bits / np.maximum(rate, 1.0), MIN_DOWNLOAD_DURATION_S
             )
             finish_s = np.where(floored, fallback, finish_s)
             underflow = finish_s <= start_s
-            if np.any(underflow):
+            if np.count_nonzero(underflow):
                 finish_s = np.where(
                     underflow, np.nextafter(start_s, _INF), finish_s
                 )

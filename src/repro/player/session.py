@@ -163,7 +163,9 @@ def run_lockstep_sessions(
     n = manifest.num_chunks
     num_tracks = manifest.num_tracks
     delta = manifest.chunk_duration_s
-    sizes_table = manifest.chunk_sizes_bits
+    # One contiguous row of per-level sizes per chunk: ``take`` on it is
+    # cheaper than a 2-D fancy gather.
+    sizes_by_chunk = np.ascontiguousarray(manifest.chunk_sizes_bits.T)
     max_buffer_s = config.max_buffer_s
     startup_latency_s = config.startup_latency_s
 
@@ -176,7 +178,6 @@ def run_lockstep_sessions(
     playing = np.zeros(lanes, dtype=bool)
     startup = np.zeros(lanes)
     last_levels: Optional[np.ndarray] = None
-    zeros = np.zeros(lanes)
 
     rec_levels = np.empty((n, lanes), dtype=int)
     rec_sizes = np.empty((n, lanes))
@@ -184,7 +185,8 @@ def run_lockstep_sessions(
     rec_finishes = np.empty((n, lanes))
     rec_stalls = np.empty((n, lanes))
     rec_buffers = np.empty((n, lanes))
-    rec_cap_idles = np.empty((n, lanes))
+    # Rows stay zero unless the buffer cap binds for some lane.
+    rec_cap_idles = np.zeros((n, lanes))
 
     timed = stage_timer is not None
     for i in range(n):
@@ -206,10 +208,9 @@ def run_lockstep_sessions(
             c1 = time.process_time()
             stage_timer.add("batch.estimate", w1 - w0, c1 - c0)
         levels = decider.select_levels(ctx)
-        lo = int(levels.min())
-        hi = int(levels.max())
-        if lo < 0 or hi >= num_tracks:
-            bad = lo if lo < 0 else hi
+        if np.count_nonzero((levels < 0) | (levels >= num_tracks)):
+            lo = int(levels.min())
+            bad = lo if lo < 0 else int(levels.max())
             raise ValueError(
                 f"{scheme} selected invalid level {bad} "
                 f"for chunk {i} (valid: 0..{num_tracks - 1})"
@@ -221,24 +222,29 @@ def run_lockstep_sessions(
 
         # 2. respect the buffer cap: idle until one chunk fits. Adding
         #    the zero idle of unaffected lanes is exact (their clocks and
-        #    buffers are non-negative doubles).
+        #    buffers are non-negative doubles). A cap below one chunk
+        #    asks for more idle than the buffer holds; like the core's
+        #    PlaybackBuffer.drain, the buffer then empties to zero.
         filled = buffer + delta
         cap_mask = playing & (filled > max_buffer_s)
-        if np.any(cap_mask):
+        if np.count_nonzero(cap_mask):
             cap_idle = np.where(cap_mask, filled - max_buffer_s, 0.0)
-            buffer = buffer - cap_idle
+            buffer = np.maximum(buffer - cap_idle, 0.0)
             now = now + cap_idle
-        else:
-            cap_idle = zeros
+            rec_cap_idles[i] = cap_idle
 
         # 3. download; the buffer drains (and may stall) meanwhile
-        size = sizes_table[levels, i]
+        size = sizes_by_chunk[i].take(levels)
         start = now
         finish = links.download_finish(size, start)
         download_s = finish - start
-        under = download_s > buffer
-        stall = np.where(playing & under, download_s - buffer, 0.0)
-        drained = np.where(under, 0.0, buffer - download_s)
+        # A playing lane stalls for the download time the buffer does not
+        # cover and drains to zero; otherwise it drains by the download
+        # time. Clamping the signed difference at zero selects exactly
+        # those doubles (a - b < 0 iff a < b), and multiplying by the
+        # 0/1 playing mask zeroes the stall of lanes not yet playing.
+        stall = np.maximum(download_s - buffer, 0.0) * playing
+        drained = np.maximum(buffer - download_s, 0.0)
         buffer = np.where(playing, drained, buffer)
         now = finish
         buffer = buffer + delta
@@ -254,12 +260,11 @@ def run_lockstep_sessions(
         rec_finishes[i] = now
         rec_stalls[i] = stall
         rec_buffers[i] = buffer
-        rec_cap_idles[i] = cap_idle
         last_levels = levels
 
         # 5. startup: playback begins once the initial target is met
         started = (~playing) & (buffer >= startup_latency_s)
-        if np.any(started):
+        if np.count_nonzero(started):
             startup = np.where(started, now, startup)
             playing = playing | started
         if timed:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.faults.spec import parse_fault_plan
 from repro.fleet.arrivals import edge_arrival_times
-from repro.fleet.sim import simulate_edge
+from repro.fleet.sim import STAGE_DISPATCH, simulate_edge
 from repro.fleet.spec import FleetSpec
 from repro.fleet.runner import synthesize_edge_trace
+from repro.telemetry.spans import StageTimer
 
 
 def tiny_spec(**overrides):
@@ -96,6 +97,20 @@ class TestDeterminism:
         a = simulate_edge(spec, 0, videos, synthesize_edge_trace(spec, 0))
         b = simulate_edge(spec, 1, videos, synthesize_edge_trace(spec, 1))
         assert a.sessions != b.sessions or a.bits != b.bits
+
+
+class TestStageTiming:
+    def test_timed_run_reports_cpu_time(self, ed_youtube_video):
+        spec = tiny_spec()
+        videos = {"ED-youtube-h264": ed_youtube_video}
+        trace = synthesize_edge_trace(spec, 0)
+        timed = simulate_edge(spec, 0, videos, trace, stage_timer=StageTimer())
+        stages = timed.stages
+        assert stages[STAGE_DISPATCH]["cpu_s"] > 0.0
+        # Timing never changes the simulation.
+        plain = simulate_edge(spec, 0, videos, trace)
+        assert timed.bits == plain.bits
+        assert np.array_equal(timed.delivered_bits, plain.delivered_bits)
 
 
 class TestFaults:

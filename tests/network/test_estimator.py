@@ -149,6 +149,66 @@ class TestWarmupHardening:
         )
 
 
+#: Per-lane samples for the lane-wise equality test: realistic rates
+#: plus the clamp extremes — tiny sizes, enormous durations, and
+#: quotients that overflow to inf before the clamp.
+_lane_sizes = st.one_of(
+    st.floats(min_value=1e3, max_value=1e8),
+    _positive_floats,
+    st.sampled_from([1e-300, 2e-300, 1e300, 1.7e308]),
+)
+_lane_durations = st.one_of(
+    st.floats(min_value=1e-3, max_value=60.0),
+    _positive_floats,
+    st.sampled_from([1e-300, 1e20, 3e20, 1e300]),
+)
+
+
+class TestBatchMatchesScalarLanes:
+    """Each lane of the batch estimator is a scalar estimator, bit for bit."""
+
+    @given(
+        lanes=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_lane_equals_scalar(self, lanes, data):
+        # Up to 12 observations: the 5-slot ring wraps twice.
+        steps = data.draw(st.integers(min_value=0, max_value=12))
+        batch = BatchHarmonicMeanEstimator(lanes)
+        scalars = [HarmonicMeanEstimator() for _ in range(lanes)]
+        for _ in range(steps):
+            sizes = data.draw(st.lists(_lane_sizes, min_size=lanes, max_size=lanes))
+            durations = data.draw(
+                st.lists(_lane_durations, min_size=lanes, max_size=lanes)
+            )
+            batch.observe(np.asarray(sizes), np.asarray(durations))
+            for scalar, size, duration in zip(scalars, sizes, durations):
+                scalar.observe(size, duration, 0.0)
+            predicted = batch.predict_bps().tolist()
+            assert predicted == [scalar.predict_bps(0.0) for scalar in scalars]
+        if steps == 0:
+            assert batch.predict_bps().tolist() == [
+                scalar.predict_bps(0.0) for scalar in scalars
+            ]
+
+    def test_overflowing_fold_falls_back_per_lane(self):
+        # Five minimum-normal samples: their reciprocals sum past the
+        # largest double, so both paths fall back to the cold-start
+        # estimate on that lane only.
+        batch = BatchHarmonicMeanEstimator(2)
+        scalars = [HarmonicMeanEstimator(), HarmonicMeanEstimator()]
+        for _ in range(5):
+            sizes, durations = [1e-300, 4e6], [1e20, 2.0]
+            batch.observe(np.asarray(sizes), np.asarray(durations))
+            for scalar, size, duration in zip(scalars, sizes, durations):
+                scalar.observe(size, duration, 0.0)
+        predicted = batch.predict_bps().tolist()
+        assert predicted == [scalar.predict_bps(0.0) for scalar in scalars]
+        assert predicted[0] == batch.initial_estimate_bps
+        assert predicted[1] == pytest.approx(2e6)
+
+
 class TestEwma:
     def test_converges_to_constant_rate(self):
         estimator = EwmaEstimator(alpha=0.5)

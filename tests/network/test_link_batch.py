@@ -12,12 +12,14 @@ Equality below is ``==`` on float64, never approx: one ULP of drift in a
 finish time cascades into different chunk decisions downstream.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.link import MIN_DOWNLOAD_DURATION_S, StackedLinks, TraceLink
-from repro.network.traces import NetworkTrace
+from repro.network.traces import NetworkTrace, synthesize_lte_traces
 
 # Throughputs mix zero-rate intervals (queued downloads) with realistic
 # rates; a trace of only zeros never delivers a bit, so at least one
@@ -123,3 +125,123 @@ def test_ragged_lane_widths_padding_inert():
     short = TraceLink(NetworkTrace("s", 1.0, np.array([1e6])))
     long = TraceLink(NetworkTrace("l", 1.0, np.array([5e5] * 7 + [0.0])))
     _assert_stack_matches_scalar([short, long], [3e6, 4.2e6], [0.75, 6.5])
+
+
+# ---------------------------------------------------------------------------
+# Multi-block rows. The crossing search splits each padded row into
+# StackedLinks.BLOCK-entry blocks, so these cases use traces long enough
+# to span many blocks, lanes of different lengths whose rows end
+# mid-block, and targets pinned to block edges.
+# ---------------------------------------------------------------------------
+
+BLOCK = StackedLinks.BLOCK
+
+
+def _long_rates(num_intervals, seed, zero_runs):
+    """Random positive rates with zero-rate runs straddling block edges.
+
+    ``zero_runs`` lists (block edge, run before it, run after it); a run
+    that covers table entry ``edge`` makes the block-last entry equal to
+    its neighbours, the earliest-crossing tie the search must honour.
+    """
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(1e4, 1e8, num_intervals)
+    for edge, before, after in zero_runs:
+        rates[max(edge - before, 0) : edge + after] = 0.0
+    if not (rates > 0).any():
+        rates[-1] = 1e6
+    return rates
+
+
+_zero_run = st.tuples(
+    st.integers(min_value=1, max_value=1500 // BLOCK),  # block number
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
+).map(lambda run: (run[0] * BLOCK - 1, run[1], run[2]))
+
+_long_lane = st.tuples(
+    st.integers(min_value=1, max_value=1500),  # intervals
+    st.integers(min_value=0, max_value=2**32 - 1),  # rate seed
+    st.lists(_zero_run, max_size=3),
+)
+
+
+def _block_edge_targets(link):
+    """Table entries at block edges and their nextafter neighbours."""
+    cum = link._cumulative_bits
+    targets = []
+    for k in range(BLOCK - 1, len(cum), BLOCK):
+        value = float(cum[k])
+        targets += [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+    last = float(cum[-1])
+    targets += [np.nextafter(last, -np.inf), float(cum[min(BLOCK, len(cum) - 1)])]
+    return [t for t in targets if 0.0 < t < np.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lanes=st.lists(_long_lane, min_size=1, max_size=5),
+    interval_s=st.sampled_from([0.5, 1.0, 2.0]),
+    data=st.data(),
+)
+def test_download_finish_multi_block_rows(lanes, interval_s, data):
+    """Random starts and sizes over rows up to 1501 entries wide."""
+    links = [
+        TraceLink(
+            NetworkTrace(f"m{i}", interval_s, _long_rates(n, seed, runs))
+        )
+        for i, (n, seed, runs) in enumerate(lanes)
+    ]
+    sizes = [
+        data.draw(st.floats(min_value=1.0, max_value=5e9)) for _ in links
+    ]
+    starts = [
+        data.draw(
+            st.floats(min_value=0.0, max_value=2.5 * link.trace.duration_s)
+        )
+        for link in links
+    ]
+    _assert_stack_matches_scalar(links, sizes, starts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lanes=st.lists(_long_lane, min_size=1, max_size=4), data=st.data())
+def test_download_finish_targets_on_block_edges(lanes, data):
+    """A download from time 0 crosses at exactly its size in bits, so a
+    size equal to a block-last table entry (or one ULP either side)
+    lands the search on the block boundary itself."""
+    links = [
+        TraceLink(NetworkTrace(f"e{i}", 1.0, _long_rates(n, seed, runs)))
+        for i, (n, seed, runs) in enumerate(lanes)
+    ]
+    sizes = [data.draw(st.sampled_from(_block_edge_targets(link))) for link in links]
+    _assert_stack_matches_scalar(links, sizes, [0.0] * len(links))
+
+
+def test_bisect_left_matches_bisect_on_every_block_edge():
+    # Ragged rows ending mid-block, zero-rate runs across block edges.
+    links = [
+        TraceLink(NetworkTrace(f"r{n}", 1.0, _long_rates(n, n, [(63, 5, 9), (95, 40, 1)])))
+        for n in (40, 70, 100, 129, 200)
+    ]
+    stacked = StackedLinks(links)
+    for k in range(len(links)):
+        for target in _block_edge_targets(links[k]):
+            within = np.zeros(len(links))
+            within[k] = target
+            found = stacked._bisect_left(within)
+            assert found[k] == bisect_left(links[k]._cumulative_bits.tolist(), target)
+
+
+def test_download_finish_lte_width_1081():
+    """The sweep's real data plane: 64 LTE traces, 1081-entry rows."""
+    traces = synthesize_lte_traces(count=64, seed=1)
+    links = [TraceLink(trace) for trace in traces]
+    assert max(link._num_intervals for link in links) + 1 == 1081
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        sizes = rng.uniform(1e4, 2e7, len(links))
+        starts = rng.uniform(0.0, 2500.0, len(links))
+        _assert_stack_matches_scalar(links, sizes.tolist(), starts.tolist())
+    edge_sizes = [_block_edge_targets(link)[i % 30] for i, link in enumerate(links)]
+    _assert_stack_matches_scalar(links, edge_sizes, [0.0] * len(links))

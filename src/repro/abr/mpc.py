@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -42,16 +42,41 @@ from repro.abr.horizon import (
     plan_stall_free,
     planner_for,
 )
-from repro.util.pinned import PinnedMemo
 from repro.util.validation import check_non_negative, check_positive
 from repro.video.model import Manifest
 
 __all__ = ["MPCAlgorithm", "RobustMPCAlgorithm"]
 
-#: Bandwidth-independent score tables, shared across algorithm instances
-#: keyed by manifest identity (sweeps build a fresh MPC per session but
-#: reuse the manifest, so this is where cross-session reuse must live).
-_SCORE_TABLES = PinnedMemo()
+
+@lru_cache(maxsize=64)
+def _score_rows(
+    utilities_key: Tuple[float, ...], smoothness_weight: float, h: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First levels and bandwidth-independent base score rows of every plan.
+
+    Row ``p < L`` is ``utility - w * (|u[l0] - u[p]| + steps)`` over the
+    plans of :func:`level_sequences` for previous level ``p``; row ``L``
+    is the chunk-0 row, with no previous level and so no switch cost. A
+    decision scores ``row - mu * rebuffer``. The scalar argmax, the
+    batch decider and :func:`_survivor_plans` all read these exact rows.
+
+    Cached by value: sweeps build a fresh MPC per session over equal
+    ladders, and the tables depend on nothing else.
+    """
+    utilities = np.asarray(utilities_key)
+    sequences = level_sequences(utilities.shape[0], h)
+    first = sequences[:, 0]
+    utility = utilities[sequences].sum(axis=1)
+    if h > 1:
+        steps = np.abs(np.diff(utilities[sequences], axis=1)).sum(axis=1)
+    else:
+        steps = 0.0
+    smooth = np.vstack(
+        [np.abs(utilities[first] - utilities[:, None]), np.zeros(first.shape)]
+    )
+    rows = utility - smoothness_weight * (smooth + steps)
+    rows.setflags(write=False)
+    return first, rows
 
 
 @lru_cache(maxsize=32)
@@ -60,52 +85,49 @@ def _survivor_plans(
 ) -> np.ndarray:
     """Plans that can win MPC's argmax under level-monotone chunk sizes.
 
-    Plan B is *dominated* by plan A when they start at the same level
-    (so the switch cost against any previous level is identical), A's
-    levels are componentwise <= B's, A's prefix-independent base
-    (utility minus weighted internal smoothness steps) is >= B's, and
-    A's plan index is smaller. When chunk sizes are nondecreasing in
-    level at every step of the window, A's per-step download times are
-    componentwise <= B's, so A rebuffers no more than B (the
-    ``max``/``+``/``-`` recurrence is monotone operation-by-operation
-    under IEEE rounding) and ``score(A) >= score(B)`` for every
-    bandwidth, buffer, previous level, and rebuffer penalty ``mu >= 0``.
-    A dominated plan therefore can never be the *first* argmax: follow
-    dominators (indices strictly decrease) to a surviving plan with a
-    score at least as high and a smaller index. Conversely the first
-    argmax always survives, and restricting the argmax to the ascending
-    survivor set preserves the first-occurrence tie-break bitwise.
+    Under base row ``r`` (one of :func:`_score_rows`), plan B is
+    *dominated* by plan A when they start at the same level, A's later
+    levels are componentwise <= B's, ``r[A] >= r[B]`` and A's plan index
+    is smaller. When chunk sizes are nondecreasing in level at every
+    step of the window, A's per-step download times are componentwise
+    <= B's, so A rebuffers no more than B (the ``max``/``+``/``-``
+    recurrence is monotone operation-by-operation under IEEE rounding),
+    and ``r[A] - mu * reb[A] >= r[B] - mu * reb[B]`` is again monotone
+    rounding. So a plan dominated under ``r`` cannot be the *first*
+    argmax of the scores built on ``r``: A scores at least as high with
+    a smaller index.
+
+    A plan survives if no row dominates it, in at least one row. The
+    first argmax under every row therefore survives, and the argmax
+    over the ascending survivor set keeps the first-occurrence
+    tie-break bitwise. Dominance is decided on the exact rows the
+    scores use: rows that are equal in real arithmetic round apart by
+    an ulp, so one shared formula for all rows would prune true
+    argmaxes.
 
     The set depends only on the utility vector, the smoothness weight,
-    and the horizon — not on the chunk index — so one table (typically
-    ~15% of ``L**h`` for the paper's ladders) serves every decision.
+    and the horizon — not on the chunk index — so one table (about a
+    fifth of ``L**h`` for the paper's ladders) serves every decision.
     Callers must verify the per-window size monotonicity precondition
     and fall back to the dense trellis where it fails.
     """
-    utilities = np.asarray(utilities_key)
-    num_levels = utilities.shape[0]
-    sequences = level_sequences(num_levels, h)
-    utility = utilities[sequences].sum(axis=1)
-    if h > 1:
-        steps = np.abs(np.diff(utilities[sequences], axis=1)).sum(axis=1)
-    else:
-        steps = np.zeros(sequences.shape[0])
-    base = utility - smoothness_weight * steps
-    alive = np.ones(sequences.shape[0], dtype=bool)
+    first, rows = _score_rows(utilities_key, smoothness_weight, h)
+    num_levels = len(utilities_key)
+    tails = level_sequences(num_levels, h)[:, 1:]
+    alive = np.zeros(first.shape[0], dtype=bool)
     block = 512
-    for first in range(num_levels):
-        idx = np.nonzero(sequences[:, 0] == first)[0]
-        seqs = sequences[idx]
-        group_base = base[idx]
+    for level in range(num_levels):
+        idx = np.nonzero(first == level)[0]
+        group_tails = tails[idx]
+        group_rows = rows[:, idx]
         for start in range(0, idx.size, block):
             blk = slice(start, start + block)
-            levels_le = (seqs[:, None, 1:] <= seqs[None, blk, 1:]).all(axis=2)
-            dominates = (
-                levels_le
-                & (group_base[:, None] >= group_base[None, blk])
-                & (idx[:, None] < idx[None, blk])
-            )
-            alive[idx[blk]] &= ~dominates.any(axis=0)
+            candidates = (group_tails[:, None, :] <= group_tails[None, blk, :]).all(
+                axis=2
+            ) & (idx[:, None] < idx[None, blk])
+            for row in group_rows:
+                dominated = (candidates & (row[:, None] >= row[None, blk])).any(axis=0)
+                alive[idx[blk]] |= ~dominated
     plans = np.nonzero(alive)[0]
     plans.setflags(write=False)
     return plans
@@ -118,12 +140,13 @@ class MPCAlgorithm(ABRAlgorithm):
     to the shared-prefix :class:`~repro.abr.horizon.HorizonPlanner`. The
     bandwidth-independent score terms — per-sequence utility, internal
     smoothness steps, and the first-step switch cost against each
-    possible previous level — are precomputed per (manifest, effective
-    horizon) and cached, so a decision reduces to one trellis rollout
-    plus ``score = base - mu * rebuffer`` and an argmax. Every cached
-    table is built with the exact numpy expressions of the original
-    per-sequence formulation, so scores (and argmax ties, resolved to
-    the lexicographically smallest sequence) are bit-identical.
+    possible previous level — are precomputed per (ladder, smoothness
+    weight, effective horizon) by :func:`_score_rows` and cached, so a
+    decision reduces to one trellis rollout plus ``score = base - mu *
+    rebuffer`` and an argmax. Every cached row is built with the exact
+    numpy expressions of the original per-sequence formulation, so
+    scores (and argmax ties, resolved to the lexicographically smallest
+    sequence) are bit-identical.
     """
 
     name = "MPC"
@@ -144,52 +167,17 @@ class MPCAlgorithm(ABRAlgorithm):
 
     def prepare(self, manifest: Manifest) -> None:
         super().prepare(manifest)
-        self._utilities_mbps = manifest.declared_avg_bitrates_bps / 1e6
+        self._utilities_key = tuple(manifest.declared_avg_bitrates_bps / 1e6)
         self._planner = planner_for(manifest.num_tracks, self.horizon)
 
-    def _tables_for(self, h: int) -> Dict[str, Any]:
-        """Bandwidth-independent score tables for effective horizon ``h``.
+    def _score_rows(self, h: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(first levels, base rows)`` for effective horizon ``h``.
 
         ``h`` is shorter than ``self.horizon`` only for the truncated
         tails at video end, so at most ``horizon`` tables exist per
-        (manifest, smoothness weight).
+        (ladder, smoothness weight).
         """
-        manifest = self.manifest
-
-        def build() -> Dict[str, Any]:
-            utilities = manifest.declared_avg_bitrates_bps / 1e6
-            sequences = level_sequences(manifest.num_tracks, h)
-            utility = utilities[sequences].sum(axis=1)
-            if h > 1:
-                steps = np.abs(np.diff(utilities[sequences], axis=1)).sum(axis=1)
-            else:
-                steps = 0.0
-            return {
-                "utilities": utilities,
-                "first": sequences[:, 0],
-                "utility": utility,
-                "steps": steps,
-                "base": {},
-            }
-
-        return _SCORE_TABLES.get(manifest, (h, self.smoothness_weight), build)
-
-    def _base_scores(self, tables: Dict[str, Any], previous: Optional[int]) -> np.ndarray:
-        """``utility - w * (smooth + steps)`` for one previous level."""
-        base = tables["base"].get(previous)
-        if base is None:
-            utilities = tables["utilities"]
-            first = tables["first"]
-            if previous is None:
-                # First chunk: the original scored |u[l0] - u[l0]| = 0;
-                # keep the expression so the zeros are produced the same
-                # way.
-                smooth = np.abs(utilities[first] - utilities[first])
-            else:
-                smooth = np.abs(utilities[first] - utilities[previous])
-            base = tables["utility"] - self.smoothness_weight * (smooth + tables["steps"])
-            tables["base"][previous] = base
-        return base
+        return _score_rows(self._utilities_key, self.smoothness_weight, h)
 
     def _predicted_bandwidth(self, ctx: DecisionContext) -> float:
         return ctx.bandwidth_bps
@@ -198,16 +186,16 @@ class MPCAlgorithm(ABRAlgorithm):
         manifest = self.manifest
         sizes = horizon_sizes(manifest, ctx.chunk_index, self.horizon)
         h = sizes.shape[1]
-        tables = self._tables_for(h)
+        first, rows = self._score_rows(h)
         bandwidth = max(self._predicted_bandwidth(ctx), 1_000.0)
 
         rebuffer = self._planner.rollout_rebuffer(
             sizes, bandwidth, ctx.buffer_s, manifest.chunk_duration_s
         )
-        base = self._base_scores(tables, ctx.last_level)
-        score = base - self.rebuffer_penalty_per_s * rebuffer
+        row = manifest.num_tracks if ctx.last_level is None else ctx.last_level
+        score = rows[row] - self.rebuffer_penalty_per_s * rebuffer
         best = int(np.argmax(score))
-        return int(tables["first"][best])
+        return int(first[best])
 
     def batch_decider(
         self, manifest: Manifest, lanes: int
@@ -275,11 +263,11 @@ class _BatchMpcDecider(BatchDecider):
     """Vectorized MPC: one batched trellis rollout plus a per-lane gather
     of the cached bandwidth-independent score rows.
 
-    The per-previous-level base-score vectors (already memoized across
-    sessions in ``_SCORE_TABLES``) stack into an ``(L, L^h)`` matrix, so
-    ``matrix[last_levels]`` hands every lane the exact row the scalar
-    ``_base_scores`` lookup would return. ``np.argmax(..., axis=1)``
-    keeps the scalar first-occurrence tie-break per lane.
+    :func:`_score_rows` stacks one base row per previous level plus the
+    chunk-0 row into an ``(L + 1, L^h)`` matrix, so ``rows[row_of]``
+    hands every lane the exact row the scalar ``select_level`` reads.
+    ``np.argmax(..., axis=1)`` keeps the scalar first-occurrence
+    tie-break per lane.
 
     Best-plan fast path: per lane, simulate only the cached first-argmax
     plan of the lane's base row (``p*``). When :func:`plan_stall_free`
@@ -292,12 +280,14 @@ class _BatchMpcDecider(BatchDecider):
     cases where MPC actually has a trade-off to weigh — pay for a
     rollout.
 
-    Survivor pruning: those risky lanes normally roll only the
-    dominance survivors of :func:`_survivor_plans` through a
-    :class:`~repro.abr.horizon.SparsePlanRollout` (~6x fewer leaves,
-    provably containing the winner with its tie-break). The
-    precondition — chunk sizes nondecreasing in level at every step of
-    the window — is checked once per manifest; the rare non-monotone
+    Survivor pruning: those risky lanes normally roll only the plans of
+    :func:`_survivor_plans` through a
+    :class:`~repro.abr.horizon.SparsePlanRollout`. Each pruned plan is
+    dominated under every base row's exact scores by a plan with a
+    smaller index that rebuffers no more, so it can never be the first
+    argmax, and the survivors contain the winner with its tie-break.
+    The precondition — chunk sizes nondecreasing in level at every step
+    of the window — is checked once per manifest; the rare non-monotone
     windows take the full ``(lanes, L^h)`` rollout instead, on the
     planner's leading scratch rows.
     """
@@ -309,172 +299,83 @@ class _BatchMpcDecider(BatchDecider):
         self._planner = BatchHorizonPlanner(
             lanes, manifest.num_tracks, algorithm.horizon
         )
-        self._base_matrices: Dict[int, np.ndarray] = {}
-        self._base_argbest: Dict[int, np.ndarray] = {}
-        self._base_argbest_first: Dict[int, int] = {}
-        self._best_digits: Dict[int, np.ndarray] = {}
-        self._best_digits_first: Dict[int, np.ndarray] = {}
+        self._best: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Running count of chunks whose sizes are NOT nondecreasing in
         # level: a window is survivor-safe iff its count is flat.
         mono = (np.diff(manifest.chunk_sizes_bits, axis=0) >= 0).all(axis=0)
         self._mono_bad = np.cumsum(~mono)
-        self._sparse: Dict[int, Dict[str, Any]] = {}
+        self._sparse: Dict[int, Tuple[np.ndarray, np.ndarray, SparsePlanRollout]] = {}
 
     def _window_monotone(self, index: int, h: int) -> bool:
         prior = self._mono_bad[index - 1] if index else 0
         return bool(self._mono_bad[index + h - 1] == prior)
 
-    def _sparse_for(self, tables: Dict[str, Any], h: int) -> Dict[str, Any]:
+    def _best_plans(self, h: int, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per base row: the first argmax ``p*`` and its ``(h,)`` levels."""
+        best = self._best.get(h)
+        if best is None:
+            argbest = np.argmax(rows, axis=1)
+            best = (argbest, plan_level_digits(argbest, self._manifest.num_tracks, h))
+            self._best[h] = best
+        return best
+
+    def _sparse_for(
+        self, h: int, first: np.ndarray, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, SparsePlanRollout]:
+        """Survivors' first levels, base rows and rollout for horizon ``h``."""
         sparse = self._sparse.get(h)
         if sparse is None:
             algorithm = self._algorithm
             plans = _survivor_plans(
-                tuple(algorithm._utilities_mbps),
-                algorithm.smoothness_weight,
-                h,
+                algorithm._utilities_key, algorithm.smoothness_weight, h
             )
-            sparse = {
-                "plans": plans,
-                "first": tables["first"][plans],
-                "rollout": SparsePlanRollout(
-                    self._planner.lanes, self._manifest.num_tracks, h, plans
-                ),
-                "base_none": None,  # base row over survivors, chunk 0
-                "matrix": None,  # (L, survivors) base rows
-            }
+            rollout = SparsePlanRollout(
+                self._planner.lanes, self._manifest.num_tracks, h, plans
+            )
+            sparse = (first[plans], rows[:, plans], rollout)
             self._sparse[h] = sparse
         return sparse
 
     def _bandwidth_bps(self, ctx: BatchDecisionContext) -> np.ndarray:
         return ctx.bandwidth_bps
 
-    def _base_matrix(self, tables: Dict[str, Any], h: int) -> np.ndarray:
-        matrix = self._base_matrices.get(h)
-        if matrix is None:
-            algorithm = self._algorithm
-            matrix = np.stack(
-                [
-                    algorithm._base_scores(tables, previous)
-                    for previous in range(self._manifest.num_tracks)
-                ]
-            )
-            self._base_matrices[h] = matrix
-        return matrix
-
-    def _safe_best(
-        self, tables: Dict[str, Any], h: int, last_levels: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Per-lane first argmax of the base row — ``p*``."""
-        if last_levels is None:
-            best = self._base_argbest_first.get(h)
-            if best is None:
-                best = int(np.argmax(self._algorithm._base_scores(tables, None)))
-                self._base_argbest_first[h] = best
-            return best
-        argbest = self._base_argbest.get(h)
-        if argbest is None:
-            argbest = np.argmax(self._base_matrix(tables, h), axis=1)
-            self._base_argbest[h] = argbest
-        return argbest[last_levels]
-
-    def _best_plan_digits(
-        self, tables: Dict[str, Any], h: int, last_levels: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Level sequence of each lane's ``p*`` — ``(lanes, h)`` (or
-        ``(h,)`` at chunk 0, where every lane shares one plan)."""
-        num_levels = self._manifest.num_tracks
-        if last_levels is None:
-            digits = self._best_digits_first.get(h)
-            if digits is None:
-                digits = plan_level_digits(
-                    self._safe_best(tables, h, None), num_levels, h
-                )
-                self._best_digits_first[h] = digits
-            return digits
-        digits = self._best_digits.get(h)
-        if digits is None:
-            argbest = self._base_argbest.get(h)
-            if argbest is None:
-                self._safe_best(tables, h, np.zeros(1, dtype=np.int64))
-                argbest = self._base_argbest[h]
-            digits = plan_level_digits(argbest, num_levels, h)
-            self._best_digits[h] = digits
-        return digits[last_levels]
-
     def select_levels(self, ctx: BatchDecisionContext) -> np.ndarray:
         algorithm = self._algorithm
         manifest = self._manifest
         sizes = horizon_sizes(manifest, ctx.chunk_index, algorithm.horizon)
         h = sizes.shape[1]
-        tables = algorithm._tables_for(h)
+        first, rows = algorithm._score_rows(h)
         bandwidth = np.maximum(self._bandwidth_bps(ctx), 1_000.0)
-        last_levels = ctx.last_levels
         lanes = bandwidth.shape[0]
+        row_of = ctx.last_levels
+        if row_of is None:  # chunk 0: every lane scores on the last row
+            row_of = np.full(lanes, manifest.num_tracks)
 
-        seq = self._best_plan_digits(tables, h, last_levels)
-        steps = np.arange(h)
-        if last_levels is None:
-            seq_sizes = np.broadcast_to(sizes[seq, steps], (lanes, h))
-        else:
-            seq_sizes = sizes[seq, steps]
+        argbest, digits = self._best_plans(h, rows)
         safe = plan_stall_free(
-            seq_sizes, bandwidth, ctx.buffer_s, manifest.chunk_duration_s
+            sizes[digits[row_of], np.arange(h)],
+            bandwidth,
+            ctx.buffer_s,
+            manifest.chunk_duration_s,
         )
+        levels = first[argbest[row_of]]
         if safe.all():
-            best = self._safe_best(tables, h, last_levels)
-            if last_levels is None:  # scalar argbest: broadcast to lanes
-                return np.full(lanes, tables["first"][best])
-            return tables["first"][best]
+            return levels
 
-        risky = ~safe
-        if risky.all():
-            sub = slice(None)  # full batch, no gather needed
-            sub_last = last_levels
-        else:
-            sub = np.nonzero(risky)[0]
-            sub_last = None if last_levels is None else last_levels[sub]
+        # Risky lanes: the full batch needs no gather.
+        sub = slice(None) if not safe.any() else np.nonzero(~safe)[0]
         if self._window_monotone(ctx.chunk_index, h):
-            # Survivor path: argmax over the ascending dominance
-            # survivors selects the same plan (and tie-break) as the
-            # full argmax — see _survivor_plans.
-            sparse = self._sparse_for(tables, h)
-            rebuffer = sparse["rollout"].rollout_rebuffer(
-                sizes, bandwidth[sub], ctx.buffer_s[sub], manifest.chunk_duration_s
-            )
-            if sub_last is None:
-                base = sparse["base_none"]
-                if base is None:
-                    base = algorithm._base_scores(tables, None)[sparse["plans"]]
-                    sparse["base_none"] = base
-                base = base[None, :]
-            else:
-                matrix = sparse["matrix"]
-                if matrix is None:
-                    matrix = self._base_matrix(tables, h)[:, sparse["plans"]]
-                    sparse["matrix"] = matrix
-                base = matrix[sub_last]
-            first_map = sparse["first"]
+            # Survivor path: argmax over the ascending survivors selects
+            # the same plan (and tie-break) as the full argmax — see
+            # _survivor_plans.
+            first, rows, rollout = self._sparse_for(h, first, rows)
         else:
-            rebuffer = self._planner.rollout_rebuffer(
-                sizes, bandwidth[sub], ctx.buffer_s[sub], manifest.chunk_duration_s
-            )
-            if sub_last is None:
-                base = algorithm._base_scores(tables, None)[None, :]
-            else:
-                base = self._base_matrix(tables, h)[sub_last]
-            first_map = tables["first"]
-        score = base - algorithm.rebuffer_penalty_per_s * rebuffer
-        sub_best = np.argmax(score, axis=1)
-        if isinstance(sub, slice):
-            return first_map[sub_best]
-        levels = np.empty(lanes, dtype=first_map.dtype)
-        levels[sub] = first_map[sub_best]
-        safe_best = (
-            self._safe_best(tables, h, last_levels)
-            if last_levels is None
-            else self._safe_best(tables, h, last_levels[safe])
+            rollout = self._planner
+        rebuffer = rollout.rollout_rebuffer(
+            sizes, bandwidth[sub], ctx.buffer_s[sub], manifest.chunk_duration_s
         )
-        levels[safe] = tables["first"][safe_best]
+        score = rows[row_of[sub]] - algorithm.rebuffer_penalty_per_s * rebuffer
+        levels[sub] = first[np.argmax(score, axis=1)]
         return levels
 
 

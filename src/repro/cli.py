@@ -20,11 +20,6 @@ Subcommands:
 - ``trace``          — replay one session with controller tracing on and
                        print the per-chunk timeline (target buffer, PID
                        error, estimated vs realized bandwidth, quartile);
-- ``bench``          — run the hot-path microbenchmark suite and write
-                       ``BENCH_hotpath.json`` (``--baseline`` turns it
-                       into a perf-regression gate; ``--warm`` runs just
-                       the warm-cache sweep stage and merges its numbers
-                       into the record);
 - ``cache``          — inspect or maintain a session-result store
                        (``stats`` / ``verify`` / ``gc`` / ``leases``;
                        ``gc --dry-run`` previews, ``leases --expire``
@@ -577,176 +572,6 @@ def cmd_top(args: argparse.Namespace) -> int:
             return 0
 
 
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.experiments.hotpath import (
-        load_record,
-        pin_single_threaded,
-        write_record,
-    )
-    from repro.fleet.bench import (
-        build_record,
-        fleet_gate,
-        run_fleet_benchmark,
-        spec_from_env,
-        stage_breakdown,
-        usable_cpus,
-    )
-
-    pin_single_threaded()
-    out = Path(args.out or "BENCH_fleet.json")
-    spec = spec_from_env()
-    workers = (
-        args.workers
-        or int(os.environ.get("REPRO_BENCH_FLEET_WORKERS", "0"))
-        or usable_cpus()
-    )
-    rounds = max(1, args.rounds)
-    result, elapsed = run_fleet_benchmark(spec, n_workers=workers, rounds=rounds)
-    record = build_record(
-        spec,
-        result,
-        elapsed_s=elapsed,
-        workers=workers,
-        rounds=rounds,
-        stages=stage_breakdown(spec),
-    )
-    write_record(record, out)
-    timing = record["timing"]
-    if not args.json:
-        print(
-            f"fleet benchmark ({result.sessions} sessions over {spec.n_edges} "
-            f"edges, {workers} workers, best of {rounds}) -> {out}"
-        )
-        print(f"  {timing['sessions_per_s']:>12} sessions/s"
-              f"  {timing['events_per_s']:>12} events/s"
-              f"  ({timing['us_per_event']} us/event)")
-        for name, entry in record["stages"]["stages"].items():
-            print(f"  {name:24s} {entry['wall_s']:9.3f}s wall"
-                  f"  {entry['share'] * 100:5.1f}%  ({entry['count']} ops)")
-
-    regressions: list = []
-    have_baseline = False
-    if args.baseline is not None:
-        baseline = load_record(Path(args.baseline))
-        if baseline is None:
-            if not args.json:
-                print(f"no baseline at {args.baseline}; skipping regression gate")
-        else:
-            have_baseline = True
-            regressions = fleet_gate(record, baseline, tolerance=args.tolerance)
-    if args.json:
-        payload = dict(record)
-        if args.baseline is not None:
-            payload["regressions"] = regressions
-        print(json.dumps(payload))
-        return 1 if regressions else 0
-    if not have_baseline:
-        return 0
-    if regressions:
-        print(f"\n{len(regressions)} perf regression(s) vs {args.baseline}:")
-        for line in regressions:
-            print(f"  {line}")
-        return 1
-    print(f"\nno regressions vs {args.baseline} "
-          f"(tolerance {args.tolerance * 100:.0f}%)")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.hotpath import (
-        DEFAULT_MPC_TRACES,
-        DEFAULT_SWEEP_TRACES,
-        WARM_TARGET,
-        compare_to_baseline,
-        load_record,
-        merge_warm_target,
-        pin_single_threaded,
-        run_hotpath_benchmarks,
-        run_warm_cache_benchmark,
-        write_record,
-    )
-
-    if args.fleet:
-        return _cmd_bench_fleet(args)
-
-    pin_single_threaded()
-    out = Path(args.out or "BENCH_hotpath.json")
-    if args.warm:
-        # Warm-cache stage only: run the reference sweep cold+warm
-        # through a fresh session store and fold the numbers into the
-        # existing record without re-running the expensive main suite.
-        target = run_warm_cache_benchmark(
-            sweep_traces=(
-                args.traces if args.traces is not None else DEFAULT_SWEEP_TRACES
-            )
-        )
-        record = merge_warm_target(load_record(out), target)
-        write_record(record, out)
-        if args.json:
-            print(json.dumps(record))
-            return 0
-        print(f"warm-cache sweep ({target['sessions']} sessions) -> {out}")
-        print(f"  cold   {target['cold_sessions_per_s']:12.2f} sessions/s")
-        print(f"  warm   {target['sessions_per_s']:12.2f} sessions/s "
-              f"({target['warm_speedup']:.1f}x, "
-              f"{target['store_hits']} store hits)")
-        return 0
-
-    record = run_hotpath_benchmarks(
-        sweep_traces=args.traces if args.traces is not None else DEFAULT_SWEEP_TRACES,
-        mpc_traces=(
-            args.mpc_traces if args.mpc_traces is not None else DEFAULT_MPC_TRACES
-        ),
-    )
-    # A full re-run replaces every target it measures but preserves a
-    # previously merged warm-cache stage.
-    previous = load_record(out)
-    if previous and WARM_TARGET in previous.get("targets", {}):
-        record["targets"][WARM_TARGET] = previous["targets"][WARM_TARGET]
-    write_record(record, out)
-    targets = record["targets"]
-    if not args.json:
-        print(f"hot-path benchmarks ({record['grid']['video']}, "
-              f"{record['environment']['cpu_count']} cores) -> {out}")
-        for name, stats in targets.items():
-            if "ns_per_op" in stats:
-                print(f"  {name:32s} {stats['ns_per_op']:12.0f} ns/op")
-            else:
-                print(f"  {name:32s} {stats['sessions_per_s']:12.2f} sessions/s")
-
-    regressions: list = []
-    if args.baseline is not None:
-        baseline = load_record(Path(args.baseline))
-        if baseline is None:
-            if not args.json:
-                print(f"no baseline at {args.baseline}; skipping regression gate")
-        else:
-            regressions = compare_to_baseline(
-                record, baseline, tolerance=args.tolerance
-            )
-    if args.json:
-        payload = dict(record)
-        if args.baseline is not None:
-            payload["regressions"] = regressions
-        print(json.dumps(payload))
-        return 1 if regressions else 0
-    if args.baseline is None:
-        return 0
-    if regressions:
-        print(f"\n{len(regressions)} perf regression(s) vs {args.baseline}:")
-        for line in regressions:
-            print(f"  {line}")
-        return 1
-    print(f"\nno regressions vs {args.baseline} "
-          f"(tolerance {args.tolerance * 100:.0f}%)")
-    return 0
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
     import json
 
@@ -1000,37 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a single frame and exit")
 
     p = commands.add_parser(
-        "bench", help="run hot-path or fleet benchmarks, write a BENCH record"
-    )
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="output record path (default BENCH_hotpath.json, or "
-                        "BENCH_fleet.json with --fleet)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="compare against a baseline record; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.30,
-                   help="allowed fractional regression per target (default 0.30)")
-    p.add_argument("--fleet", action="store_true",
-                   help="benchmark the fleet simulator instead of the "
-                        "per-session hot paths (scale via the "
-                        "REPRO_BENCH_FLEET_* environment knobs)")
-    p.add_argument("--rounds", type=int, default=1,
-                   help="fleet: timed repetitions, record the fastest "
-                        "(default 1)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="fleet: worker processes for the timed run "
-                        "(0 = REPRO_BENCH_FLEET_WORKERS or usable cores)")
-    p.add_argument("--traces", type=int, default=None,
-                   help="traces in the CAVA+RBA sweep grid (default 200)")
-    p.add_argument("--mpc-traces", type=int, default=None,
-                   help="traces in the MPC-inclusive grid (default 50)")
-    p.add_argument("--warm", action="store_true",
-                   help="run only the warm-cache sweep stage and merge "
-                        "its sessions/s into the record")
-    p.add_argument("--json", action="store_true",
-                   help="print the record (plus regressions when --baseline "
-                        "is given) as one JSON object instead of a table")
-
-    p = commands.add_parser(
         "cache", help="inspect or maintain a session-result store"
     )
     p.add_argument("action", choices=("stats", "verify", "gc", "leases"))
@@ -1068,7 +862,6 @@ _HANDLERS = {
     "sweep-worker": cmd_sweep_worker,
     "fleet": cmd_fleet,
     "top": cmd_top,
-    "bench": cmd_bench,
     "cache": cmd_cache,
     "schemes": cmd_schemes,
 }

@@ -128,17 +128,11 @@ from repro.experiments.runner import (
     SweepResult,
 )
 from repro.experiments.scheduler import (
-    BATCH_DEFAULT_COST,
-    BATCH_SCHEME_COSTS,
-    SCHEME_COSTS,
-    TARGET_BATCH_COST,
     SweepScheduler,
     SweepSpec,
     SweepWorkerError,
     WorkUnit,
     batch_bounds,
-    contiguous_runs,
-    session_cost,
 )
 from repro.experiments.store import SessionStore
 from repro.experiments.worker import (
@@ -152,11 +146,7 @@ from repro.experiments.worker import (
     SESSIONS_FAILED_METRIC,
     SKIPPED_UNITS_METRIC,
     UNIT_SECONDS_METRIC,
-    WORKER_STATE,
     WORKERS_METRIC,
-    init_worker,
-    record_unit,
-    run_batch_in_worker,
     sweep_batch,
 )
 from repro.faults.plan import FaultPlan
@@ -212,25 +202,6 @@ __all__ = [
 
 #: Valid ``on_error`` policies.
 _POLICIES = ("raise", "skip", "retry")
-
-# ----------------------------------------------------------------------
-# Back-compat aliases: the worker/scheduler split moved these out of this
-# module; the historical private names keep pointing at the same objects
-# so downstream monkeypatching and imports are unaffected.
-# ----------------------------------------------------------------------
-_Unit = WorkUnit
-_WORKER_STATE = WORKER_STATE
-_init_worker = init_worker
-_record_unit = record_unit
-_sweep_batch = sweep_batch
-_run_batch_in_worker = run_batch_in_worker
-_contiguous_runs = contiguous_runs
-_session_cost = session_cost
-_SCHEME_COSTS = SCHEME_COSTS
-_BATCH_SCHEME_COSTS = BATCH_SCHEME_COSTS
-_BATCH_DEFAULT_COST = BATCH_DEFAULT_COST
-_TARGET_BATCH_COST = TARGET_BATCH_COST
-
 
 # ----------------------------------------------------------------------
 # The engine

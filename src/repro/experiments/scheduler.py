@@ -137,10 +137,11 @@ class WorkUnit:
 # Batch sizing
 # ----------------------------------------------------------------------
 
-#: Rough per-session cost relative to a CAVA session (~3 ms on the PR-4
-#: hot path), from the BENCH_hotpath measurements. Only batch *sizing*
-#: reads these — results are bit-identical however the grid is batched —
-#: so coarse numbers are fine; unknown schemes default to 1.
+#: Rough per-session cost relative to a scalar CAVA session (about 3 ms
+#: on one core), measured once when the scalar planners were last tuned
+#: and not re-measured since. Only batch *sizing* reads these — results
+#: are bit-identical however the grid is batched — so coarse numbers are
+#: fine; unknown schemes default to 1.
 SCHEME_COSTS: Dict[str, float] = {
     "MPC": 8.0,
     "RobustMPC": 8.0,
@@ -151,8 +152,8 @@ SCHEME_COSTS: Dict[str, float] = {
 }
 
 #: Amortized per-session cost when the unit runs on the lockstep batch
-#: engine, in scalar-CAVA equivalents (BENCH_hotpath ``session_batch``
-#: and ``sweep_batch`` measurements). Batched sessions are several times
+#: engine, in scalar-CAVA equivalents, measured once on batched MPC and
+#: CAVA grids when the engine landed. Batched sessions are several times
 #: cheaper than their scalar counterparts; sizing units with the
 #: *scalar* numbers would cut batchable specs into a few traces each and
 #: squander the engine's vectorization width.

@@ -73,8 +73,10 @@ __all__ = [
 
 #: Store entry format version. Combined with
 #: :data:`~repro.experiments.golden.GOLDEN_SCHEMA_VERSION` (the semantic
-#: version of simulation output) in every key and entry header.
-STORE_SCHEMA_VERSION = 1
+#: version of simulation output) in every key and entry header. Version
+#: 2 retires entries written while batch MPC/RobustMPC could pick a
+#: different level than the scalar player.
+STORE_SCHEMA_VERSION = 2
 
 #: The exact field list a cached payload must carry; folded into every
 #: key so a SessionMetrics schema change invalidates old entries.

@@ -187,8 +187,8 @@ class SessionResult:
 
         ``json.dumps(result.to_dict())`` round-trips bit-exactly through
         :meth:`from_dict` (Python's JSON float formatting is shortest
-        round-trip), so session records can be archived next to
-        ``BENCH_sweep.json`` and replayed into the event/trace tooling.
+        round-trip), so session records can be archived and replayed into
+        the event/trace tooling.
         """
         out: Dict[str, Any] = {
             "scheme": self.scheme,

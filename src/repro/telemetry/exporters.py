@@ -4,7 +4,7 @@ Three output formats, matched to three consumers:
 
 - **JSONL** (:func:`trace_to_jsonl`, :func:`events_to_jsonl`,
   :func:`write_jsonl`) — one JSON object per line, the archival format
-  that sits next to ``BENCH_sweep.json`` and greps/streams well;
+  that greps and streams well;
 - **Prometheus text exposition** (:func:`registry_to_prometheus`) — the
   ``# HELP`` / ``# TYPE`` / sample-line format scrape pipelines and CI
   artifact diffing understand;

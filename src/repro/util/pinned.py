@@ -2,8 +2,8 @@
 
 Several hot-path components precompute tables that are pure functions of
 a source object (typically a :class:`~repro.video.model.Manifest`) plus
-a small hashable key: MPC's per-horizon score tables, CAVA's prepared
-controller stack. Sweeps construct a *fresh algorithm per session* but
+a small hashable key: CAVA's prepared controller stack, PANDA/CQ's plan
+tables. Sweeps construct a *fresh algorithm per session* but
 memoize the manifest (see :class:`~repro.experiments.artifacts.
 ArtifactCache`), so these tables must be cached per *source object*, at
 module level, to be reused across sessions.

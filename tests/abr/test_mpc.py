@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.abr.base import DecisionContext
-from repro.abr.mpc import MPCAlgorithm, RobustMPCAlgorithm
+from repro.abr.horizon import level_sequences
+from repro.abr.mpc import MPCAlgorithm, RobustMPCAlgorithm, _survivor_plans
 from repro.network.link import TraceLink
 from repro.player.session import run_session
+from tests.player.test_lockstep import short_video
 
 
 def ctx(index=0, buffer_s=20.0, bandwidth=2e6, last=None):
@@ -83,3 +85,37 @@ class TestRobustMPC:
         algorithm.notify_download(0, 3, 1e6, 1.0, 10.0, 2.0)
         algorithm.prepare(ed_ffmpeg_video.manifest())
         assert algorithm._predicted_bandwidth(ctx(bandwidth=10e6)) == pytest.approx(10e6)
+
+
+class TestSurvivorPlans:
+    """The batch decider argmaxes over :func:`_survivor_plans` only, so
+    a pruned plan must lose to an earlier plan under *every* base row
+    the scores are built on, with those rows' exact floating-point
+    values: a dominator that wins only in real arithmetic can round an
+    ulp below the plan it prunes."""
+
+    @pytest.mark.parametrize("h", [2, 5])
+    @pytest.mark.parametrize("ladder", ["short-13x4", "ED-ffmpeg-h264"])
+    def test_every_pruned_plan_has_a_dominator_under_every_row(
+        self, ed_ffmpeg_video, ladder, h
+    ):
+        video = ed_ffmpeg_video if ladder == "ED-ffmpeg-h264" else short_video(13, 4.0)
+        manifest = video.manifest()
+        algorithm = MPCAlgorithm()
+        algorithm.prepare(manifest)
+        first, rows = algorithm._score_rows(h)
+        plans = _survivor_plans(algorithm._utilities_key, algorithm.smoothness_weight, h)
+        tails = level_sequences(manifest.num_tracks, h)[:, 1:]
+        assert 0 < plans.size < first.size
+        for level in range(manifest.num_tracks):
+            group = np.nonzero(first == level)[0]
+            # may_dominate[a, b]: plan a is earlier and never higher after step 0.
+            may_dominate = (tails[group][:, None] <= tails[group][None]).all(axis=2)
+            may_dominate &= group[:, None] < group[None, :]
+            for previous, row in enumerate(rows):
+                scores = row[group]
+                covered = (may_dominate & (scores[:, None] >= scores[None, :])).any(axis=0)
+                lost = np.setdiff1d(group[~covered], plans)
+                assert lost.size == 0, (
+                    f"row {previous}: plans {lost[:5].tolist()} pruned with no dominator"
+                )

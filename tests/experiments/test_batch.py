@@ -37,14 +37,9 @@ from repro.experiments.golden import (
     golden_trace,
     golden_video,
 )
-from repro.experiments.parallel import (
-    _BATCH_SCHEME_COSTS,
-    _SCHEME_COSTS,
-    ParallelSweepRunner,
-    SweepSpec,
-    _session_cost,
-)
+from repro.experiments.parallel import ParallelSweepRunner, SweepSpec
 from repro.experiments.runner import run_comparison
+from repro.experiments.scheduler import BATCH_SCHEME_COSTS, SCHEME_COSTS, session_cost
 from repro.faults.plan import FaultPlan, LatencyFault, ScaleFault
 from repro.network.estimator import HarmonicMeanEstimator
 from repro.network.link import TraceLink
@@ -174,8 +169,8 @@ class TestSweepDispatch:
 class TestBatchAwareCosts:
     def test_batchable_scheme_uses_amortized_cost(self):
         spec = SweepSpec(scheme="MPC", video_key="v")
-        assert _session_cost(spec) == _BATCH_SCHEME_COSTS["MPC"]
-        assert _session_cost(spec) < _SCHEME_COSTS["MPC"]
+        assert session_cost(spec) == BATCH_SCHEME_COSTS["MPC"]
+        assert session_cost(spec) < SCHEME_COSTS["MPC"]
 
     def test_non_batchable_spec_keeps_scalar_cost(self):
         spec = SweepSpec(
@@ -183,8 +178,8 @@ class TestBatchAwareCosts:
             video_key="v",
             estimator_factory=lambda trace: HarmonicMeanEstimator(),
         )
-        assert _session_cost(spec) == _SCHEME_COSTS["MPC"]
+        assert session_cost(spec) == SCHEME_COSTS["MPC"]
 
     def test_kill_switch_restores_scalar_costs(self, monkeypatch):
         monkeypatch.setenv(DISABLE_BATCH_ENV, "1")
-        assert _session_cost(SweepSpec(scheme="RBA", video_key="v")) == 1.0
+        assert session_cost(SweepSpec(scheme="RBA", video_key="v")) == 1.0

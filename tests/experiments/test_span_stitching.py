@@ -72,10 +72,15 @@ class TestBitIdentityWithTracing:
     def test_results_identical_with_tracer(
         self, short_video, lte_traces, n_workers, mp_context
     ):
+        # Plain serial runner, engine with spans off, engine with spans on.
         plain = run_comparison(SCHEMES, short_video, lte_traces[:6])
+        untraced = ParallelSweepRunner(
+            n_workers=n_workers, mp_context=mp_context, min_parallel_sessions=0
+        ).run_comparison(SCHEMES, short_video, lte_traces[:6])
         engine = _engine(n_workers, mp_context)
         traced = engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
         for scheme in SCHEMES:
+            assert untraced[scheme].metrics == plain[scheme].metrics
             assert traced[scheme].metrics == plain[scheme].metrics
         assert engine.tracer.spans  # and the timeline actually recorded
 

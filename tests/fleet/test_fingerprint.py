@@ -38,7 +38,8 @@ SMALL_SPEC = FleetSpec(
     flash_crowds=(FlashCrowd(start_s=252.0, duration_s=84.0, multiplier=6.0),),
 )
 
-#: Mirrors tools/fleet_golden.py:full_spec() — the BENCH_fleet spec.
+#: Mirrors tools/fleet_golden.py:full_spec() — the `repro fleet` default
+#: acceptance-scale population.
 FULL_SPEC = FleetSpec(
     seed=0,
     duration_s=5400.0,

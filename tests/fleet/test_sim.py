@@ -5,7 +5,13 @@ import pytest
 
 from repro.faults.spec import parse_fault_plan
 from repro.fleet.arrivals import edge_arrival_times
-from repro.fleet.sim import STAGE_DISPATCH, simulate_edge
+from repro.fleet.sim import (
+    STAGE_ADVANCE,
+    STAGE_BUCKET_FOLD,
+    STAGE_COMPLETION,
+    STAGE_DISPATCH,
+    simulate_edge,
+)
 from repro.fleet.spec import FleetSpec
 from repro.fleet.runner import synthesize_edge_trace
 from repro.telemetry.spans import StageTimer
@@ -99,18 +105,28 @@ class TestDeterminism:
         assert a.sessions != b.sessions or a.bits != b.bits
 
 
+@pytest.fixture(scope="module")
+def timed_edge(tiny_edge):
+    spec, videos, trace, plain = tiny_edge
+    timed = simulate_edge(spec, 0, videos, trace, stage_timer=StageTimer())
+    return timed, plain
+
+
 class TestStageTiming:
-    def test_timed_run_reports_cpu_time(self, ed_youtube_video):
-        spec = tiny_spec()
-        videos = {"ED-youtube-h264": ed_youtube_video}
-        trace = synthesize_edge_trace(spec, 0)
-        timed = simulate_edge(spec, 0, videos, trace, stage_timer=StageTimer())
-        stages = timed.stages
-        assert stages[STAGE_DISPATCH]["cpu_s"] > 0.0
+    def test_timed_run_reports_cpu_time(self, timed_edge):
+        timed, plain = timed_edge
+        assert timed.stages[STAGE_DISPATCH]["cpu_s"] > 0.0
         # Timing never changes the simulation.
-        plain = simulate_edge(spec, 0, videos, trace)
         assert timed.bits == plain.bits
         assert np.array_equal(timed.delivered_bits, plain.delivered_bits)
+
+    def test_completion_query_fires_once_per_event(self, timed_edge):
+        timed, _ = timed_edge
+        stages = timed.stages
+        for name in (STAGE_COMPLETION, STAGE_ADVANCE, STAGE_DISPATCH, STAGE_BUCKET_FOLD):
+            assert name in stages
+        assert timed.events > 0
+        assert abs(stages[STAGE_COMPLETION]["count"] - timed.events) <= 1
 
 
 class TestFaults:

@@ -12,7 +12,7 @@ reference session on that lane's trace, field for field. A small
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.abr.registry import make_scheme, needs_quality_manifest, scheme_names
@@ -76,6 +76,16 @@ def test_probe_accepts_every_batch_decider():
     interval_s=st.sampled_from([0.5, 1.0, 2.0]),
     config=_configs(),
     max_lanes=st.integers(min_value=1, max_value=3),
+)
+# Batch MPC once pruned this session's true first argmax: two plans with
+# equal real-valued base scores rounded an ulp apart (see _survivor_plans).
+@example(
+    num_chunks=13,
+    chunk_duration_s=4.0,
+    rates=[[0.0, 0.0, 0.0, 4.75e6]],
+    interval_s=0.5,
+    config=SessionConfig(startup_latency_s=2.0, max_buffer_s=2.0),
+    max_lanes=1,
 )
 def test_every_lane_equals_reference(
     scheme, num_chunks, chunk_duration_s, rates, interval_s, config, max_lanes

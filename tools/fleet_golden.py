@@ -1,7 +1,7 @@
 """Regenerate the fleet bit-identity golden file.
 
 Runs the *default small fleet spec* (a scaled-down cut of the
-BENCH_fleet acceptance spec: same seed, same flash-crowd shape) under
+acceptance-scale spec: same seed, same flash-crowd shape) under
 every (start method, worker count) combination the pin test asserts,
 checks they all agree, and writes the shared digest to
 ``tests/fleet/golden_fleet_fingerprint.json``.
@@ -42,7 +42,7 @@ MATRIX = tuple(
 
 
 def small_spec() -> FleetSpec:
-    """Default small fleet spec (the bench's correctness-gate spec)."""
+    """Default small fleet spec (the serial-vs-pool fingerprint pin)."""
     return FleetSpec(
         seed=0,
         duration_s=420.0,
@@ -55,7 +55,7 @@ def small_spec() -> FleetSpec:
 
 
 def full_spec() -> FleetSpec:
-    """The acceptance-scale spec behind BENCH_fleet.json."""
+    """The acceptance-scale spec (the ``repro fleet`` default population)."""
     return FleetSpec(
         seed=0,
         duration_s=5400.0,

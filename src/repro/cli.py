@@ -28,7 +28,12 @@ Subcommands:
                        from a shared ``--cache-dir`` store, compute them,
                        and merge the full grid (start one with ``compare
                        --executor multihost``);
-- ``schemes``        — list the registered ABR schemes.
+- ``fleet``          — simulate a population of VoD and live sessions
+                       arriving at shared edge links (with a flash
+                       crowd) and print sessions, concurrency, QoE,
+                       rebuffering and utilization (``--out`` writes
+                       the JSON report);
+- ``schemes``      — list the registered ABR schemes.
 
 Every subcommand takes ``--seed`` so results replay exactly. ``run`` and
 ``compare`` take ``--workers N`` to fan sessions out over a process pool

@@ -33,8 +33,13 @@ from repro.abr.registry import make_scheme, needs_quality_manifest
 from repro.experiments.artifacts import ArtifactCache
 from repro.network.link import StackedLinks
 from repro.network.traces import NetworkTrace
-from repro.player.metrics import SessionMetrics, metric_for_network, summarize_sessions
-from repro.player.session import SessionConfig, SessionResult, run_lockstep_sessions
+from repro.player.metrics import SessionMetrics, metric_for_network, summarize_lockstep
+from repro.player.session import (
+    LockstepRecord,
+    SessionConfig,
+    SessionResult,
+    run_lockstep_sessions,
+)
 from repro.video.model import VideoAsset
 
 if TYPE_CHECKING:
@@ -145,6 +150,67 @@ def _lane_cap(algorithm: ABRAlgorithm, max_lanes: Optional[int]) -> int:
     return max(cap, 1)
 
 
+def _lockstep_records(
+    scheme: str,
+    video: VideoAsset,
+    traces: Sequence[NetworkTrace],
+    network: str,
+    config: SessionConfig,
+    cache: ArtifactCache,
+    algorithm_factory: Optional[Callable[[], ABRAlgorithm]],
+    max_lanes: Optional[int],
+    stage_timer: Optional[StageTimer],
+) -> Optional[List[LockstepRecord]]:
+    """Run ``traces`` on the engine in lane slices, one record per slice.
+
+    ``None`` when the algorithm declines to build a batch decider.
+    """
+    if not traces:
+        raise ValueError("need at least one trace")
+    timed = stage_timer is not None
+    if timed:
+        w0 = time.perf_counter()
+        c0 = time.process_time()
+    metric = metric_for_network(network)
+    include_quality = needs_quality_manifest(scheme)
+    manifest = cache.manifest(video, include_quality)
+    if algorithm_factory is not None:
+        algorithm = algorithm_factory()
+    else:
+        algorithm = make_scheme(scheme, metric=metric)
+    cap = _lane_cap(algorithm, max_lanes)
+    if timed:
+        stage_timer.add(
+            "batch.prepare", time.perf_counter() - w0, time.process_time() - c0
+        )
+
+    records: List[LockstepRecord] = []
+    for start in range(0, len(traces), cap):
+        if timed:
+            w0 = time.perf_counter()
+            c0 = time.process_time()
+        chunk = traces[start : start + cap]
+        decider = algorithm.batch_decider(manifest, len(chunk))
+        if decider is None:
+            return None
+        links = StackedLinks([cache.link(trace) for trace in chunk])
+        if timed:
+            stage_timer.add(
+                "batch.prepare", time.perf_counter() - w0, time.process_time() - c0
+            )
+        records.append(
+            run_lockstep_sessions(
+                algorithm.name,
+                manifest,
+                decider,
+                links,
+                config,
+                stage_timer=stage_timer,
+            )
+        )
+    return records
+
+
 def run_batch_sessions(
     scheme: str,
     video: VideoAsset,
@@ -171,52 +237,15 @@ def run_batch_sessions(
     lockstep loop's estimate/decide/advance stages. Zero overhead when
     ``None``; results are identical either way.
     """
-    if not traces:
-        raise ValueError("need at least one trace")
     if cache is None:
         cache = ArtifactCache()
-    timed = stage_timer is not None
-    if timed:
-        w0 = time.perf_counter()
-        c0 = time.process_time()
-    metric = metric_for_network(network)
-    include_quality = needs_quality_manifest(scheme)
-    manifest = cache.manifest(video, include_quality)
-    if algorithm_factory is not None:
-        algorithm = algorithm_factory()
-    else:
-        algorithm = make_scheme(scheme, metric=metric)
-    cap = _lane_cap(algorithm, max_lanes)
-    if timed:
-        stage_timer.add(
-            "batch.prepare", time.perf_counter() - w0, time.process_time() - c0
-        )
-
-    results: List[SessionResult] = []
-    for start in range(0, len(traces), cap):
-        if timed:
-            w0 = time.perf_counter()
-            c0 = time.process_time()
-        chunk = traces[start : start + cap]
-        decider = algorithm.batch_decider(manifest, len(chunk))
-        if decider is None:
-            return None
-        links = StackedLinks([cache.link(trace) for trace in chunk])
-        if timed:
-            stage_timer.add(
-                "batch.prepare", time.perf_counter() - w0, time.process_time() - c0
-            )
-        results.extend(
-            run_lockstep_sessions(
-                algorithm.name,
-                manifest,
-                decider,
-                links,
-                config,
-                stage_timer=stage_timer,
-            )
-        )
-    return results
+    records = _lockstep_records(
+        scheme, video, traces, network, config, cache,
+        algorithm_factory, max_lanes, stage_timer,
+    )
+    if records is None:
+        return None
+    return [result for record in records for result in record.results()]
 
 
 def run_batch_metrics(
@@ -235,22 +264,22 @@ def run_batch_metrics(
     The drop-in batched equivalent of mapping
     :func:`repro.experiments.runner.run_one_session` over ``traces``;
     ``None`` means "not batchable after all — run the scalar loop".
+    Metrics are reduced straight from each slice's record matrices
+    (:func:`~repro.player.metrics.summarize_lockstep`); no per-lane
+    :class:`SessionResult` is built.
     """
     if cache is None:
         cache = ArtifactCache()
-    outcomes = run_batch_sessions(
-        scheme,
-        video,
-        traces,
-        network,
-        config,
-        cache,
-        algorithm_factory,
-        max_lanes,
-        stage_timer=stage_timer,
+    records = _lockstep_records(
+        scheme, video, traces, network, config, cache,
+        algorithm_factory, max_lanes, stage_timer,
     )
-    if outcomes is None:
+    if records is None:
         return None
     metric = metric_for_network(network)
     classifier = cache.classifier(video)
-    return summarize_sessions(outcomes, video, metric, classifier)
+    return [
+        metrics
+        for record in records
+        for metrics in summarize_lockstep(record, video, metric, classifier)
+    ]

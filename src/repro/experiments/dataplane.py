@@ -33,9 +33,9 @@ Observability: both sides of the plane are timed from outside this
 module. The parent wraps :meth:`SharedDataPlane.publish` in a
 ``shm.publish`` span plus a ``repro_sweep_shm_publish_seconds`` timer;
 each worker's initializer pre-measures :func:`attach_plane` and the
-worker's first traced unit replays it as a ``shm.attach`` span — so the
-whole data-plane cost is visible in a ``--profile`` Chrome trace while
-this module keeps zero telemetry dependencies.
+worker's first traced ``unit.run`` span carries it as ``shm_attach_s``
+meta — so the whole data-plane cost is visible in a ``--profile``
+Chrome trace while this module keeps zero telemetry dependencies.
 """
 
 from __future__ import annotations

@@ -223,6 +223,20 @@ def _merge_telemetry(engine, snapshots, worker_spans) -> None:
                 tracer.absorb(unit_spans, unit=order, attempt=attempt)
 
 
+def _shutdown_before_unlink(pool) -> None:
+    """Shut a drained pool down and wait for every worker to exit.
+
+    Called before the shm data plane is unlinked. Not ``wait=False``: a
+    worker the pool started late (spawn starts workers on demand) would
+    run its initializer after the unlink, fail to attach, and leave the
+    pool's manager thread to hang interpreter exit; and the manager and
+    queue-feeder threads of a pool left winding down would still be
+    alive when the next sweep forks its workers. Queued units that never
+    started (an aborted drain) are cancelled rather than run.
+    """
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
 class PoolExecutorBackend(ExecutorBackend):
     """The in-process process-pool backend (the historical sweep path)."""
 
@@ -419,7 +433,7 @@ class PoolExecutorBackend(ExecutorBackend):
                 futures.clear()
         finally:
             drain_span.__exit__(None, None, None)
-            pool.shutdown(wait=False)
+            _shutdown_before_unlink(pool)
             if plane is not None:
                 plane.close_and_unlink()
 
@@ -606,7 +620,7 @@ class AsyncioExecutorBackend(ExecutorBackend):
         finally:
             drain_span.__exit__(None, None, None)
             io.shutdown(wait=True)
-            cpu.shutdown(wait=False)
+            _shutdown_before_unlink(cpu)
             if plane is not None:
                 plane.close_and_unlink()
 

@@ -34,11 +34,7 @@ from repro.telemetry.metrics import (
     SHM_ATTACHED_WORKERS_METRIC,
     MetricsRegistry,
 )
-from repro.telemetry.pipeline import (
-    SPAN_SESSION_SCALAR,
-    SPAN_SHM_ATTACH,
-    SPAN_UNIT_BATCH,
-)
+from repro.telemetry.pipeline import SPAN_SESSION_SCALAR, SPAN_UNIT_BATCH
 from repro.telemetry.spans import SpanTracer, StageTimer, maybe_span
 from repro.video.model import VideoAsset
 
@@ -109,7 +105,6 @@ def init_worker(
     ships back with the unit result for the scheduler to stitch.
     """
     if plane_manifest is not None:
-        attach_wall0 = time.time()
         attach_t0 = time.perf_counter()
         videos, traces_by_plan, shm = attach_plane(plane_manifest)
         # The views alias shm's buffer: keep the mapping alive for the
@@ -117,11 +112,8 @@ def init_worker(
         WORKER_STATE["shm"] = shm
         WORKER_STATE["shm_attach_pending"] = True
         # No tracer exists yet (one is built per unit); the first traced
-        # unit replays this pre-measured attach into its span list.
-        WORKER_STATE["shm_attach_info"] = (
-            attach_wall0,
-            time.perf_counter() - attach_t0,
-        )
+        # unit reports this pre-measured attach time.
+        WORKER_STATE["shm_attach_s"] = time.perf_counter() - attach_t0
         atexit.register(shm.close)
     else:
         assert inline_assets is not None
@@ -317,14 +309,13 @@ def run_batch_in_worker(spec_idx: int, start: int, stop: int):
     tracer = (
         SpanTracer(f"worker-{os.getpid()}") if WORKER_STATE.get("spans") else None
     )
-    if tracer is not None:
-        attach_info = WORKER_STATE.pop("shm_attach_info", None)
-        if attach_info is not None:
-            # Exactly once per worker: replay the initializer's
-            # pre-measured shm attach into the first traced unit.
-            tracer.record(
-                SPAN_SHM_ATTACH, attach_info[0], attach_info[1], cat="worker"
-            )
+    attach_meta = {}
+    if tracer is not None and "shm_attach_s" in WORKER_STATE:
+        # Exactly once per worker: the first traced unit carries the
+        # initializer's shm attach time as unit.run meta. Not a span of
+        # its own: which unit a worker runs first is up to the pool, and
+        # the stitched timeline's span list must not depend on that.
+        attach_meta["shm_attach_s"] = WORKER_STATE.pop("shm_attach_s")
     traces = traces_by_plan[spec.fault_plan]
     try:
         with maybe_span(
@@ -335,6 +326,7 @@ def run_batch_in_worker(spec_idx: int, start: int, stop: int):
             video=spec.video_key,
             start=start,
             stop=stop,
+            **attach_meta,
         ):
             metrics = sweep_batch(
                 spec,

@@ -645,7 +645,8 @@ class _EdgeSimulator:
         transfer starts, the per-bucket slow advance) stay out of line;
         loop-local state is written back around those calls and on exit.
         """
-        # -- trace constants (TraceLink internals, read-only) -----------
+        # -- trace constants (TraceLink internals, read-only; the list
+        #    tables were built by SharedLink's first _cumulative_at) ----
         link = self.link
         tl = link.link
         period_s = tl._period_s

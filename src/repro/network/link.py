@@ -13,8 +13,8 @@ outlast the trace.
 
 Single-download queries are the per-chunk hot path of every session, so
 they run on a **scalar fast path**: the cumulative table and the
-per-interval rates are mirrored into plain Python float lists at
-construction, and lookups use :func:`bisect.bisect_left` plus Python
+per-interval rates are mirrored into plain Python float lists on first
+scalar use, and lookups use :func:`bisect.bisect_left` plus Python
 float arithmetic — bit-identical to the numpy formulation (both are IEEE
 doubles, the operations are applied in the same order) but without
 per-call ndarray and ufunc dispatch overhead. The numpy cumulative table
@@ -122,11 +122,6 @@ class TraceLink:
         self._bits_per_period = float(self._cumulative_bits[-1])
         if self._bits_per_period <= 0:
             raise ValueError("trace delivers zero bits per period")
-        # Scalar fast path: the same tables as Python floats. list.__getitem__
-        # and bisect on a list avoid ndarray indexing (which returns numpy
-        # scalars) and ufunc dispatch in the per-download hot loop.
-        self._cumulative_list = self._cumulative_bits.tolist()
-        self._rates_list = trace.throughputs_bps.tolist()
         self._num_intervals = int(trace.num_intervals)
         # Memoized crossing-interval hint for finish_time(): consecutive
         # queries from a fleet edge land in the same trace interval far
@@ -134,6 +129,24 @@ class TraceLink:
         # cached index still brackets the new target. Pure cache — a miss
         # falls back to the exact bisect_left.
         self._finish_hint = 0
+
+    def _build_scalar_tables(self) -> list:
+        """Build the scalar fast path's tables; returns the cumulative one.
+
+        The same tables as Python floats: ``list.__getitem__`` and
+        ``bisect`` on a list avoid ndarray indexing (which returns numpy
+        scalars) and ufunc dispatch in the per-download hot loop. They
+        are built on the link's first scalar query, so links that only
+        feed the lockstep engine (which stacks the numpy tables) never
+        pay for the copies. Plain attribute assignment, not
+        ``functools.cached_property``: a class-level descriptor would
+        keep CPython from specializing the hot reads, and writing
+        through ``__dict__`` would slow every other attribute read on
+        the link.
+        """
+        self._cumulative_list = self._cumulative_bits.tolist()
+        self._rates_list = self.trace.throughputs_bps.tolist()
+        return self._cumulative_list
 
     def bits_in_window(self, start_s: float, end_s: float) -> float:
         """Bits deliverable in ``[start_s, end_s)`` (periodic extension)."""
@@ -182,7 +195,10 @@ class TraceLink:
             # into the fraction so the value stays continuous.
             whole = self._num_intervals - 1
         frac = index - whole
-        partial = self._cumulative_list[whole]
+        try:
+            partial = self._cumulative_list[whole]
+        except AttributeError:  # first scalar query on this link
+            partial = self._build_scalar_tables()[whole]
         if frac > 0:
             partial += self._rates_list[whole] * frac * self._interval
         return periods * self._bits_per_period + partial
@@ -223,7 +239,8 @@ class TraceLink:
         # `within`. bisect_left gives earliest-crossing semantics (the
         # same index as np.searchsorted(..., side="left")): a download
         # whose last bit lands exactly on an outage boundary finishes
-        # *before* the zero-rate run, not after it.
+        # *before* the zero-rate run, not after it. (_cumulative_at above
+        # has built the list tables.)
         index = bisect_left(self._cumulative_list, within) - 1
         if index < 0:
             index = 0
@@ -285,7 +302,10 @@ class TraceLink:
             within = target
         else:
             periods, within = divmod(target, self._bits_per_period)
-        cum_list = self._cumulative_list
+        try:
+            cum_list = self._cumulative_list
+        except AttributeError:  # cum_start given before any scalar query
+            cum_list = self._build_scalar_tables()
         index = self._finish_hint
         # Hint valid iff it satisfies the (clamped) bisect_left predicate:
         # the table crosses `within` inside interval `index`. With the

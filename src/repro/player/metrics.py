@@ -19,11 +19,11 @@ viewing) and the *TV* model for FCC traces (home → big screen);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.player.session import SessionResult
+from repro.player.session import LockstepRecord, SessionResult
 from repro.util.units import bits_to_megabytes
 from repro.video.classify import ChunkClassifier
 from repro.video.model import VideoAsset
@@ -36,7 +36,7 @@ __all__ = [
     "composite_qoe",
     "quality_series",
     "summarize_session",
-    "summarize_sessions",
+    "summarize_lockstep",
     "metric_for_network",
 ]
 
@@ -178,88 +178,79 @@ def summarize_session(
     )
 
 
-def summarize_sessions(
-    results: Sequence[SessionResult],
+def summarize_lockstep(
+    record: LockstepRecord,
     video: VideoAsset,
     metric: str = "vmaf_phone",
     classifier: Optional[ChunkClassifier] = None,
     low_quality_threshold: float = LOW_QUALITY_VMAF,
 ) -> List[SessionMetrics]:
-    """Batched :func:`summarize_session` over sessions of one video.
+    """:func:`summarize_session` of every lane of a lockstep record.
 
-    Stacks every session's level sequence into one ``(sessions, chunks)``
-    matrix, joins quality with a single gather, and computes the
-    order-insensitive metrics with one ``axis=1`` reduction each, so
-    summarizing a lockstep batch costs a handful of numpy ops rather
-    than ``sessions`` Python round trips.
+    Reduces the record's ``(chunks, lanes)`` matrices directly: each
+    matrix the metrics need is transposed once into a C-contiguous
+    ``(lanes, chunks)`` copy, quality is joined with one gather, and
+    every metric is one ``axis=1`` reduction, so summarizing a slice
+    costs a handful of numpy ops and no per-lane session records.
 
     **Bit-identity**: every value equals what :func:`summarize_session`
-    returns for the same session. The quality join is a pure gather (no
-    arithmetic); medians (selection plus a 2-element midpoint), boolean
-    fractions (exact 0/1 sums) and integer-valued means (sums below
-    2**53) are exact regardless of summation order, so those stay as
-    ``axis=1`` reductions. Floating-point means are *not* order-safe —
-    numpy's 2-D ``axis=1`` mean may pick a different pairwise summation
-    tree than the 1-D mean the scalar path uses — so the four float
-    means are reduced row-by-row with ``np.add.reduce`` over each
-    C-contiguous row, which matches the 1-D ``np.mean`` to the bit.
+    returns for that lane's :class:`SessionResult`. The quality join is
+    a pure gather; medians, boolean fractions and integer-valued means
+    are exact in any summation order. The float sums and means rely on
+    ``np.add.reduce(m, axis=1)`` over a C-contiguous ``m`` running the
+    same pairwise summation on each row as the scalar path's 1-D
+    ``np.sum``/``np.mean``. That holds only for C-contiguous rows: the
+    Q4 and Q13 blocks come from boolean column indexing, whose result is
+    not C-contiguous and sums some rows an ulp differently, so both
+    blocks are copied contiguous before they are reduced.
     """
-    if not results:
-        return []
     if classifier is None:
         classifier = ChunkClassifier.from_video(video)
     num_chunks = video.num_chunks
-    for result in results:
-        if result.num_chunks != num_chunks:
-            raise ValueError(
-                f"session has {result.num_chunks} chunks but video has {num_chunks}"
-            )
+    if record.num_chunks != num_chunks:
+        raise ValueError(
+            f"session has {record.num_chunks} chunks but video has {num_chunks}"
+        )
     q4_mask = classifier.categories == classifier.num_classes
     if not np.any(q4_mask):
         raise ValueError("classifier produced no Q4 chunks")
 
-    levels = np.stack([result.levels for result in results])
+    levels = np.ascontiguousarray(record.levels.T)
     quality_table = np.stack([track.qualities[metric] for track in video.tracks])
     qualities = quality_table[levels, np.arange(num_chunks)]
+    q4_block = np.ascontiguousarray(qualities[:, q4_mask])
+    q13_block = np.ascontiguousarray(qualities[:, ~q4_mask])
+    # A classifiable video has at least four chunks, so ``changes`` is
+    # never empty (the scalar path's 0.0 fallback cannot arise here).
     changes = np.abs(np.diff(qualities, axis=1))
-    level_switches = np.count_nonzero(np.diff(levels, axis=1), axis=1)
-    q4_block = qualities[:, q4_mask]
-    q13_block = qualities[:, ~q4_mask]
+
+    q4_means = np.add.reduce(q4_block, axis=1) / q4_block.shape[1]
     q4_medians = np.median(q4_block, axis=1)
+    q13_means = np.add.reduce(q13_block, axis=1) / q13_block.shape[1]
+    means = np.add.reduce(qualities, axis=1) / num_chunks
     low_fractions = np.mean(qualities < low_quality_threshold, axis=1)
+    change_means = np.add.reduce(changes, axis=1) / changes.shape[1]
+    stalls = np.add.reduce(np.ascontiguousarray(record.stall_s.T), axis=1)
+    bits = np.add.reduce(np.ascontiguousarray(record.sizes_bits.T), axis=1)
     mean_levels = np.mean(levels, axis=1)
+    level_switches = np.count_nonzero(np.diff(levels, axis=1), axis=1)
 
-    # Float means row-by-row: np.add.reduce(row) / n is bit-identical to
-    # the scalar path's 1-D np.mean, unlike the 2-D axis=1 mean.
-    rows = range(len(results))
-    q4_n, q13_n = q4_block.shape[1], q13_block.shape[1]
-    change_n = changes.shape[1]
-    q4_means = [np.add.reduce(q4_block[j]) / q4_n for j in rows]
-    q13_means = [np.add.reduce(q13_block[j]) / q13_n for j in rows]
-    means = [np.add.reduce(qualities[j]) / num_chunks for j in rows]
-    change_means = (
-        [np.add.reduce(changes[j]) / change_n for j in rows]
-        if change_n
-        else [0.0] * len(results)
+    data_mb = [bits_to_megabytes(lane_bits) for lane_bits in bits.tolist()]
+    # One row per lane, in SessionMetrics field order after ``metric``.
+    rows = zip(
+        q4_means.tolist(),
+        q4_medians.tolist(),
+        q13_means.tolist(),
+        means.tolist(),
+        low_fractions.tolist(),
+        stalls.tolist(),
+        change_means.tolist(),
+        data_mb,
+        record.startup_delay_s.tolist(),
+        mean_levels.tolist(),
+        level_switches.tolist(),
     )
-
     return [
-        SessionMetrics(
-            scheme=result.scheme,
-            video_name=result.video_name,
-            trace_name=result.trace_name,
-            metric=metric,
-            q4_quality_mean=float(q4_means[j]),
-            q4_quality_median=float(q4_medians[j]),
-            q13_quality_mean=float(q13_means[j]),
-            mean_quality=float(means[j]),
-            low_quality_fraction=float(low_fractions[j]),
-            rebuffer_s=result.total_stall_s,
-            quality_change_per_chunk=float(change_means[j]),
-            data_usage_mb=bits_to_megabytes(result.data_usage_bits),
-            startup_delay_s=result.startup_delay_s,
-            mean_level=float(mean_levels[j]),
-            level_switches=int(level_switches[j]),
-        )
-        for j, result in enumerate(results)
+        SessionMetrics(record.scheme, record.video_name, trace_name, metric, *row)
+        for trace_name, row in zip(record.trace_names, rows)
     ]

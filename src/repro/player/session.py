@@ -7,13 +7,15 @@ the §6.1 player steps — against the caller's private link: it advances
 the clock through the core's waits and downloads each requested chunk.
 :func:`run_lockstep_sessions` is the batch accelerator: it replays the
 same core arithmetic for N sessions of one (scheme, video) pair with
-numpy lanes.
+numpy lanes and returns its per-chunk record as one
+:class:`LockstepRecord` of ``(chunks, lanes)`` matrices.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ if TYPE_CHECKING:  # telemetry is an optional layer; no runtime import here
 __all__ = [
     "SessionConfig",
     "SessionResult",
+    "LockstepRecord",
     "StreamingSession",
     "run_session",
     "run_lockstep_sessions",
@@ -125,6 +128,63 @@ def _chunk_record(core: VodSessionCore, download, buffer_before_s, estimate_bps)
     )
 
 
+@dataclass(frozen=True)
+class LockstepRecord:
+    """The per-chunk record of one lockstep slice, one column per lane.
+
+    Column ``j`` of each ``(chunks, lanes)`` matrix is the array the
+    :class:`SessionResult` of lane ``j`` holds in the field of the same
+    name; ``startup_delay_s`` is the ``(lanes,)`` vector of startup
+    delays. The sweep reduces metrics straight from the matrices
+    (:func:`repro.player.metrics.summarize_lockstep`); :meth:`results`
+    builds the per-lane session records for callers that need them.
+    Batchable schemes never request idle time, so the only idle is the
+    buffer cap's.
+    """
+
+    scheme: str
+    video_name: str
+    trace_names: Sequence[str]
+    levels: np.ndarray
+    sizes_bits: np.ndarray
+    download_start_s: np.ndarray
+    download_finish_s: np.ndarray
+    stall_s: np.ndarray
+    buffer_after_s: np.ndarray
+    cap_idle_s: np.ndarray
+    startup_delay_s: np.ndarray
+
+    @property
+    def num_chunks(self) -> int:
+        """Chunks streamed by every lane."""
+        return int(self.levels.shape[0])
+
+    def results(self) -> List[SessionResult]:
+        """One :class:`SessionResult` per lane, in lane order."""
+        n = self.num_chunks
+        results: List[SessionResult] = []
+        for j, trace_name in enumerate(self.trace_names):
+            cap_col = self.cap_idle_s[:, j]
+            results.append(
+                SessionResult(
+                    scheme=self.scheme,
+                    video_name=self.video_name,
+                    trace_name=trace_name,
+                    levels=self.levels[:, j].copy(),
+                    sizes_bits=self.sizes_bits[:, j].copy(),
+                    download_start_s=self.download_start_s[:, j].copy(),
+                    download_finish_s=self.download_finish_s[:, j].copy(),
+                    stall_s=self.stall_s[:, j].copy(),
+                    buffer_after_s=self.buffer_after_s[:, j].copy(),
+                    idle_s=cap_col.copy(),
+                    startup_delay_s=float(self.startup_delay_s[j]),
+                    requested_idle_s=np.zeros(n),
+                    cap_idle_s=cap_col.copy(),
+                )
+            )
+        return results
+
+
 def run_lockstep_sessions(
     scheme: str,
     manifest: Manifest,
@@ -133,7 +193,7 @@ def run_lockstep_sessions(
     config: Optional[SessionConfig] = None,
     estimator: Optional[BatchHarmonicMeanEstimator] = None,
     stage_timer: Optional[StageTimer] = None,
-) -> List[SessionResult]:
+) -> LockstepRecord:
     """Advance N sessions of one (scheme, video) pair in lockstep.
 
     Every lane streams the same manifest over its own trace, so all
@@ -142,9 +202,9 @@ def run_lockstep_sessions(
     lives in ``(lanes,)`` arrays updated with masked numpy ops. This is
     an accelerator, not a second player model: the arithmetic replays
     :class:`~repro.player.core.VodSessionCore` branch for branch, so
-    each lane of the output is bit-identical to the
-    :class:`StreamingSession` run of that (scheme, video, trace) triple,
-    which the golden-snapshot tests pin.
+    each lane of the returned :class:`LockstepRecord` is bit-identical
+    to the :class:`StreamingSession` run of that (scheme, video, trace)
+    triple, which the golden-snapshot tests pin.
 
     The engine only supports deciders whose scalar twin never requests
     idle time (``requested_idle_s`` returning 0.0 keeps the core's
@@ -278,28 +338,19 @@ def run_lockstep_sessions(
     # begin playback when the final download completes.
     startup = np.where(playing, startup, now)
 
-    video_name = manifest.video_name
-    results: List[SessionResult] = []
-    for j in range(lanes):
-        cap_col = rec_cap_idles[:, j]
-        results.append(
-            SessionResult(
-                scheme=scheme,
-                video_name=video_name,
-                trace_name=links.trace_names[j],
-                levels=rec_levels[:, j].copy(),
-                sizes_bits=rec_sizes[:, j].copy(),
-                download_start_s=rec_starts[:, j].copy(),
-                download_finish_s=rec_finishes[:, j].copy(),
-                stall_s=rec_stalls[:, j].copy(),
-                buffer_after_s=rec_buffers[:, j].copy(),
-                idle_s=cap_col.copy(),
-                startup_delay_s=float(startup[j]),
-                requested_idle_s=np.zeros(n),
-                cap_idle_s=cap_col.copy(),
-            )
-        )
-    return results
+    return LockstepRecord(
+        scheme=scheme,
+        video_name=manifest.video_name,
+        trace_names=links.trace_names,
+        levels=rec_levels,
+        sizes_bits=rec_sizes,
+        download_start_s=rec_starts,
+        download_finish_s=rec_finishes,
+        stall_s=rec_stalls,
+        buffer_after_s=rec_buffers,
+        cap_idle_s=rec_cap_idles,
+        startup_delay_s=startup,
+    )
 
 
 def run_session(

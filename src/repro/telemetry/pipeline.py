@@ -32,8 +32,9 @@ span name               recorded by
 ``pool.spawn``          scheduler: process-pool construction
 ``sweep.drain``         scheduler: the submit/consume event loop
 ``sweep.merge``         scheduler: result assembly + snapshot merging
-``shm.attach``          worker initializer: data-plane attach
-``unit.run``            worker: one (spec, trace-batch) work unit
+``unit.run``            worker: one (spec, trace-batch) work unit (a
+                        worker's first carries ``shm_attach_s``, its
+                        initializer's data-plane attach time)
 ``unit.batch``          worker: the unit's lockstep batch-engine run
 ``session.scalar``      worker: one scalar-path session
 ``batch.prepare``       batch engine: decider + stacked-link build
@@ -71,7 +72,6 @@ __all__ = [
     "SPAN_LEASE_CLAIM",
     "SPAN_LEASE_RECLAIM",
     "SPAN_STORE_MERGE",
-    "SPAN_SHM_ATTACH",
     "SPAN_UNIT_RUN",
     "SPAN_UNIT_BATCH",
     "SPAN_SESSION_SCALAR",
@@ -108,7 +108,6 @@ SPAN_LEASE_CLAIM = "lease.claim"
 SPAN_LEASE_RECLAIM = "lease.reclaim"
 SPAN_STORE_MERGE = "store.merge"
 # Worker-side spans.
-SPAN_SHM_ATTACH = "shm.attach"
 SPAN_UNIT_RUN = "unit.run"
 SPAN_UNIT_BATCH = "unit.batch"
 SPAN_SESSION_SCALAR = "session.scalar"

@@ -136,8 +136,10 @@ def running_mean(values: Sequence[float], window: int) -> np.ndarray:
         raise ValueError(f"window must be >= 1, got {window}")
     cumulative = np.concatenate([[0.0], np.cumsum(array)])
     n = array.size
-    result = np.empty(n, dtype=float)
-    for i in range(n):
-        j = min(n, i + window)
-        result[i] = (cumulative[j] - cumulative[i]) / (j - i)
-    return result
+    # Element i is (cumulative[j] - cumulative[i]) / (j - i) with
+    # j = min(n, i + window): one subtraction and one division each, so
+    # the vectorized form rounds exactly like a per-element loop.
+    # Clamping the window first keeps i + window clear of int64 overflow.
+    starts = np.arange(n)
+    ends = np.minimum(starts + min(window, n), n)
+    return (cumulative[ends] - cumulative[starts]) / (ends - starts)

@@ -10,6 +10,10 @@ the contract at every layer the dispatch touches:
 - ``run_batch_sessions`` is bit-identical to the scalar loop for every
   batchable scheme, at full width and at a width that forces lane
   slicing (``to_dict`` equality covers every per-chunk float);
+- ``run_batch_metrics``, which reduces metrics straight from the
+  lockstep record matrices, equals ``summarize_session`` of the scalar
+  sessions for every batchable scheme at both widths, and never builds
+  the links' scalar lookup tables;
 - a lane of a batch reproduces the archived golden snapshot byte for
   byte, tying the engine to the same oracle the scalar path answers to;
 - the ``run_comparison``/``ParallelSweepRunner`` dispatch produces the
@@ -24,9 +28,11 @@ import os
 import pytest
 
 from repro.abr.registry import make_scheme, needs_quality_manifest
+from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.batch import (
     DISABLE_BATCH_ENV,
     batch_capability,
+    run_batch_metrics,
     run_batch_sessions,
 )
 from repro.experiments.golden import (
@@ -44,6 +50,7 @@ from repro.faults.plan import FaultPlan, LatencyFault, ScaleFault
 from repro.network.estimator import HarmonicMeanEstimator
 from repro.network.link import TraceLink
 from repro.network.traces import synthesize_lte_traces
+from repro.player.metrics import summarize_session
 from repro.player.session import SessionConfig, StreamingSession
 
 #: CI exports this to exercise the dispatch under both fork and spawn.
@@ -125,6 +132,35 @@ def test_batch_bit_identical_to_scalar(scheme, video, traces, max_lanes):
     assert len(batched) == len(scalars)
     for scalar, batch in zip(scalars, batched):
         assert batch.to_dict() == scalar.to_dict()
+
+
+@pytest.mark.parametrize("scheme", BATCHABLE_SCHEMES)
+@pytest.mark.parametrize("max_lanes", [None, 2])
+def test_batch_metrics_equal_scalar_summaries(scheme, video, traces, max_lanes):
+    expected = [
+        summarize_session(session, video, GOLDEN_METRIC)
+        for session in scalar_sessions(scheme, video, traces)
+    ]
+    batched = run_batch_metrics(
+        scheme, video, traces, network=GOLDEN_NETWORK, max_lanes=max_lanes
+    )
+    assert batched == expected
+
+
+def test_batch_metrics_leave_scalar_link_tables_unbuilt(video, traces):
+    """The engine stacks the numpy tables; the Python-list copies of the
+    scalar fast path stay unbuilt on every cached link."""
+    cache = ArtifactCache()
+    assert run_batch_metrics(
+        "CAVA", video, traces, network=GOLDEN_NETWORK, cache=cache
+    ) is not None
+    for trace in traces:
+        link = cache.link(trace)
+        assert "_cumulative_list" not in link.__dict__
+        assert "_rates_list" not in link.__dict__
+    # First scalar use builds them.
+    link.download(1e6, 0.0)
+    assert "_cumulative_list" in link.__dict__
 
 
 @pytest.mark.parametrize("scheme", ["CAVA", "MPC", "PANDA/CQ max-sum"])

@@ -14,9 +14,11 @@ fork and spawn start methods:
 """
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.experiments.dataplane import SharedDataPlane
 from repro.experiments.parallel import (
     SESSIONS_COMPLETED_METRIC,
     SESSIONS_FAILED_METRIC,
@@ -24,6 +26,8 @@ from repro.experiments.parallel import (
     SweepSpec,
 )
 from repro.experiments.runner import run_comparison
+from repro.experiments.worker import init_worker, run_batch_in_worker
+from repro.player.session import SessionConfig
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.pipeline import (
     SPAN_STORE_PARTITION,
@@ -149,6 +153,31 @@ class TestStitchedTimeline:
         first, second = run_once(), run_once()
         # Span *identity and order* repeat run to run (durations differ).
         assert first == second
+
+    def test_first_unit_ships_the_same_span_names_as_later_units(
+        self, short_video, lte_traces
+    ):
+        """Which unit a worker runs first is the pool's choice, so the
+        worker's one-off shm attach rides as meta on that unit's
+        ``unit.run`` span instead of adding a span only it would ship."""
+        plane = SharedDataPlane.publish(
+            {short_video.name: short_video}, {None: lte_traces[:4]}
+        )
+        specs = [SweepSpec("CAVA", short_video.name)]
+        initargs = (specs, SessionConfig(), False, None, plane.manifest, True)
+        try:
+            with ProcessPoolExecutor(
+                max_workers=1, initializer=init_worker, initargs=initargs
+            ) as pool:
+                first = pool.submit(run_batch_in_worker, 0, 0, 2).result()[3]
+                later = pool.submit(run_batch_in_worker, 0, 2, 4).result()[3]
+        finally:
+            plane.close_and_unlink()
+        assert [s["name"] for s in first] == [s["name"] for s in later]
+        [first_run] = [s for s in first if s["name"] == SPAN_UNIT_RUN]
+        [later_run] = [s for s in later if s["name"] == SPAN_UNIT_RUN]
+        assert first_run["meta"]["shm_attach_s"] >= 0.0
+        assert "shm_attach_s" not in later_run["meta"]
 
     def test_chrome_export_of_stitched_timeline(self, short_video, lte_traces):
         engine = _engine(2)

@@ -88,6 +88,24 @@ class TestDownloadBisectMatchesSearchsorted:
         delivered = link.bits_in_window(start, result.finish_s)
         assert delivered == pytest.approx(size, rel=1e-6, abs=1.0)
 
+    @given(
+        size=st.floats(min_value=1e2, max_value=5e8),
+        start=st.floats(min_value=0.0, max_value=400.0),
+        seed=st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_first_query_builds_list_tables(self, size, start, seed):
+        """The list tables are built lazily by whichever scalar query
+        comes first; ``finish_time`` with a precomputed ``cum_start`` on
+        a fresh link equals ``download`` on another fresh link."""
+        trace = _trace_with_outage(seed)
+        cum_start = TraceLink(trace)._cumulative_at(start)
+        fresh = TraceLink(trace)
+        assert not hasattr(fresh, "_cumulative_list")
+        finish = fresh.finish_time(size, start, cum_start)
+        assert hasattr(fresh, "_cumulative_list") and hasattr(fresh, "_rates_list")
+        assert finish == TraceLink(trace).download(size, start).finish_s
+
 
 class TestHarmonicMeanFastPath:
     @given(

@@ -6,8 +6,10 @@ reference_vod_session` instead: for every scheme the capability probe
 accepts, random short manifests, random traces (zero-rate runs, traces
 shorter than the session so downloads wrap the period) and random
 player settings, each lane of :func:`run_batch_sessions` must equal the
-reference session on that lane's trace, field for field. A small
-``max_lanes`` splits every grid into several lockstep slices.
+reference session on that lane's trace, field for field, and each entry
+of :func:`run_batch_metrics` must equal ``summarize_session`` of that
+reference session. A small ``max_lanes`` splits every grid into several
+lockstep slices.
 """
 
 import numpy as np
@@ -16,10 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.abr.registry import make_scheme, needs_quality_manifest, scheme_names
-from repro.experiments.batch import batch_capability, run_batch_sessions
+from repro.experiments.batch import (
+    batch_capability,
+    run_batch_metrics,
+    run_batch_sessions,
+)
 from repro.network.link import TraceLink
 from repro.network.traces import NetworkTrace
-from repro.player.metrics import metric_for_network
+from repro.player.metrics import metric_for_network, summarize_session
 from repro.player.session import SessionConfig
 from repro.video.dataset import VideoSpec, build_video
 from tests.player.reference import reference_vod_session
@@ -99,13 +105,18 @@ def test_every_lane_equals_reference(
         scheme, video, traces, network=NETWORK, config=config, max_lanes=max_lanes
     )
     assert batched is not None
+    summaries = run_batch_metrics(
+        scheme, video, traces, network=NETWORK, config=config, max_lanes=max_lanes
+    )
+    assert len(summaries) == len(batched) == len(traces)
     manifest = video.manifest(include_quality=needs_quality_manifest(scheme))
     metric = metric_for_network(NETWORK)
-    for trace, lane in zip(traces, batched):
+    for trace, lane, summary in zip(traces, batched, summaries):
         expected = reference_vod_session(
             make_scheme(scheme, metric=metric), manifest, TraceLink(trace), config
         )
         assert lane.to_dict() == expected.to_dict()
+        assert summary == summarize_session(expected, video, metric)
 
 
 @pytest.mark.parametrize("scheme", ["CAVA", "RBA"])

@@ -141,6 +141,30 @@ class TestRunningMean:
         assert np.all(result >= min(values) - 1e-9)
         assert np.all(result <= max(values) + 1e-9)
 
+    @given(
+        st.lists(
+            st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+            min_size=1,
+            max_size=80,
+        ),
+        st.integers(min_value=1, max_value=120),
+    )
+    @settings(max_examples=200)
+    def test_equals_loop_reference_bit_for_bit(self, values, window):
+        """The vectorized form rounds exactly like the per-element loop,
+        windows wider than the input included."""
+        cumulative = np.concatenate([[0.0], np.cumsum(np.asarray(values))])
+        n = len(values)
+        expected = []
+        for i in range(n):
+            j = min(n, i + window)
+            expected.append(float((cumulative[j] - cumulative[i]) / (j - i)))
+        assert running_mean(values, window).tolist() == expected
+
+    def test_huge_window_is_whole_tail_mean(self):
+        result = running_mean([2.0, 4.0], window=2**70)
+        assert result.tolist() == [3.0, 4.0]
+
 
 class TestCoefficientOfVariation:
     def test_constant_is_zero(self):

@@ -22,7 +22,7 @@ independently.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "simulate_buffer",
     "horizon_sizes",
     "HorizonPlanner",
-    "BatchHorizonPlanner",
     "planner_for",
     "plan_level_digits",
     "plan_stall_free",
@@ -165,7 +164,7 @@ class SparsePlanRollout:
     Built once per (plan set, lane capacity); scratch buffers are
     preallocated per trie depth. The recurrence applies the *same* IEEE
     operations in the *same* per-step order to the same operand values
-    as :class:`BatchHorizonPlanner` — the trie merely skips states no
+    as :class:`HorizonPlanner` — the trie merely skips states no
     surviving plan passes through — so leaf row ``j`` is bit-identical
     to column ``plans[j]`` of the full ``(lanes, L**h)`` rollout.
     Returned arrays are borrowed views; consume them before the next
@@ -318,177 +317,30 @@ def simulate_buffer(
 
 
 class HorizonPlanner:
-    """Shared-prefix (trellis) rollout engine for one ``(L, horizon)`` shape.
+    """Shared-prefix (trellis) rollout engine for ``lanes`` sessions of one
+    ``(L, horizon)`` shape.
 
-    The planner owns preallocated ping-pong buffers sized for the full
-    ``L^horizon`` leaf count, so a decision allocates nothing beyond the
-    broadcasting temporaries numpy cannot avoid. One planner serves every
-    algorithm instance with the same shape (see :func:`planner_for`);
-    the per-chunk inputs (sizes, bandwidth, buffer) arrive per call.
+    The planner owns preallocated ``(lanes, L^horizon)`` ping-pong
+    buffers, so a rollout allocates nothing beyond the broadcasting
+    temporaries numpy cannot avoid. The batch deciders build one per
+    lane slice; the scalar ``select_level`` paths roll on the shared
+    one-lane instance of :func:`planner_for`.
 
     Bit-identity with :func:`simulate_buffer`: the buffer/rebuffer
-    recurrence is elementwise per sequence, so a leaf's value depends
-    only on its own level path. The trellis applies the *same* IEEE
-    double operations in the *same* per-step order to the same operand
-    values — it merely shares the prefix computations — and orders
-    children as ``parent * L + level``, which reproduces the
-    lexicographic (ravelled ``meshgrid`` ``'ij'``) layout of
-    :func:`level_sequences` exactly.
+    recurrence is elementwise per (lane, sequence), so a leaf's value
+    depends only on its lane's bandwidth and start buffer and its own
+    level path. The trellis applies the *same* IEEE double operations in
+    the *same* per-step order to the same operand values — it merely
+    shares the prefix computations — and orders children as
+    ``parent * L + level``, which reproduces the lexicographic
+    (ravelled ``meshgrid`` ``'ij'``) layout of :func:`level_sequences`
+    exactly. The lane axis changes which doubles sit next to each other
+    in memory, never which operations touch a lane's values.
 
-    Returned arrays are **borrowed views** into the planner's scratch
-    buffers: consume them (or copy) before the next ``rollout`` call.
-    """
-
-    def __init__(self, num_levels: int, horizon: int) -> None:
-        if num_levels < 1 or horizon < 1:
-            raise ValueError(
-                f"need num_levels >= 1 and horizon >= 1, got {num_levels}, {horizon}"
-            )
-        self.num_levels = num_levels
-        self.horizon = horizon
-        leaves = num_levels**horizon
-        # Ping-pong pairs: step k reads prefix states from one flat array
-        # and writes the expanded (P, L) states into the other.
-        self._buf = (np.empty(leaves), np.empty(leaves))
-        self._reb = (np.empty(leaves), np.empty(leaves))
-        self._acc = (np.empty(leaves), np.empty(leaves))
-        self._first: Dict[int, np.ndarray] = {}
-
-    def first_levels(self, h: int) -> np.ndarray:
-        """Leaf-indexed first level of each sequence (read-only view)."""
-        first = self._first.get(h)
-        if first is None:
-            first = level_sequences(self.num_levels, h)[:, 0]
-            self._first[h] = first
-        return first
-
-    def rollout_rebuffer(
-        self,
-        sizes_bits: np.ndarray,
-        bandwidth_bps: float,
-        start_buffer_s: float,
-        chunk_duration_s: float,
-    ) -> np.ndarray:
-        """Total rebuffer per sequence, shape ``(L^h,)`` (borrowed view)."""
-        rebuffer, _ = self._rollout(
-            sizes_bits, None, "", bandwidth_bps, start_buffer_s, chunk_duration_s
-        )
-        return rebuffer
-
-    def rollout_with_values(
-        self,
-        sizes_bits: np.ndarray,
-        values: np.ndarray,
-        mode: str,
-        bandwidth_bps: float,
-        start_buffer_s: float,
-        chunk_duration_s: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rebuffer plus an in-trellis per-sequence value accumulation.
-
-        ``values`` is ``(L, h)`` — one value per (level, step), e.g.
-        per-chunk quality. ``mode`` is ``'sum'`` (running sum, matching
-        ``gathered.sum(axis=1)`` — numpy's sequential left fold for
-        ``h < 8``) or ``'min'`` (running minimum — order-insensitive).
-        Returns ``(rebuffer, accumulated)``, both borrowed views.
-        """
-        if mode not in ("sum", "min"):
-            raise ValueError(f"mode must be 'sum' or 'min', got {mode!r}")
-        return self._rollout(
-            sizes_bits, values, mode, bandwidth_bps, start_buffer_s, chunk_duration_s
-        )
-
-    def _rollout(
-        self,
-        sizes_bits: np.ndarray,
-        values: Optional[np.ndarray],
-        mode: str,
-        bandwidth_bps: float,
-        start_buffer_s: float,
-        chunk_duration_s: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
-        num_levels = self.num_levels
-        h = sizes_bits.shape[1]
-        if sizes_bits.shape[0] != num_levels:
-            raise ValueError(
-                f"sizes cover {sizes_bits.shape[0]} tracks, planner has {num_levels}"
-            )
-        if not 1 <= h <= self.horizon:
-            raise ValueError(f"horizon {h} outside planner range 1..{self.horizon}")
-        if values is not None and values.shape != sizes_bits.shape:
-            raise ValueError(
-                f"values shape {values.shape} != sizes shape {sizes_bits.shape}"
-            )
-        # Per-(level, step) download times; elementwise, so identical to
-        # gathering per sequence and dividing.
-        downloads = sizes_bits / bandwidth_bps
-
-        bufs, rebs, accs = self._buf, self._reb, self._acc
-        cur = 0
-        count = num_levels
-
-        # Step 0: the empty prefix expands to L one-level states.
-        dls = downloads[:, 0]
-        buf = bufs[0][:count]
-        reb = rebs[0][:count]
-        np.subtract(dls, start_buffer_s, out=reb)  # shortfall = dl - buffer
-        np.maximum(reb, 0.0, out=reb)  # stall; rebuffer = 0 + stall = stall
-        np.subtract(start_buffer_s, dls, out=buf)  # buffer - dl
-        np.maximum(buf, 0.0, out=buf)
-        np.add(buf, chunk_duration_s, out=buf)
-        if values is not None:
-            acc = accs[0][:count]
-            acc[:] = values[:, 0]
-
-        for k in range(1, h):
-            nxt = count * num_levels
-            dls = downloads[:, k]
-            src_buf = bufs[cur][:count][:, None]
-            src_reb = rebs[cur][:count][:, None]
-            dst = 1 - cur
-            new_buf = bufs[dst][:nxt].reshape(count, num_levels)
-            new_reb = rebs[dst][:nxt].reshape(count, num_levels)
-            # Same op order as simulate_buffer's step k, broadcast over
-            # (prefixes, levels); C-order reshape keeps child p*L + l.
-            np.subtract(dls, src_buf, out=new_reb)  # shortfall
-            np.maximum(new_reb, 0.0, out=new_reb)  # stall
-            np.add(src_reb, new_reb, out=new_reb)  # rebuffer += stall
-            np.subtract(src_buf, dls, out=new_buf)  # buffer - dl
-            np.maximum(new_buf, 0.0, out=new_buf)
-            np.add(new_buf, chunk_duration_s, out=new_buf)
-            if values is not None:
-                vals = values[:, k]
-                src_acc = accs[cur][:count][:, None]
-                new_acc = accs[dst][:nxt].reshape(count, num_levels)
-                if mode == "sum":
-                    np.add(src_acc, vals, out=new_acc)
-                else:
-                    np.minimum(src_acc, vals, out=new_acc)
-            cur = dst
-            count = nxt
-
-        rebuffer = rebs[cur][:count]
-        accumulated = accs[cur][:count] if values is not None else rebuffer
-        return rebuffer, accumulated
-
-
-class BatchHorizonPlanner:
-    """:class:`HorizonPlanner` with a leading lane axis: N lockstep
-    sessions roll their trellises in one broadcasted pass.
-
-    The recurrence is elementwise per (lane, sequence): adding the lane
-    axis changes *which* doubles sit next to each other in memory, never
-    which operations touch a given lane's values or in what order — so
-    each lane's leaf rebuffer/accumulation row is bit-identical to a
-    scalar :class:`HorizonPlanner` rollout with that lane's bandwidth
-    and start buffer. Scratch memory is ``O(lanes * L^horizon)`` (six
-    doubles per leaf); callers cap lanes accordingly (see
+    Returned arrays are **borrowed views** into the scratch buffers:
+    consume them (or copy) before the next rollout. Scratch memory is
+    four doubles per leaf and lane; callers cap lanes accordingly (see
     :mod:`repro.experiments.batch`).
-
-    Returned arrays are borrowed ``(lanes, L^h)`` views into the
-    ping-pong buffers: consume them before the next rollout.
     """
 
     def __init__(self, lanes: int, num_levels: int, horizon: int) -> None:
@@ -502,18 +354,10 @@ class BatchHorizonPlanner:
         self.num_levels = num_levels
         self.horizon = horizon
         leaves = num_levels**horizon
+        # Ping-pong pairs: step k reads prefix states from one array and
+        # writes the expanded (lanes, P, L) states into the other.
         self._buf = (np.empty((lanes, leaves)), np.empty((lanes, leaves)))
         self._reb = (np.empty((lanes, leaves)), np.empty((lanes, leaves)))
-        self._acc = (np.empty((lanes, leaves)), np.empty((lanes, leaves)))
-        self._first: Dict[int, np.ndarray] = {}
-
-    def first_levels(self, h: int) -> np.ndarray:
-        """Leaf-indexed first level of each sequence (read-only view)."""
-        first = self._first.get(h)
-        if first is None:
-            first = level_sequences(self.num_levels, h)[:, 0]
-            self._first[h] = first
-        return first
 
     def rollout_rebuffer(
         self,
@@ -522,37 +366,15 @@ class BatchHorizonPlanner:
         start_buffer_s: np.ndarray,
         chunk_duration_s: float,
     ) -> np.ndarray:
-        """Per-lane total rebuffer per sequence, ``(lanes, L^h)`` view."""
-        rebuffer, _ = self._rollout(
-            sizes_bits, None, "", bandwidth_bps, start_buffer_s, chunk_duration_s
-        )
-        return rebuffer
+        """Per-lane total rebuffer per sequence, ``(lanes, L^h)`` view.
 
-    def rollout_with_values(
-        self,
-        sizes_bits: np.ndarray,
-        values: np.ndarray,
-        mode: str,
-        bandwidth_bps: np.ndarray,
-        start_buffer_s: np.ndarray,
-        chunk_duration_s: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rebuffer plus the in-trellis value accumulation, per lane."""
-        if mode not in ("sum", "min"):
-            raise ValueError(f"mode must be 'sum' or 'min', got {mode!r}")
-        return self._rollout(
-            sizes_bits, values, mode, bandwidth_bps, start_buffer_s, chunk_duration_s
-        )
-
-    def _rollout(
-        self,
-        sizes_bits: np.ndarray,
-        values: Optional[np.ndarray],
-        mode: str,
-        bandwidth_bps: np.ndarray,
-        start_buffer_s: np.ndarray,
-        chunk_duration_s: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        ``bandwidth_bps`` and ``start_buffer_s`` are matching 1-D arrays,
+        one entry per lane. Rolling fewer lanes than the capacity (the
+        stall-prone ones, after a decider's zero-rebuffer gate peeled
+        the rest) reuses the leading scratch rows; lanes are
+        independent, so a sub-rollout is bit-identical to the same rows
+        of a full one.
+        """
         num_levels = self.num_levels
         h = sizes_bits.shape[1]
         if sizes_bits.shape[0] != num_levels:
@@ -561,31 +383,24 @@ class BatchHorizonPlanner:
             )
         if not 1 <= h <= self.horizon:
             raise ValueError(f"horizon {h} outside planner range 1..{self.horizon}")
-        if (
-            bandwidth_bps.ndim != 1
-            or start_buffer_s.shape != bandwidth_bps.shape
-        ):
+        if bandwidth_bps.ndim != 1 or start_buffer_s.shape != bandwidth_bps.shape:
             raise ValueError("bandwidth/buffer must be matching 1-D arrays")
-        # Rolling a subset of lanes (the stall-prone ones, after the
-        # zero-rebuffer gate peeled the rest) reuses the leading rows of
-        # the scratch buffers; lanes are independent, so a sub-rollout
-        # is bit-identical to the same rows of a full one.
+        if (bandwidth_bps <= 0).any():
+            raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
         lanes = bandwidth_bps.shape[0]
         if lanes > self.lanes:
-            raise ValueError(
-                f"{lanes} lanes exceed planner capacity {self.lanes}"
-            )
-        # (lanes, L, h): per-lane per-(level, step) download times —
-        # elementwise, so lane j matches sizes / bandwidth[j] exactly.
-        downloads = sizes_bits[None, :, :] / bandwidth_bps[:, None, None]
+            raise ValueError(f"{lanes} lanes exceed planner capacity {self.lanes}")
+        # (lanes, h, L): per-lane per-(step, level) download times —
+        # elementwise, so identical to gathering per sequence and dividing.
+        downloads = sizes_bits.T / bandwidth_bps[:, None, None]
 
-        bufs, rebs, accs = self._buf, self._reb, self._acc
+        bufs, rebs = self._buf, self._reb
         cur = 0
         count = num_levels
         start_col = start_buffer_s[:, None]
 
         # Step 0: the empty prefix expands to L one-level states per lane.
-        dls = downloads[:, :, 0]
+        dls = downloads[:, 0]
         buf = bufs[0][:lanes, :count]
         reb = rebs[0][:lanes, :count]
         np.subtract(dls, start_col, out=reb)  # shortfall = dl - buffer
@@ -593,19 +408,16 @@ class BatchHorizonPlanner:
         np.subtract(start_col, dls, out=buf)  # buffer - dl
         np.maximum(buf, 0.0, out=buf)
         np.add(buf, chunk_duration_s, out=buf)
-        if values is not None:
-            acc = accs[0][:lanes, :count]
-            acc[:] = values[:, 0]
 
         for k in range(1, h):
             nxt = count * num_levels
-            dls = downloads[:, :, k][:, None, :]  # (lanes, 1, L)
-            src_buf = bufs[cur][:lanes, :count][:, :, None]  # (lanes, P, 1)
-            src_reb = rebs[cur][:lanes, :count][:, :, None]
+            dls = downloads[:, k, None, :]  # (lanes, 1, L)
+            src_buf = bufs[cur][:lanes, :count, None]  # (lanes, P, 1)
+            src_reb = rebs[cur][:lanes, :count, None]
             dst = 1 - cur
             new_buf = bufs[dst][:lanes, :nxt].reshape(lanes, count, num_levels)
             new_reb = rebs[dst][:lanes, :nxt].reshape(lanes, count, num_levels)
-            # Same op order as the scalar trellis step, broadcast over
+            # Same op order as simulate_buffer's step k, broadcast over
             # (lanes, prefixes, levels); C-order reshape keeps child
             # p * L + l within each lane.
             np.subtract(dls, src_buf, out=new_reb)  # shortfall
@@ -614,30 +426,22 @@ class BatchHorizonPlanner:
             np.subtract(src_buf, dls, out=new_buf)  # buffer - dl
             np.maximum(new_buf, 0.0, out=new_buf)
             np.add(new_buf, chunk_duration_s, out=new_buf)
-            if values is not None:
-                vals = values[:, k][None, None, :]
-                src_acc = accs[cur][:lanes, :count][:, :, None]
-                new_acc = accs[dst][:lanes, :nxt].reshape(lanes, count, num_levels)
-                if mode == "sum":
-                    np.add(src_acc, vals, out=new_acc)
-                else:
-                    np.minimum(src_acc, vals, out=new_acc)
             cur = dst
             count = nxt
 
-        rebuffer = rebs[cur][:lanes, :count]
-        accumulated = accs[cur][:lanes, :count] if values is not None else rebuffer
-        return rebuffer, accumulated
+        return rebs[cur][:lanes, :count]
 
 
-#: Process-wide planner cache: one scratch-buffer set per (L, horizon)
-#: shape, shared by every algorithm instance (sessions run sequentially
-#: within a process; worker processes each get their own cache).
+#: Process-wide cache of one-lane planners, one scratch set (~250 KB for
+#: the (6, 5) shape) per (L, horizon), shared by every scalar algorithm
+#: instance: sessions run sequentially within a process, while the fleet
+#: holds one algorithm per concurrent session. Worker processes each get
+#: their own cache.
 _PLANNER_CACHE: Dict[Tuple[int, int], HorizonPlanner] = {}
 
 
 def planner_for(num_levels: int, horizon: int) -> HorizonPlanner:
-    """Shared :class:`HorizonPlanner` for a ``(num_levels, horizon)`` shape."""
+    """Shared one-lane :class:`HorizonPlanner` for a ``(num_levels, horizon)`` shape."""
     key = (num_levels, horizon)
     planner = _PLANNER_CACHE.get(key)
     if planner is None:
@@ -645,6 +449,6 @@ def planner_for(num_levels: int, horizon: int) -> HorizonPlanner:
             # Unbounded growth only happens in pathological sweeps over
             # many shapes; dropping the cache merely costs reallocation.
             _PLANNER_CACHE.clear()
-        planner = HorizonPlanner(num_levels, horizon)
+        planner = HorizonPlanner(1, num_levels, horizon)
         _PLANNER_CACHE[key] = planner
     return planner

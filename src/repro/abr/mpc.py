@@ -34,7 +34,7 @@ from repro.abr.base import (
     DecisionContext,
 )
 from repro.abr.horizon import (
-    BatchHorizonPlanner,
+    HorizonPlanner,
     SparsePlanRollout,
     horizon_sizes,
     level_sequences,
@@ -137,7 +137,9 @@ class MPCAlgorithm(ABRAlgorithm):
     """Model-predictive rate adaptation with exhaustive N-step lookahead.
 
     The per-decision cost is dominated by the buffer rollout, delegated
-    to the shared-prefix :class:`~repro.abr.horizon.HorizonPlanner`. The
+    to the shared one-lane :class:`~repro.abr.horizon.HorizonPlanner`
+    of :func:`~repro.abr.horizon.planner_for` — the same trellis the
+    batch decider rolls over many lanes. The
     bandwidth-independent score terms — per-sequence utility, internal
     smoothness steps, and the first-step switch cost against each
     possible previous level — are precomputed per (ladder, smoothness
@@ -190,10 +192,13 @@ class MPCAlgorithm(ABRAlgorithm):
         bandwidth = max(self._predicted_bandwidth(ctx), 1_000.0)
 
         rebuffer = self._planner.rollout_rebuffer(
-            sizes, bandwidth, ctx.buffer_s, manifest.chunk_duration_s
+            sizes,
+            np.array([bandwidth], dtype=float),
+            np.array([ctx.buffer_s], dtype=float),
+            manifest.chunk_duration_s,
         )
         row = manifest.num_tracks if ctx.last_level is None else ctx.last_level
-        score = rows[row] - self.rebuffer_penalty_per_s * rebuffer
+        score = rows[row] - self.rebuffer_penalty_per_s * rebuffer[0]
         best = int(np.argmax(score))
         return int(first[best])
 
@@ -296,9 +301,7 @@ class _BatchMpcDecider(BatchDecider):
         algorithm.prepare(manifest)
         self._algorithm = algorithm
         self._manifest = manifest
-        self._planner = BatchHorizonPlanner(
-            lanes, manifest.num_tracks, algorithm.horizon
-        )
+        self._planner = HorizonPlanner(lanes, manifest.num_tracks, algorithm.horizon)
         self._best: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Running count of chunks whose sizes are NOT nondecreasing in
         # level: a window is survivor-safe iff its count is flat.

@@ -22,15 +22,15 @@ for FCC), giving PANDA/CQ its best case.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, BatchDecider, BatchDecisionContext, DecisionContext
 from repro.abr.horizon import (
-    BatchHorizonPlanner,
+    HorizonPlanner,
     horizon_sizes,
+    level_sequences,
     plan_level_digits,
     plan_rebuffers,
     plan_stall_free,
@@ -49,6 +49,27 @@ __all__ = ["PandaCQAlgorithm"]
 #: planning stack (~100 KB per chunk); sweeps visit videos sequentially,
 #: so two pinned manifests cover the steady state.
 _PLAN_TABLES = PinnedMemo(capacity=2)
+
+
+def _window_objective(quality: np.ndarray, objective: str) -> np.ndarray:
+    """Objective of every plan over one window, shape ``(L**h,)``.
+
+    ``quality`` is the window's ``(L, h)`` per-(level, step) quality.
+    The objective never reads bandwidth or buffer, so one vector serves
+    every lane and every start buffer. It folds step by step over the
+    shared-prefix layout of :func:`~repro.abr.horizon.level_sequences`
+    (child ``parent * L + level``): the running sum reproduces numpy's
+    sequential left fold ``gathered.sum(axis=1)`` over the ``h`` (< 8)
+    window columns, and the running minimum is order-insensitive — both
+    bit-identical to gathering the ``(L**h, h)`` plan-quality matrix and
+    reducing it. max-min scales by ``h`` to be comparable to a sum.
+    """
+    fold = np.add if objective == "max-sum" else np.minimum
+    h = quality.shape[1]
+    acc = quality[:, 0]
+    for k in range(1, h):
+        acc = fold(acc[:, None], quality[:, k]).ravel()
+    return acc if objective == "max-sum" else acc * h
 
 
 class PandaCQAlgorithm(ABRAlgorithm):
@@ -86,35 +107,27 @@ class PandaCQAlgorithm(ABRAlgorithm):
             )
         self._quality = manifest.quality[self.metric]
         self._planner = planner_for(manifest.num_tracks, self.horizon)
-        self._value_mode = "sum" if self.objective == "max-sum" else "min"
+
+    def _objective(self, i: int, h: int) -> np.ndarray:
+        """:func:`_window_objective` of the window at chunk ``i``."""
+        return _window_objective(self._quality[:, i : i + h], self.objective)
 
     def select_level(self, ctx: DecisionContext) -> int:
-        # The quality objective accumulates inside the shared-prefix
-        # rollout: a running sum reproduces numpy's sequential left-fold
-        # sum over the h (< 8) window columns, and a running minimum is
-        # order-insensitive — both bit-identical to gathering the
-        # (count, h) plan-quality matrix and reducing it.
         manifest = self.manifest
         i = ctx.chunk_index
         sizes = horizon_sizes(manifest, i, self.horizon)
         h = sizes.shape[1]
         bandwidth = max(ctx.bandwidth_bps, 1_000.0)
 
-        rebuffer, accumulated = self._planner.rollout_with_values(
+        rebuffer = self._planner.rollout_rebuffer(
             sizes,
-            self._quality[:, i : i + h],
-            self._value_mode,
-            bandwidth,
-            ctx.buffer_s,
+            np.array([bandwidth], dtype=float),
+            np.array([ctx.buffer_s], dtype=float),
             manifest.chunk_duration_s,
         )
-        if self.objective == "max-sum":
-            objective = accumulated
-        else:
-            objective = accumulated * h  # scale comparable to sum
-        score = objective - self.rebuffer_penalty_per_s * rebuffer
+        score = self._objective(i, h) - self.rebuffer_penalty_per_s * rebuffer[0]
         best = int(np.argmax(score))
-        return int(self._planner.first_levels(h)[best])
+        return int(level_sequences(manifest.num_tracks, h)[best, 0])
 
     def batch_decider(
         self, manifest: Manifest, lanes: int
@@ -167,8 +180,8 @@ class _BatchPandaDecider(BatchDecider):
       stall-free needs no scan at all.
 
     Non-monotone windows under max-min fall back to the dense path:
-    the ``p*`` gate plus one batched value-carrying trellis rollout and
-    a per-lane argmax."""
+    the ``p*`` gate plus one batched trellis rollout scored against the
+    shared :func:`_window_objective` and a per-lane argmax."""
 
     def __init__(
         self, algorithm: PandaCQAlgorithm, manifest: Manifest, lanes: int
@@ -176,9 +189,7 @@ class _BatchPandaDecider(BatchDecider):
         algorithm.prepare(manifest)
         self._algorithm = algorithm
         self._manifest = manifest
-        self._planner = BatchHorizonPlanner(
-            lanes, manifest.num_tracks, algorithm.horizon
-        )
+        self._planner = HorizonPlanner(lanes, manifest.num_tracks, algorithm.horizon)
         self._best_plans: dict = {}
         # Running count of chunks where either sizes or quality are NOT
         # nondecreasing in level: a window admits the max-min candidate
@@ -211,18 +222,11 @@ class _BatchPandaDecider(BatchDecider):
                     plan_set.add(index)
             plans = np.array(sorted(plan_set), dtype=np.int64)
             digits = plan_level_digits(plans, num_levels, h)
-            steps = np.arange(h)
-            gathered = quality[digits, steps]  # (candidates, h)
-            # Same running-minimum fold as the trellis accumulation
-            # (order-insensitive), then the scalar path's scaling.
-            accumulated = gathered[:, 0].copy()
-            for k in range(1, h):
-                np.minimum(accumulated, gathered[:, k], out=accumulated)
             return {
                 "plans": plans,
                 "first": digits[:, 0],
-                "objective": accumulated * h,  # scale comparable to sum
-                "seq_sizes": sizes[digits, steps],
+                "objective": self._algorithm._objective(i, h)[plans],
+                "seq_sizes": sizes[digits, np.arange(h)],
             }
 
         key = ("max-min", self._algorithm.metric, i, h)
@@ -232,22 +236,8 @@ class _BatchPandaDecider(BatchDecider):
         """Descending-objective rank table for max-sum at chunk ``i``."""
 
         def build() -> dict:
-            algorithm = self._algorithm
-            manifest = self._manifest
-            num_levels = manifest.num_tracks
-            planner = planner_for(num_levels, algorithm.horizon)
-            # Infinite start buffer forces zero rebuffer; accumulated is
-            # bandwidth/buffer-independent, so this is *the* objective
-            # vector every lane shares.
-            _, accumulated = planner.rollout_with_values(
-                sizes,
-                algorithm._quality[:, i : i + h],
-                algorithm._value_mode,
-                1.0,
-                math.inf,
-                manifest.chunk_duration_s,
-            )
-            objective = accumulated  # max-sum
+            num_levels = self._manifest.num_tracks
+            objective = self._algorithm._objective(i, h)
             order = np.argsort(-objective, kind="stable")
             obj_sorted = objective[order]
             total = order.shape[0]
@@ -271,25 +261,11 @@ class _BatchPandaDecider(BatchDecider):
         key = ("max-sum", self._algorithm.metric, i, h, _SCAN_RANK_CAP)
         return _PLAN_TABLES.get(self._manifest, key, build)
 
-    def _best_plan(self, i: int, sizes: np.ndarray, h: int):
+    def _best_plan(self, i: int, h: int):
         """``(p*, its level digits)`` for chunk ``i`` — lane-independent."""
         cached = self._best_plans.get(i)
         if cached is None:
-            algorithm = self._algorithm
-            planner = planner_for(self._manifest.num_tracks, algorithm.horizon)
-            _, accumulated = planner.rollout_with_values(
-                sizes,
-                algorithm._quality[:, i : i + h],
-                algorithm._value_mode,
-                1.0,
-                math.inf,
-                self._manifest.chunk_duration_s,
-            )
-            if algorithm.objective == "max-sum":
-                objective = accumulated
-            else:
-                objective = accumulated * h  # scale comparable to sum
-            best = int(np.argmax(objective))
+            best = int(np.argmax(self._algorithm._objective(i, h)))
             digits = plan_level_digits(best, self._manifest.num_tracks, h)
             cached = (best, digits)
             self._best_plans[i] = cached
@@ -408,17 +384,14 @@ class _BatchPandaDecider(BatchDecider):
                 levels_sub[done] = best_plan[done] // manifest.num_tracks ** (h - 1)
                 active = active[~resolved]
         if active.size:
-            rebuffer, accumulated = self._planner.rollout_with_values(
-                sizes,
-                algorithm._quality[:, i : i + h],
-                algorithm._value_mode,
-                bw_sub[active],
-                buf_sub[active],
-                manifest.chunk_duration_s,
+            rebuffer = self._planner.rollout_rebuffer(
+                sizes, bw_sub[active], buf_sub[active], manifest.chunk_duration_s
             )
-            score = accumulated - algorithm.rebuffer_penalty_per_s * rebuffer
-            levels_sub[active] = self._planner.first_levels(h)[
-                np.argmax(score, axis=1)
+            score = algorithm._objective(i, h) - (
+                algorithm.rebuffer_penalty_per_s * rebuffer
+            )
+            levels_sub[active] = level_sequences(manifest.num_tracks, h)[
+                np.argmax(score, axis=1), 0
             ]
         if isinstance(sub, slice):
             return levels_sub
@@ -437,10 +410,10 @@ class _BatchPandaDecider(BatchDecider):
     ) -> np.ndarray:
         algorithm = self._algorithm
         manifest = self._manifest
-        first = self._planner.first_levels(h)
+        first = level_sequences(manifest.num_tracks, h)[:, 0]
         lanes = bandwidth.shape[0]
 
-        best_plan, digits = self._best_plan(i, sizes, h)
+        best_plan, digits = self._best_plan(i, h)
         seq_sizes = np.broadcast_to(sizes[digits, np.arange(h)], (lanes, h))
         safe = plan_stall_free(
             seq_sizes, bandwidth, ctx.buffer_s, manifest.chunk_duration_s
@@ -450,19 +423,12 @@ class _BatchPandaDecider(BatchDecider):
 
         risky = ~safe
         sub = slice(None) if risky.all() else np.nonzero(risky)[0]
-        rebuffer, accumulated = self._planner.rollout_with_values(
-            sizes,
-            algorithm._quality[:, i : i + h],
-            algorithm._value_mode,
-            bandwidth[sub],
-            ctx.buffer_s[sub],
-            manifest.chunk_duration_s,
+        rebuffer = self._planner.rollout_rebuffer(
+            sizes, bandwidth[sub], ctx.buffer_s[sub], manifest.chunk_duration_s
         )
-        if algorithm.objective == "max-sum":
-            objective = accumulated
-        else:
-            objective = accumulated * h  # scale comparable to sum
-        score = objective - algorithm.rebuffer_penalty_per_s * rebuffer
+        score = algorithm._objective(i, h) - (
+            algorithm.rebuffer_penalty_per_s * rebuffer
+        )
         sub_best = np.argmax(score, axis=1)
         if isinstance(sub, slice):
             return first[sub_best]

@@ -57,7 +57,7 @@ __all__ = [
 #: Environment variable that forces the scalar path when set non-empty.
 DISABLE_BATCH_ENV = "REPRO_DISABLE_BATCH"
 
-#: Lane caps per decider family. The trellis planners keep six
+#: Lane caps per decider family. The trellis planner keeps four
 #: ``(lanes, L**h)`` scratch arrays alive, so planner-backed schemes run
 #: in narrower slices; everything else is a few ``(lanes,)`` state
 #: vectors and can go wide.

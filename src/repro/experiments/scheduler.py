@@ -137,16 +137,18 @@ class WorkUnit:
 # Batch sizing
 # ----------------------------------------------------------------------
 
-#: Rough per-session cost relative to a scalar CAVA session (about 3 ms
-#: on one core), measured once when the scalar planners were last tuned
-#: and not re-measured since. Only batch *sizing* reads these — results
-#: are bit-identical however the grid is batched — so coarse numbers are
-#: fine; unknown schemes default to 1.
+#: Rough per-session cost relative to a scalar CAVA session (1-2.5 ms
+#: on one core). Each planner entry is the median over 10 processes of
+#: the ratio of median scalar `StreamingSession` wall times in that
+#: process (5 warm sessions per scheme over LTE traces); ED-ffmpeg-h264
+#: and ED-youtube-h264 agree within 2. Only batch *sizing* reads these —
+#: results are bit-identical however the grid is batched — so coarse
+#: numbers are fine; unknown schemes default to 1.
 SCHEME_COSTS: Dict[str, float] = {
-    "MPC": 8.0,
-    "RobustMPC": 8.0,
-    "PANDA/CQ max-sum": 4.0,
-    "PANDA/CQ max-min": 4.0,
+    "MPC": 22.0,
+    "RobustMPC": 22.0,
+    "PANDA/CQ max-sum": 26.0,
+    "PANDA/CQ max-min": 27.0,
     "CAVA-oboe": 2.0,
     "DYNAMIC": 2.0,
 }

@@ -12,11 +12,15 @@ high track fits easily, a large Q4 chunk does not.
 
 from __future__ import annotations
 
+import math
+
 from repro.abr.base import ABRAlgorithm, DecisionContext
 from repro.util.validation import check_non_negative, check_positive
 from repro.video.model import Manifest
 
 __all__ = ["BBA1Algorithm"]
+
+_INF = math.inf
 
 
 class BBA1Algorithm(ABRAlgorithm):
@@ -38,10 +42,15 @@ class BBA1Algorithm(ABRAlgorithm):
         # Chunk map endpoints: average chunk size of lowest / highest track.
         self._min_chunk_bits = float(manifest.declared_avg_bitrates_bps[0]) * delta
         self._max_chunk_bits = float(manifest.declared_avg_bitrates_bps[-1]) * delta
+        # size_rows[level][i] is chunk_size_bits(level, i) bit for bit, as
+        # Python floats: the scan probes up to num_tracks sizes per decision.
+        self._size_rows = manifest.size_rows
+        self._top = manifest.num_tracks - 1
 
     def _allowed_chunk_bits(self, buffer_s: float) -> float:
         """The chunk map: allowed chunk size at a given buffer occupancy."""
-        check_non_negative(buffer_s, "buffer_s")
+        if not 0.0 <= buffer_s < _INF:
+            check_non_negative(buffer_s, "buffer_s")  # cold: raises
         if buffer_s <= self.reservoir_s:
             return self._min_chunk_bits
         if buffer_s >= self.cushion_s:
@@ -51,7 +60,9 @@ class BBA1Algorithm(ABRAlgorithm):
 
     def select_level(self, ctx: DecisionContext) -> int:
         allowed = self._allowed_chunk_bits(ctx.buffer_s)
-        for level in range(self.manifest.num_tracks - 1, -1, -1):
-            if self.manifest.chunk_size_bits(level, ctx.chunk_index) <= allowed:
+        i = ctx.chunk_index
+        rows = self._size_rows
+        for level in range(self._top, -1, -1):
+            if rows[level][i] <= allowed:
                 return level
         return 0

@@ -28,15 +28,70 @@ upswitch), both present in the dash.js implementation §6.8 measures.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Tuple
+
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, DecisionContext
+from repro.util.pinned import PinnedMemo
 from repro.util.validation import check_positive
 from repro.video.model import Manifest
 
 __all__ = ["BolaEAlgorithm", "BOLA_VARIANTS"]
 
 BOLA_VARIANTS = ("peak", "avg", "seg")
+
+
+class _ChunkRow(NamedTuple):
+    """One chunk's per-level decision table, as Python floats."""
+
+    sizes: Tuple[float, ...]  # S_l, bits
+    offsets: Tuple[float, ...]  # V * (u_l + gp): the buffer where score(l) = 0
+    rates: Tuple[float, ...]  # S_l / chunk_duration_s, for the upswitch safeguard
+    resume_at: float  # max(offsets): below it some score is non-negative
+
+
+#: Per-chunk decision rows keyed by manifest identity and
+#: ``(variant, minimum_buffer_s, buffer_target_s)``. They are pure
+#: functions of that key, and sweeps build a fresh algorithm per session
+#: on one manifest, so the logs are taken once per manifest, not per
+#: decision.
+_TABLES = PinnedMemo()
+
+
+def _build_rows(
+    manifest: Manifest, variant: str, minimum_buffer_s: float, buffer_target_s: float
+) -> Tuple[_ChunkRow, ...]:
+    # V and gp from declared average bitrates (as dash.js does), so the
+    # control parameters stay fixed even for the seg variant.
+    utilities = np.log(
+        manifest.declared_avg_bitrates_bps / manifest.declared_avg_bitrates_bps[0]
+    )
+    u_max = float(utilities[-1])
+    if u_max <= 1.0:
+        raise ValueError("ladder too flat for BOLA utilities (u_max <= 1)")
+    gp = (u_max - 1.0) / (buffer_target_s / minimum_buffer_s - 1.0)
+    v = minimum_buffer_s / gp
+    delta = manifest.chunk_duration_s
+
+    def row(sizes: np.ndarray) -> _ChunkRow:
+        # numpy takes the logs here, once per chunk row; select_level only
+        # subtracts and divides these doubles, and elementwise IEEE "-"
+        # and "/" round the same on Python floats as in numpy arrays.
+        offsets = (v * (np.log(sizes / sizes[0]) + gp)).tolist()
+        return _ChunkRow(
+            tuple(sizes.tolist()), tuple(offsets), tuple((sizes / delta).tolist()), max(offsets)
+        )
+
+    if variant == "seg":  # per-chunk sizes
+        sizes = manifest.chunk_sizes_bits
+        return tuple(row(sizes[:, i]) for i in range(manifest.num_chunks))
+    declared = (
+        manifest.declared_peak_bitrates_bps
+        if variant == "peak"
+        else manifest.declared_avg_bitrates_bps
+    )
+    return (row(declared * delta),) * manifest.num_chunks
 
 
 class BolaEAlgorithm(ABRAlgorithm):
@@ -64,62 +119,46 @@ class BolaEAlgorithm(ABRAlgorithm):
     # ------------------------------------------------------------------
     def prepare(self, manifest: Manifest) -> None:
         super().prepare(manifest)
-        delta = manifest.chunk_duration_s
-        if self.variant == "peak":
-            self._track_bits = manifest.declared_peak_bitrates_bps * delta
-        elif self.variant == "avg":
-            self._track_bits = manifest.declared_avg_bitrates_bps * delta
-        else:  # seg: per-chunk sizes, resolved at decision time
-            self._track_bits = None
-        # V and gp from declared average bitrates (as dash.js does), so the
-        # control parameters stay fixed even for the seg variant.
-        utilities = np.log(
-            manifest.declared_avg_bitrates_bps / manifest.declared_avg_bitrates_bps[0]
-        )
-        u_max = float(utilities[-1])
-        if u_max <= 1.0:
-            raise ValueError("ladder too flat for BOLA utilities (u_max <= 1)")
-        self._gp = (u_max - 1.0) / (self.buffer_target_s / self.minimum_buffer_s - 1.0)
-        self._v = self.minimum_buffer_s / self._gp
-
-    def _sizes_bits(self, chunk_index: int) -> np.ndarray:
-        """Per-level size of this chunk under the configured variant."""
-        if self._track_bits is not None:
-            return self._track_bits
-        return self.manifest.chunk_sizes_bits[:, chunk_index]
+        key = (self.variant, self.minimum_buffer_s, self.buffer_target_s)
+        self._rows = _TABLES.get(manifest, key, lambda: _build_rows(manifest, *key))
+        self._top = manifest.num_tracks - 1
 
     # ------------------------------------------------------------------
     # Decision
     # ------------------------------------------------------------------
-    def _scores(self, ctx: DecisionContext) -> np.ndarray:
-        sizes = self._sizes_bits(ctx.chunk_index)
-        utilities = np.log(sizes / sizes[0])
-        return (self._v * (utilities + self._gp) - ctx.buffer_s) / sizes
-
     def requested_idle_s(self, ctx: DecisionContext) -> float:
-        """Pause while every level's score is negative (buffer too full)."""
-        scores = self._scores(ctx)
-        if float(np.max(scores)) >= 0.0:
-            return 0.0
-        sizes = self._sizes_bits(ctx.chunk_index)
-        utilities = np.log(sizes / sizes[0])
-        # Buffer level at which the best level's score returns to zero.
-        resume_at = float(np.max(self._v * (utilities + self._gp)))
-        return max(0.0, ctx.buffer_s - resume_at)
+        """Pause while every level's score is negative (buffer too full).
+
+        ``score(l) >= 0`` exactly when the buffer is at most level ``l``'s
+        offset, so the pause lasts until the buffer drains to the largest
+        offset, where the best level's score returns to zero.
+        """
+        idle = ctx.buffer_s - self._rows[ctx.chunk_index].resume_at
+        return idle if idle > 0.0 else 0.0
 
     def select_level(self, ctx: DecisionContext) -> int:
-        scores = self._scores(ctx)
-        candidate = int(np.argmax(scores))
+        sizes, offsets, rates, _ = self._rows[ctx.chunk_index]
+        buffer_s = ctx.buffer_s
+        # argmax of the scores; strict ">" keeps the first maximum.
+        candidate = 0
+        best = (offsets[0] - buffer_s) / sizes[0]
+        for level in range(1, self._top + 1):
+            score = (offsets[level] - buffer_s) / sizes[level]
+            if score > best:
+                best = score
+                candidate = level
 
         last = ctx.last_level
         if last is not None and candidate > last:
             # BOLA-E upswitch safeguard (as in dash.js): when BOLA wants a
             # level above what the throughput estimate sustains, settle for
             # the sustainable level, but never below the current one.
-            sizes = self._sizes_bits(ctx.chunk_index)
-            rates = sizes / self.manifest.chunk_duration_s
-            sustainable_levels = np.flatnonzero(rates <= ctx.bandwidth_bps)
-            sustainable = int(sustainable_levels[-1]) if sustainable_levels.size else 0
+            bandwidth_bps = ctx.bandwidth_bps
+            sustainable = 0
+            for level in range(self._top, 0, -1):
+                if rates[level] <= bandwidth_bps:
+                    sustainable = level
+                    break
             if candidate > sustainable:
-                candidate = max(sustainable, last)
-        return self._clamp_level(candidate)
+                candidate = int(max(sustainable, last))
+        return candidate

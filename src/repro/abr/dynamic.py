@@ -14,8 +14,6 @@ harness, complementing the explicit BOLA-E variants of §6.8.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.abr.base import ABRAlgorithm, DecisionContext
 from repro.abr.bola import BolaEAlgorithm
 from repro.util.validation import check_in_range, check_positive
@@ -49,6 +47,7 @@ class DynamicAlgorithm(ABRAlgorithm):
     def prepare(self, manifest: Manifest) -> None:
         super().prepare(manifest)
         self._bola.prepare(manifest)
+        self._avg_rates = tuple(manifest.declared_avg_bitrates_bps.tolist())
         self._using_bola = False
 
     @property
@@ -57,10 +56,13 @@ class DynamicAlgorithm(ABRAlgorithm):
         return self._using_bola
 
     def _throughput_level(self, ctx: DecisionContext) -> int:
+        """Highest level whose declared average rate fits the budget, else 0."""
         budget = self.throughput_safety * ctx.bandwidth_bps
-        rates = self.manifest.declared_avg_bitrates_bps
-        affordable = np.flatnonzero(rates <= budget)
-        return int(affordable[-1]) if affordable.size else 0
+        rates = self._avg_rates
+        for level in range(len(rates) - 1, 0, -1):
+            if rates[level] <= budget:
+                return level
+        return 0
 
     def _update_mode(self, buffer_s: float) -> None:
         if self._using_bola:

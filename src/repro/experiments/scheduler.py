@@ -138,19 +138,26 @@ class WorkUnit:
 # ----------------------------------------------------------------------
 
 #: Rough per-session cost relative to a scalar CAVA session (1-2.5 ms
-#: on one core). Each planner entry is the median over 10 processes of
+#: on one core). Each measured entry is the median over 10 processes of
 #: the ratio of median scalar `StreamingSession` wall times in that
 #: process (5 warm sessions per scheme over LTE traces); ED-ffmpeg-h264
-#: and ED-youtube-h264 agree within 2. Only batch *sizing* reads these —
-#: results are bit-identical however the grid is batched — so coarse
-#: numbers are fine; unknown schemes default to 1.
+#: and ED-youtube-h264 agree within 2 for the planners and within 0.4
+#: for the others. Only batch *sizing* reads these — results are
+#: bit-identical however the grid is batched — so coarse numbers are
+#: fine; unknown schemes default to 1.
 SCHEME_COSTS: Dict[str, float] = {
     "MPC": 22.0,
     "RobustMPC": 22.0,
     "PANDA/CQ max-sum": 26.0,
     "PANDA/CQ max-min": 27.0,
-    "CAVA-oboe": 2.0,
-    "DYNAMIC": 2.0,
+    "CAVA-oboe": 4.0,
+    "PIA": 1.7,
+    "FESTIVE": 1.1,
+    "BOLA-E (peak)": 1.0,
+    "BOLA-E (avg)": 1.0,
+    "BOLA-E (seg)": 0.9,
+    "DYNAMIC": 0.9,
+    "BBA-1": 0.7,
 }
 
 #: Amortized per-session cost when the unit runs on the lockstep batch

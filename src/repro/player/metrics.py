@@ -62,11 +62,8 @@ def quality_series(result: SessionResult, video: VideoAsset, metric: str) -> np.
         raise ValueError(
             f"session has {result.num_chunks} chunks but video has {video.num_chunks}"
         )
-    qualities = np.empty(result.num_chunks, dtype=float)
-    per_track = [track.qualities[metric] for track in video.tracks]
-    for i, level in enumerate(result.levels):
-        qualities[i] = per_track[level][i]
-    return qualities
+    quality_table = np.stack([track.qualities[metric] for track in video.tracks])
+    return quality_table[result.levels, np.arange(result.num_chunks)]
 
 
 @dataclass(frozen=True)

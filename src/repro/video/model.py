@@ -298,7 +298,8 @@ class Manifest:
         bit (``ndarray.tolist`` preserves the doubles) but costs two tuple
         lookups instead of a 2-D ndarray index plus a numpy-scalar
         conversion — the difference matters in the per-chunk session loop
-        and in schemes that scan the ladder per decision (RBA, BBA).
+        and in the schemes whose decisions scan the ladder from these rows
+        (RBA, BBA-1).
         """
         rows = self._size_rows
         if rows is None:

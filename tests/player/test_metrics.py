@@ -1,5 +1,7 @@
 """Tests for repro.player.metrics: the five §6.1 QoE metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,23 @@ class TestQualitySeries:
     def test_length_mismatch_rejected(self, short_video, ed_ffmpeg_video, fixed_result):
         with pytest.raises(ValueError, match="chunks"):
             quality_series(fixed_result, ed_ffmpeg_video, "vmaf_phone")
+
+    @pytest.mark.parametrize("metric", ["vmaf_phone", "vmaf_tv"])
+    def test_gather_equals_per_chunk_loop(self, short_video, fixed_result, metric):
+        """The one-gather join equals a per-chunk item store bit for bit,
+        on levels that visit the bottom and top tracks."""
+        n = fixed_result.num_chunks
+        top = short_video.num_tracks - 1
+        levels = np.random.default_rng(5).integers(0, top + 1, size=n)
+        levels[:2] = (0, top)
+        levels[-2:] = (top, 0)
+        result = dataclasses.replace(fixed_result, levels=levels)
+        expected = np.empty(n, dtype=float)
+        for i, level in enumerate(levels):
+            expected[i] = short_video.track(level).qualities[metric][i]
+        series = quality_series(result, short_video, metric)
+        assert series.dtype == expected.dtype
+        assert series.tobytes() == expected.tobytes()
 
 
 class TestSummarizeSession:

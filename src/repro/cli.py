@@ -38,8 +38,8 @@ Subcommands:
 Every subcommand takes ``--seed`` so results replay exactly. ``run`` and
 ``compare`` take ``--workers N`` to fan sessions out over a process pool
 (``0`` = every core); results are identical at any worker count, and
-``--executor {pool,asyncio,multihost}`` picks the backend that runs the
-planned work (bit-identical results on all of them). Both also take
+``--executor {pool,multihost}`` picks the backend that runs the
+planned work (bit-identical results on both). Both also take
 ``--faults SPEC`` to replay the same sessions under injected adverse
 conditions (outages, throughput drops, latency spikes — see
 :mod:`repro.faults.spec` for the grammar), and ``compare`` takes

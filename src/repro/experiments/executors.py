@@ -1,21 +1,14 @@
-"""Pluggable sweep executor backends: pool, asyncio, multi-host.
+"""Pluggable sweep executor backends: pool and multi-host.
 
 The scheduler (:mod:`repro.experiments.scheduler`) decides *what* to
-run; an executor backend decides *where and how*. All three backends
-share one contract — given a planned grid they must produce the exact
-result list the serial runner would, bit for bit:
+run; an executor backend decides *where and how*. Both backends share
+one contract — given a planned grid they must produce the exact result
+list the serial runner would, bit for bit:
 
-- :class:`PoolExecutorBackend` — the historical path: fan work units
-  over a local :class:`~concurrent.futures.ProcessPoolExecutor` with
-  the zero-copy shm data plane, full failure policy (skip/retry, one
-  pool respawn after a break), and deterministic submission-order
-  merging.
-- :class:`AsyncioExecutorBackend` — single-host overlap of CPU-bound
-  simulation with I/O-bound session-store write-backs: units run on a
-  process pool (or an in-process thread when ``n_workers=1``) while a
-  dedicated I/O thread streams completed results into the store, so
-  compute never stalls behind disk. Failure policy matches the pool
-  backend except that a broken process pool is fatal (no respawn).
+- :class:`PoolExecutorBackend` — the default: fan work units over a
+  local :class:`~concurrent.futures.ProcessPoolExecutor` with the
+  zero-copy shm data plane, full failure policy (skip/retry, one pool
+  respawn after a break), and deterministic submission-order merging.
 - :class:`MultiHostExecutorBackend` — cooperative workers on any number
   of machines sharing one store directory: each participant derives the
   same canonical unit catalogue, claims units through atomic lease
@@ -33,13 +26,13 @@ result list the serial runner would, bit for bit:
 
 Pool construction goes through the :mod:`repro.experiments.parallel`
 module namespace (``parallel.ProcessPoolExecutor``) so tests and
-embedders can substitute the pool class in one place for every backend.
+embedders can substitute the pool class in one place.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -94,7 +87,6 @@ __all__ = [
     "PlanContext",
     "ExecutorBackend",
     "PoolExecutorBackend",
-    "AsyncioExecutorBackend",
     "MultiHostExecutorBackend",
     "resolve_executor",
 ]
@@ -154,8 +146,7 @@ def _pool_initargs(engine, ctx: PlanContext):
 
     Returns ``(plane, initargs)`` — ``plane`` is None on the inline
     fallback (shared memory unavailable or disabled), and the caller
-    owns ``plane.close_and_unlink()``. Shared by the pool and asyncio
-    backends so both ship identical per-worker payloads.
+    owns ``plane.close_and_unlink()``.
     """
     registry = engine.registry
     tracer = engine.tracer
@@ -238,14 +229,14 @@ def _shutdown_before_unlink(pool) -> None:
 
 
 class PoolExecutorBackend(ExecutorBackend):
-    """The in-process process-pool backend (the historical sweep path)."""
+    """The in-process process-pool backend (the default sweep path)."""
 
     name = "pool"
 
     def execute(self, engine, ctx: PlanContext) -> List[SweepResult]:
         # Resolved through the parallel module namespace at call time so
-        # one monkeypatch of parallel.ProcessPoolExecutor covers every
-        # backend (and the tests' payload-measuring pool keeps working).
+        # one monkeypatch of parallel.ProcessPoolExecutor swaps the pool
+        # class (the tests' payload-measuring pool relies on it).
         from repro.experiments import parallel as parallel_mod
 
         specs, videos = ctx.specs, ctx.videos
@@ -447,198 +438,6 @@ class PoolExecutorBackend(ExecutorBackend):
         return results
 
 
-class AsyncioExecutorBackend(ExecutorBackend):
-    """Overlap CPU-bound simulation with I/O-bound store traffic.
-
-    Work units run on a process pool (``n_workers > 1``) or a single
-    in-process worker thread (``n_workers == 1``); as each unit lands,
-    its store write-back is handed to a dedicated I/O thread so compute
-    never waits on disk. One event loop coordinates both, bounded by a
-    semaphore. Results, telemetry, and failure policy match the pool
-    backend bit for bit, with one documented difference: a broken
-    process pool aborts the sweep (the asyncio backend does not
-    respawn).
-    """
-
-    name = "asyncio"
-
-    def execute(self, engine, ctx: PlanContext) -> List[SweepResult]:
-        import asyncio
-
-        return asyncio.run(self._run(engine, ctx))
-
-    async def _run(self, engine, ctx: PlanContext) -> List[SweepResult]:
-        import asyncio
-
-        from repro.experiments import parallel as parallel_mod
-
-        loop = asyncio.get_running_loop()
-        specs, videos = ctx.specs, ctx.videos
-        keys = ctx.keys
-        units = engine.scheduler.plan_units(specs, ctx.runs, ctx.workers)
-        workers = max(1, min(ctx.workers, len(units)))
-        registry = engine.registry
-        tracer = engine.tracer
-        if registry is not None:
-            registry.gauge(WORKERS_METRIC, "sweep worker processes").set(workers)
-
-        plane = None
-        if workers > 1:
-            plane, initargs = _pool_initargs(engine, ctx)
-            with maybe_span(tracer, SPAN_POOL_SPAWN, cat="sched", workers=workers):
-                cpu = parallel_mod.ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=engine._resolve_context(),
-                    initializer=init_worker,
-                    initargs=initargs,
-                )
-        else:
-            # In-process single lane: pin the worker state right here and
-            # run units on one thread; the event loop still overlaps the
-            # compute with store I/O on the dedicated writer thread.
-            init_worker(
-                list(specs),
-                ctx.config,
-                registry is not None,
-                (
-                    dict(videos),
-                    {p: list(t) for p, t in ctx.traces_by_plan.items()},
-                ),
-                None,
-                tracer is not None,
-            )
-            cpu = ThreadPoolExecutor(max_workers=1)
-        # One writer thread serializes store write-backs: puts from a
-        # single thread keep the store's counters exact while the event
-        # loop overlaps them with the next unit's compute.
-        io = ThreadPoolExecutor(max_workers=1)
-        sem = asyncio.Semaphore(workers * 2)
-
-        parts = ctx.seed_parts()
-        failures: List[List[FailedUnit]] = [[] for _ in specs]
-        attempts: Dict[int, int] = {unit.order: 0 for unit in units}
-        snapshots: List[Tuple[int, int, Mapping[str, dict]]] = []
-        worker_spans: List[Tuple[int, int, List[Dict[str, object]]]] = []
-        fatal: List[Tuple[int, SweepWorkerError]] = []
-        broken: List[BrokenProcessPool] = []
-        write_tasks: List[asyncio.Future] = []
-        done_units = failed_units = completed_sessions = 0
-        engine._progress_update(
-            force=True,
-            phase="running",
-            workers=workers,
-            total_units=len(units),
-            done_units=0,
-            failed_units=0,
-            total_sessions=ctx.total_sessions(),
-            completed_sessions=0,
-            cached_sessions=ctx.cached_sessions(),
-        )
-
-        async def run_unit(unit: WorkUnit) -> None:
-            nonlocal done_units, failed_units, completed_sessions
-            spec = specs[unit.spec_idx]
-            async with sem:
-                while True:
-                    if fatal or broken:
-                        return
-                    attempts[unit.order] += 1
-                    try:
-                        outcome = await loop.run_in_executor(
-                            cpu,
-                            run_batch_in_worker,
-                            unit.spec_idx,
-                            unit.start,
-                            unit.stop,
-                        )
-                        metrics, snapshot, error, unit_spans = outcome
-                    except BrokenProcessPool as exc:
-                        broken.append(exc)
-                        return
-                    except Exception as exc:  # pickling / initializer crash
-                        error = SweepWorkerError(
-                            spec.describe(),
-                            videos[spec.video_key].name,
-                            f"traces[{unit.start}:{unit.stop}]",
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                        metrics = snapshot = unit_spans = None
-                    if snapshot is not None:
-                        snapshots.append(
-                            (unit.order, attempts[unit.order], snapshot)
-                        )
-                    if unit_spans is not None:
-                        worker_spans.append(
-                            (unit.order, attempts[unit.order], unit_spans)
-                        )
-                    if error is None:
-                        parts[unit.spec_idx][unit.start] = metrics
-                        if engine.store is not None and keys[unit.spec_idx]:
-                            write_tasks.append(
-                                loop.run_in_executor(
-                                    io,
-                                    engine._store_unit,
-                                    keys[unit.spec_idx],
-                                    unit.start,
-                                    metrics,
-                                )
-                            )
-                        done_units += 1
-                        completed_sessions += len(metrics)
-                        engine._progress_update(
-                            done_units=done_units,
-                            completed_sessions=completed_sessions,
-                        )
-                        return
-                    if engine.on_error == "raise":
-                        fatal.append((unit.order, error))
-                        return
-                    if engine._should_retry(attempts[unit.order]):
-                        continue
-                    failures[unit.spec_idx].append(
-                        engine._failed_unit(
-                            spec,
-                            videos[spec.video_key].name,
-                            unit.start,
-                            unit.stop,
-                            attempts[unit.order],
-                            error,
-                        )
-                    )
-                    failed_units += 1
-                    engine._progress_update(failed_units=failed_units)
-                    return
-
-        drain_span = maybe_span(
-            tracer, SPAN_SWEEP_DRAIN, cat="sched", units=len(units)
-        )
-        drain_span.__enter__()
-        try:
-            await asyncio.gather(*(run_unit(unit) for unit in units))
-            if write_tasks:
-                await asyncio.gather(*write_tasks)
-        finally:
-            drain_span.__exit__(None, None, None)
-            io.shutdown(wait=True)
-            _shutdown_before_unlink(cpu)
-            if plane is not None:
-                plane.close_and_unlink()
-
-        _merge_telemetry(engine, snapshots, worker_spans)
-        if fatal:
-            fatal.sort(key=lambda item: item[0])
-            raise fatal[0][1]
-        if broken:
-            raise BrokenProcessPool(
-                "asyncio executor pool broke; rerun, or use executor='pool' "
-                "for respawn-once recovery"
-            ) from broken[0]
-
-        results = SweepScheduler.assemble(specs, videos, parts, failures)
-        engine._finish_progress(specs, results)
-        return results
-
-
 class MultiHostExecutorBackend(ExecutorBackend):
     """Lease-coordinated cooperative sweep over a shared store directory."""
 
@@ -798,7 +597,6 @@ class MultiHostExecutorBackend(ExecutorBackend):
 
 _BACKENDS = {
     "pool": PoolExecutorBackend,
-    "asyncio": AsyncioExecutorBackend,
     "multihost": MultiHostExecutorBackend,
 }
 

@@ -15,12 +15,10 @@ The engine is split into three layers (one module each):
 - :mod:`repro.experiments.worker` — the worker-side unit execution
   every backend funnels into (batch engine + scalar fallback, per-unit
   telemetry);
-- :mod:`repro.experiments.executors` — the executor backends:
-  ``"pool"`` (local process pool, the default), ``"asyncio"``
-  (overlaps CPU-bound simulation with I/O-bound store write-backs on
-  one host), and ``"multihost"`` (workers on any number of machines
-  cooperating through atomic lease files in a shared store directory —
-  see ``repro sweep-worker``).
+- :mod:`repro.experiments.executors` — the two executor backends:
+  ``"pool"`` (local process pool, the default) and ``"multihost"``
+  (workers on any number of machines cooperating through atomic lease
+  files in a shared store directory — see ``repro sweep-worker``).
 
 This module keeps the public engine API (:class:`ParallelSweepRunner`)
 and re-exports the vocabulary so existing imports keep working.
@@ -227,8 +225,8 @@ class ParallelSweepRunner:
     min_parallel_sessions:
         Grids with fewer total sessions than this run serially — pool
         startup would dominate. Set to 0 to force pool execution.
-        (Applies to the pool executor; the asyncio and multihost
-        backends run whenever sessions are pending.)
+        (Applies to the pool executor; the multihost backend runs
+        whenever sessions are pending.)
     registry:
         Optional :class:`~repro.telemetry.metrics.MetricsRegistry` the
         sweep populates: sessions completed/failed, per-unit wall time,
@@ -284,9 +282,8 @@ class ParallelSweepRunner:
         completed/cached, per-scheme breakdown) for ``repro top``.
     executor:
         Which backend runs the planned units: ``"pool"`` (default, the
-        local process pool), ``"asyncio"`` (single-host compute/store
-        overlap), ``"multihost"`` (store-leasing cooperation across
-        machines), or an :class:`~repro.experiments.executors.
+        local process pool), ``"multihost"`` (store-leasing cooperation
+        across machines), or an :class:`~repro.experiments.executors.
         ExecutorBackend` instance. All backends return bit-identical
         results.
     sweep_id:
@@ -485,9 +482,9 @@ class ParallelSweepRunner:
             )
             # Fully-cached grids merge in-process on every backend; the
             # pool backend additionally falls back to serial when the
-            # pool could not pay for itself. The asyncio and multihost
-            # backends run whenever anything is pending (overlap and
-            # cross-host cooperation are useful at any size).
+            # pool could not pay for itself. The multihost backend runs
+            # whenever anything is pending (cross-host cooperation is
+            # useful at any size).
             if pending_sessions == 0 or (
                 backend.name == "pool"
                 and (

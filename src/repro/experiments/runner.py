@@ -263,8 +263,8 @@ def run_comparison(
     sweep span timeline for Chrome-trace export, and ``progress`` (a
     :class:`~repro.telemetry.pipeline.ProgressBoard`) streams live
     progress for ``repro top``. ``executor`` selects the backend that
-    runs the planned units (``"pool"``, ``"asyncio"``, ``"multihost"``
-    — see :mod:`repro.experiments.executors`); all backends return
+    runs the planned units (``"pool"`` or ``"multihost"`` — see
+    :mod:`repro.experiments.executors`); both backends return
     bit-identical results. Any non-default value routes through the
     engine so serial and pooled runs behave identically.
     """

@@ -11,8 +11,8 @@ The distributed sweep fabric splits the old monolithic
   and the sweep-identity digest that lets independent processes agree
   on one work breakdown; and
 - :mod:`repro.experiments.executors` — pluggable **executor backends**
-  (in-process pool, asyncio overlap, multi-host store-leasing) that run
-  the planned units and report outcomes back.
+  (in-process pool, multi-host store-leasing) that run the planned
+  units and report outcomes back.
 
 Everything here is pure planning logic: no pools, no leases, no
 telemetry dependencies beyond optional callback hooks. Determinism is
@@ -301,7 +301,7 @@ class SweepScheduler:
     - **partition** — split every spec's trace set into cached hits and
       contiguous missing runs against the session store;
     - **plan_units** — cost-aware batch sizing of the missing runs into
-      :class:`WorkUnit` submissions (the pool/asyncio work breakdown);
+      :class:`WorkUnit` submissions (the pool work breakdown);
     - **plan_grid_units** — the *canonical* full-grid breakdown every
       cooperating process derives identically (the multi-host lease
       catalogue, independent of any one process's store snapshot);

@@ -1,8 +1,8 @@
 """Worker-side sweep machinery shared by every executor backend.
 
 One work unit's execution is the same everywhere — the in-process pool,
-the asyncio overlap backend, a leased multi-host ``repro sweep-worker``
-process, and the serial fallback all funnel into :func:`sweep_batch`.
+a leased multi-host ``repro sweep-worker`` process, and the serial
+fallback all funnel into :func:`sweep_batch`.
 This module owns that path plus the pool-process plumbing around it:
 the per-process :data:`WORKER_STATE` pinned by :func:`init_worker`
 (shared-memory attach or inline assets), the three-integer task entry

@@ -26,11 +26,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.dataplane import SharedDataPlane, attach_plane
+from repro.experiments.dataplane import attach_plane, try_publish
 from repro.fleet.sim import EdgeResult, simulate_edge
 from repro.fleet.spec import FleetSpec
 from repro.network.traces import MIN_TRACE_DURATION_S, NetworkTrace
@@ -79,9 +79,6 @@ FLEET_MEAN_QOE_METRIC = "repro_fleet_mean_qoe"
 FLEET_REBUFFER_RATIO_METRIC = "repro_fleet_rebuffer_ratio"
 FLEET_UTILIZATION_METRIC = "repro_fleet_mean_edge_utilization"
 FLEET_CONCURRENCY_SERIES = "repro_fleet_concurrency"
-
-# Same env knob the sweep tests use to force a start method.
-MP_CONTEXT = os.environ.get("REPRO_MP_START_METHOD") or None
 
 
 def synthesize_edge_trace(spec: FleetSpec, edge_index: int) -> NetworkTrace:
@@ -371,7 +368,7 @@ class FleetRunner:
         self.n_workers = max(
             1, min(n_workers if n_workers is not None else cpus, spec.n_edges)
         )
-        self.mp_context = mp_context if mp_context is not None else MP_CONTEXT
+        self.mp_context = mp_context
         self.registry = registry
         self.tracer = tracer
         self.progress = progress
@@ -414,31 +411,28 @@ class FleetRunner:
         tracer = self.tracer
         with maybe_span(tracer, SPAN_FLEET_DRAIN, "fleet", workers=1):
             for index in range(self.spec.n_edges):
-                if tracer is not None:
-                    # Profiling run: the instrumented twin of the fused
-                    # loop is bit-identical but pays per-event clock
-                    # reads, so it only runs when a trace is wanted.
-                    timer = StageTimer()
-                    edge = simulate_edge(
-                        self.spec, index, videos, traces[index],
-                        stage_timer=timer,
-                    )
+                # Stage timing pays per-event clock reads, so the loop
+                # only times itself when a trace is wanted.
+                timer = StageTimer() if tracer is not None else None
+                edge = simulate_edge(
+                    self.spec, index, videos, traces[index], stage_timer=timer
+                )
+                if timer is not None:
                     tracer.record_stages(timer, cat="fleet", edge=index)
-                else:
-                    edge = simulate_edge(self.spec, index, videos, traces[index])
                 edges.append(edge)
                 self._note_edge(edge, len(edges))
         return edges
 
     def _drain_pool(self, videos, traces) -> List[EdgeResult]:
         spec = self.spec
-        plane = None
-        inline: Tuple[Optional[dict], Optional[list]] = (None, None)
         with maybe_span(self.tracer, SPAN_SHM_PUBLISH, "fleet"):
-            try:
-                plane = SharedDataPlane.publish(videos, {None: traces})
-            except OSError:
-                inline = (videos, traces)
+            plane = try_publish(videos, {None: traces})
+        # Without shared memory the assets ride the initializer pickles.
+        initargs = (
+            (spec, plane.manifest, None, None)
+            if plane is not None
+            else (spec, None, videos, traces)
+        )
         import multiprocessing
 
         context = (
@@ -455,12 +449,7 @@ class FleetRunner:
                     max_workers=self.n_workers,
                     mp_context=context,
                     initializer=_init_fleet_worker,
-                    initargs=(
-                        spec,
-                        plane.manifest if plane is not None else None,
-                        inline[0],
-                        inline[1],
-                    ),
+                    initargs=initargs,
                 ) as pool:
                     for edge in pool.map(_run_edge, range(spec.n_edges)):
                         edges.append(edge)

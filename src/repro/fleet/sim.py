@@ -88,7 +88,7 @@ _INF = math.inf
 #: Live CAVA lookahead (chunks) — matches the §8 live adaptation tests.
 _LIVE_LOOKAHEAD_CHUNKS = 10
 
-#: Stage names for the instrumented loop (match the observability
+#: Stage names of the loop's optional timing (match the observability
 #: plane's ``fleet.*`` span vocabulary; see telemetry.pipeline).
 STAGE_COMPLETION = "fleet.completion_query"
 STAGE_ADVANCE = "fleet.advance"
@@ -154,8 +154,8 @@ class EdgeResult:
     started_at: float  # wall-clock, for span stitching
     wall_s: float
     cpu_s: float
-    #: Per-stage wall/count breakdown when the edge ran instrumented
-    #: (``simulate_edge(..., stage_timer=...)``); None on the fast path.
+    #: Per-stage wall/count breakdown when the edge's loop was timed
+    #: (``simulate_edge(..., stage_timer=...)``); None otherwise.
     stages: Optional[Dict[str, Dict[str, float]]] = field(default=None)
 
     @property
@@ -412,38 +412,6 @@ class _EdgeSimulator:
         self._bucket_idx = idx
         self._bucket_end = (idx + 1) * self.width
 
-    def _advance(self, t: float) -> None:
-        """Advance the shared clock, folding integrals into buckets.
-
-        Windows are split at bucket boundaries so each sub-window's
-        delivered bits and time integrals land in exactly one bucket.
-        The common case — the window stays inside the current bucket —
-        is a single link advance plus three local float adds.
-        """
-        link = self.link
-        now = link.now_s
-        if t <= now:
-            return
-        bucket_end = self._bucket_end
-        if now >= bucket_end:
-            # The previous window ended exactly on the boundary; the
-            # clock now lives in the next bucket.
-            self._flush_bucket(now)
-            bucket_end = self._bucket_end
-        if t <= bucket_end:
-            active = link.n_active
-            bits = link.advance_to(t)
-            dt = t - now
-            if bits:
-                self._part_delivered += bits
-            n_sys = self.in_system
-            if n_sys:
-                self._part_concurrency += n_sys * dt
-            if active:
-                self._part_download += active * dt
-            return
-        self._advance_slow(t, now)
-
     def _advance_slow(self, t: float, now: float) -> None:
         """Window crosses bucket boundaries: split per bucket.
 
@@ -533,9 +501,9 @@ class _EdgeSimulator:
         """The last watched chunk downloaded; the viewer drains the buffer.
 
         Returns the departure time (buffer played out); the caller
-        schedules the ``_EV_DEPART`` timer — the fused loop pushes with
-        its loop-local sequence counter, the instrumented loop via
-        :meth:`_push`.
+        schedules the ``_EV_DEPART`` timer (:meth:`_dispatch` via
+        :meth:`_push`, the fused loop with its loop-local sequence
+        counter).
         """
         core = session.core
         self.chunks += core.chunk
@@ -560,19 +528,6 @@ class _EdgeSimulator:
         self._release_algorithm(session)
         # Viewer stays (watching the buffer out) without touching the link.
         return t + core.buffer.level_s
-
-    def _depart(self, session: _Session, t: float) -> None:
-        self.in_system -= 1
-        self.b_finishes.add_at(t, 1.0)
-        # The envelope is inert now (no flow, no timers); recycle both
-        # the 5-slot wrapper and the core (re-armed via reset_for).
-        pool = self._core_pool.get(session.pool_key)
-        if pool is None:
-            self._core_pool[session.pool_key] = [session.core]
-        else:
-            pool.append(session.core)
-        session.core = None
-        self._session_pool.append(session)
 
     def _dispatch(self, session: _Session, action, t: float) -> None:
         core = session.core
@@ -612,16 +567,13 @@ class _EdgeSimulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if stage_timer is None:
-                self._loop()
-            else:
-                self._loop_timed(stage_timer)
+            self._loop(stage_timer)
         finally:
             if gc_was_enabled:
                 gc.enable()
         return self._result(started_at, wall0, cpu0, stage_timer)
 
-    def _loop(self) -> None:
+    def _loop(self, timer: Optional[StageTimer] = None) -> None:
         """Three-stream deterministic merge, fully fused (see module docs).
 
         Order contract (identical to the former single-heap loop): the
@@ -638,12 +590,20 @@ class _EdgeSimulator:
         action dispatch — is inlined here with all state in loop locals,
         expression-for-expression identical to the methods it replicates
         (same operand order, same branch structure), so every float it
-        produces is the exact double the method path produces. The
-        instrumented twin :meth:`_loop_timed` still runs the method
-        path, and the fingerprint pins in ``tests/fleet`` hold both to
-        the same bytes. Cold handlers (arrivals, latency-delayed
+        produces is the exact double the method path produces (the
+        fingerprint pins in ``tests/fleet`` hold it to the golden
+        bytes). Cold handlers (arrivals, latency-delayed
         transfer starts, the per-bucket slow advance) stay out of line;
         loop-local state is written back around those calls and on exit.
+
+        **Stage timing.** With a ``timer``, clock reads bracket the
+        three regions of each iteration — the completion query, the
+        merge + advance, and the handle + dispatch — and fold them into
+        ``STAGE_COMPLETION``/``STAGE_ADVANCE``/``STAGE_DISPATCH``. The
+        dispatch region is closed by the next iteration's first clock
+        read, so the cold handlers' ``continue``s need no bracket of
+        their own. Without a timer each region costs one branch; the
+        event sequence is the same either way.
         """
         # -- trace constants (TraceLink internals, read-only; the list
         #    tables were built by SharedLink's first _cumulative_at) ----
@@ -693,9 +653,20 @@ class _EdgeSimulator:
         core_pools = self._core_pool
         core_pool_get = core_pools.get
         delay_at = self.delay_at
+        timed = timer is not None
+        if timed:
+            perf = time.perf_counter
+            cpu = time.process_time
+            timer_add = timer.add
         events = 0
 
         while True:
+            if timed:
+                w0 = perf()
+                c0 = cpu()
+                if events:
+                    # Close the previous event's handle + dispatch.
+                    timer_add(STAGE_DISPATCH, w0 - w2, c0 - c2)
             arr_t = arrivals[ai]
             timer_t = heap[0][0] if heap else _INF
             earliest = arr_t if arr_t <= timer_t else timer_t
@@ -760,6 +731,10 @@ class _EdgeSimulator:
                     comp_t = finish
                     comp_session = top[2]
                 break
+            if timed:
+                w1 = perf()
+                c1 = cpu()
+                timer_add(STAGE_COMPLETION, w1 - w0, c1 - c0)
 
             # -- deterministic merge ------------------------------------
             if comp_session is not None and comp_t <= earliest:
@@ -849,6 +824,10 @@ class _EdgeSimulator:
                     part_download = self._part_download
                     bucket_idx = self._bucket_idx
                     bucket_end = self._bucket_end
+            if timed:
+                w2 = perf()
+                c2 = cpu()
+                timer_add(STAGE_ADVANCE, w2 - w1, c2 - c1)
 
             # -- handle the event ---------------------------------------
             if kind == 0:  # completion: retire the flow, resume the core
@@ -965,82 +944,6 @@ class _EdgeSimulator:
         self._bucket_end = bucket_end
         self.events = events
 
-    def _loop_timed(self, timer: StageTimer) -> None:
-        """The same merge with per-stage wall-clock and CPU brackets.
-
-        Kept structurally in lockstep with :meth:`_loop` (same branch
-        order, same handler calls) so instrumented runs execute the
-        identical event sequence; only ``perf_counter`` /
-        ``process_time`` brackets are added around the completion query,
-        the clock advance, and the handler dispatch.
-        """
-        perf = time.perf_counter
-        cpu = time.process_time
-        arrivals = self._arrivals  # +inf-terminated (see _draw_population)
-        ai = 0
-        heap = self.heap
-        link = self.link
-        advance = self._advance
-        dispatch = self._dispatch
-        next_completion = link.next_completion
-        heappop = heapq.heappop
-        events = 0
-        while True:
-            arr_t = arrivals[ai]
-            timer_t = heap[0][0] if heap else _INF
-            earliest = arr_t if arr_t <= timer_t else timer_t
-            t0 = perf()
-            c0 = cpu()
-            completion = next_completion()
-            t1 = perf()
-            c1 = cpu()
-            timer.add(STAGE_COMPLETION, t1 - t0, c1 - c0)
-            if completion is not None and completion[0] <= earliest:
-                t, session = completion
-                t0 = perf()
-                c0 = cpu()
-                advance(t)
-                t1 = perf()
-                c1 = cpu()
-                link.complete(session)
-                dispatch(session, session.core.on_fetch_done(t), t)
-                t2 = perf()
-                c2 = cpu()
-                timer.add(STAGE_ADVANCE, t1 - t0, c1 - c0)
-                timer.add(STAGE_DISPATCH, t2 - t1, c2 - c1)
-            elif earliest != _INF:
-                if arr_t <= timer_t:
-                    ai += 1
-                    t0 = perf()
-                    c0 = cpu()
-                    advance(arr_t)
-                    t1 = perf()
-                    c1 = cpu()
-                    self._arrive(arr_t, ai - 1)
-                    t2 = perf()
-                    c2 = cpu()
-                else:
-                    t, _seq, kind, payload = heappop(heap)
-                    t0 = perf()
-                    c0 = cpu()
-                    advance(t)
-                    t1 = perf()
-                    c1 = cpu()
-                    if kind == _EV_WAKE:
-                        dispatch(payload, payload.core.on_wait_done(t), t)
-                    elif kind == _EV_XFER:
-                        self._start_transfer(payload, t)
-                    else:
-                        self._depart(payload, t)
-                    t2 = perf()
-                    c2 = cpu()
-                timer.add(STAGE_ADVANCE, t1 - t0, c1 - c0)
-                timer.add(STAGE_DISPATCH, t2 - t1, c2 - c1)
-            else:
-                break
-            events += 1
-        self.events = events
-
     def _result(
         self,
         started_at: float,
@@ -1121,8 +1024,8 @@ def simulate_edge(
 ) -> EdgeResult:
     """Simulate one edge's population to completion (see module docs).
 
-    Passing a :class:`~repro.telemetry.spans.StageTimer` runs the
-    instrumented loop (identical event sequence, per-stage wall-clock and
-    CPU brackets) and attaches the breakdown to ``EdgeResult.stages``.
+    Passing a :class:`~repro.telemetry.spans.StageTimer` brackets the
+    loop's stages with wall-clock and CPU reads (same event sequence,
+    same results) and attaches the breakdown to ``EdgeResult.stages``.
     """
     return _EdgeSimulator(spec, edge_index, videos, trace).run(stage_timer)

@@ -62,8 +62,7 @@ def quality_series(result: SessionResult, video: VideoAsset, metric: str) -> np.
         raise ValueError(
             f"session has {result.num_chunks} chunks but video has {video.num_chunks}"
         )
-    quality_table = np.stack([track.qualities[metric] for track in video.tracks])
-    return quality_table[result.levels, np.arange(result.num_chunks)]
+    return video.quality_table(metric)[result.levels, np.arange(result.num_chunks)]
 
 
 @dataclass(frozen=True)
@@ -213,8 +212,7 @@ def summarize_lockstep(
         raise ValueError("classifier produced no Q4 chunks")
 
     levels = np.ascontiguousarray(record.levels.T)
-    quality_table = np.stack([track.qualities[metric] for track in video.tracks])
-    qualities = quality_table[levels, np.arange(num_chunks)]
+    qualities = video.quality_table(metric)[levels, np.arange(num_chunks)]
     q4_block = np.ascontiguousarray(qualities[:, q4_mask])
     q13_block = np.ascontiguousarray(qualities[:, ~q4_mask])
     # A classifiable video has at least four chunks, so ``changes`` is

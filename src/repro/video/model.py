@@ -172,6 +172,9 @@ class VideoAsset:
             raise ValueError("track levels must be unique and ascending")
         if self.encoding not in ("vbr", "cbr"):
             raise ValueError(f"encoding must be 'vbr' or 'cbr', got {self.encoding!r}")
+        # Stacked quality tables per metric, built lazily (not a dataclass
+        # field, so equality and repr stay defined by the asset data alone).
+        self._quality_tables: Dict[str, np.ndarray] = {}
 
     @property
     def num_tracks(self) -> int:
@@ -207,6 +210,20 @@ class VideoAsset:
         """Quality of chunk ``index`` at ``level`` under ``metric``."""
         return self.track(level).quality(metric, index)
 
+    def quality_table(self, metric: str) -> np.ndarray:
+        """The ``(num_tracks, num_chunks)`` quality table under ``metric``.
+
+        Stacked once per metric and shared by every caller, so it is
+        read-only; ``table[levels, np.arange(num_chunks)]`` joins a
+        session's chosen levels with the ground truth.
+        """
+        table = self._quality_tables.get(metric)
+        if table is None:
+            table = np.stack([track.qualities[metric] for track in self.tracks])
+            table.flags.writeable = False
+            self._quality_tables[metric] = table
+        return table
+
     def manifest(self, include_quality: bool = False) -> "Manifest":
         """Build the client-visible manifest.
 
@@ -220,7 +237,7 @@ class VideoAsset:
         quality = None
         if include_quality:
             quality = {
-                metric: np.stack([track.qualities[metric] for track in self.tracks])
+                metric: self.quality_table(metric)
                 for metric in self.tracks[0].qualities
             }
         return Manifest(

@@ -12,8 +12,8 @@ import threading
 import pytest
 
 from repro.experiments.executors import (
+    EXECUTOR_NAMES,
     MULTIHOST_PLAN_WORKERS,
-    AsyncioExecutorBackend,
     MultiHostExecutorBackend,
     PoolExecutorBackend,
     resolve_executor,
@@ -36,8 +36,8 @@ SCHEMES = ["CAVA", "RBA"]
 
 class TestResolveExecutor:
     def test_names_resolve(self):
+        assert EXECUTOR_NAMES == ("multihost", "pool")
         assert isinstance(resolve_executor("pool"), PoolExecutorBackend)
-        assert isinstance(resolve_executor("asyncio"), AsyncioExecutorBackend)
         assert isinstance(resolve_executor("multihost"), MultiHostExecutorBackend)
         assert isinstance(resolve_executor(None), PoolExecutorBackend)
 
@@ -46,30 +46,11 @@ class TestResolveExecutor:
         assert resolve_executor(backend) is backend
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("threads")
-        with pytest.raises(ValueError, match="unknown executor"):
-            ParallelSweepRunner(executor="threads")
-
-
-class TestAsyncioBackend:
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_matches_serial(self, short_video, lte_traces, n_workers):
-        serial = run_comparison(SCHEMES, short_video, lte_traces[:6])
-        engine = ParallelSweepRunner(n_workers=n_workers, executor="asyncio")
-        result = engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
-        assert_sweeps_identical(serial, result)
-
-    def test_overlapped_store_writes_land(self, short_video, lte_traces, tmp_path):
-        store = SessionStore(tmp_path)
-        engine = ParallelSweepRunner(
-            n_workers=2, executor="asyncio", store=store
-        )
-        first = engine.run_comparison(["RBA"], short_video, lte_traces[:6])
-        warm = ParallelSweepRunner(store=SessionStore(tmp_path))
-        second = warm.run_comparison(["RBA"], short_video, lte_traces[:6])
-        assert_sweeps_identical(first, second)
-        assert warm.store.stats.hits == 6
+        for name in ("threads", "asyncio"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                resolve_executor(name)
+            with pytest.raises(ValueError, match="unknown executor"):
+                ParallelSweepRunner(executor=name)
 
 
 class TestMultiHostBackend:
@@ -177,7 +158,7 @@ def engine_sweep_id(engine, specs, video, traces):
 
 
 class TestCachedShortCircuit:
-    @pytest.mark.parametrize("executor", ["pool", "asyncio", "multihost"])
+    @pytest.mark.parametrize("executor", ["pool", "multihost"])
     def test_fully_cached_grid_skips_backend(
         self, short_video, lte_traces, tmp_path, executor
     ):
@@ -221,6 +202,16 @@ class TestCLI:
                 "compare", "ED-ffmpeg-h264", "--traces", "2",
                 "--schemes", "RBA", "--executor", "multihost",
             ])
+
+    def test_compare_rejects_unknown_executor(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main([
+                "compare", "ED-ffmpeg-h264", "--traces", "2",
+                "--schemes", "RBA", "--executor", "asyncio",
+            ])
+        assert "invalid choice: 'asyncio'" in capsys.readouterr().err
 
     def test_cache_leases_lists_and_expires(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,7 +4,8 @@ The golden digest in ``golden_fleet_fingerprint.json`` was captured
 *before* the hot-path overhaul landed (cached completions, fused event
 loop, numpy buckets), so these tests assert the optimized engine still
 produces byte-identical totals and bucket curves — for serial and
-pooled runs, under both multiprocessing start methods.
+pooled runs, under both multiprocessing start methods, and for a traced
+serial run (the edge loop then times its stages).
 
 Regenerate the golden with ``tools/fleet_golden.py`` ONLY when a PR
 intentionally changes the simulated numbers.
@@ -24,6 +25,13 @@ import pytest
 
 from repro.fleet import FlashCrowd, FleetSpec, run_fleet
 from repro.fleet.fingerprint import fleet_fingerprint
+from repro.fleet.sim import (
+    STAGE_ADVANCE,
+    STAGE_BUCKET_FOLD,
+    STAGE_COMPLETION,
+    STAGE_DISPATCH,
+)
+from repro.telemetry.spans import SpanTracer
 
 GOLDEN_PATH = Path(__file__).parent / "golden_fleet_fingerprint.json"
 
@@ -63,15 +71,36 @@ def assert_spec_matches(entry, spec):
     assert recorded["arrivals_per_s"] == spec.arrivals_per_s
 
 
+#: (workers, start method, traced): both start methods at one and two
+#: workers, plus a serial run under a tracer, whose edge loop times its
+#: stages and must still produce the golden bytes.
+PIN_CASES = [
+    pytest.param(workers, method, False, id=f"{workers}-{method}")
+    for workers in (1, 2)
+    for method in ("fork", "spawn")
+] + [pytest.param(1, None, True, id="1-traced")]
+
+FLEET_STAGES = {STAGE_COMPLETION, STAGE_ADVANCE, STAGE_DISPATCH, STAGE_BUCKET_FOLD}
+
+
 class TestSmallPin:
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_digest_pinned_across_pools_and_start_methods(self, method, workers):
+    @pytest.mark.parametrize("workers, method, traced", PIN_CASES)
+    def test_digest_pinned_across_pools_and_start_methods(self, workers, method, traced):
         entry = golden("small")
         assert_spec_matches(entry, SMALL_SPEC)
+        tracer = SpanTracer("fleet") if traced else None
         fp = fleet_fingerprint(
-            run_fleet(SMALL_SPEC, n_workers=workers, mp_context=method)
+            run_fleet(SMALL_SPEC, n_workers=workers, mp_context=method, tracer=tracer)
         )
+        if traced:
+            stages_by_edge = {}
+            for span in tracer.spans:
+                if span["name"] in FLEET_STAGES:
+                    edge = span["meta"]["edge"]
+                    stages_by_edge.setdefault(edge, set()).add(span["name"])
+            assert stages_by_edge == {
+                edge: FLEET_STAGES for edge in range(SMALL_SPEC.n_edges)
+            }
         # Compare scalars first: a digest mismatch alone is undebuggable.
         recorded = entry["scalars"]
         for name, value in fp["scalars"].items():

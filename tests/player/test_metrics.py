@@ -78,6 +78,19 @@ class TestQualitySeries:
         assert series.dtype == expected.dtype
         assert series.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("metric", ["vmaf_phone", "vmaf_tv"])
+    def test_quality_table_is_one_read_only_stack(self, short_video, fixed_result, metric):
+        """The per-video table is stacked once, shared and read-only; the
+        joined series is a fresh copy the caller may write."""
+        table = short_video.quality_table(metric)
+        assert table is short_video.quality_table(metric)
+        assert not table.flags.writeable
+        stacked = np.stack([track.qualities[metric] for track in short_video.tracks])
+        assert table.tobytes() == stacked.tobytes()
+        series = quality_series(fixed_result, short_video, metric)
+        assert series.flags.writeable
+        assert not np.shares_memory(series, table)
+
 
 class TestSummarizeSession:
     def test_q4_vs_q13_definition(self, short_video, fixed_result):

@@ -36,7 +36,6 @@ from repro.experiments.parallel import (
     ParallelSweepRunner,
     SweepSpec,
     SweepWorkerError,
-    run_comparison_parallel,
 )
 from repro.experiments.runner import (
     SweepResult,
@@ -83,7 +82,6 @@ __all__ = [
     "ParallelSweepRunner",
     "SweepSpec",
     "SweepWorkerError",
-    "run_comparison_parallel",
     "SweepResult",
     "aggregate",
     "run_comparison",

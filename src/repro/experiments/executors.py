@@ -1,14 +1,25 @@
-"""Pluggable sweep executor backends: pool and multi-host.
+"""Process-pool drain and the sweep executor backends: pool and multi-host.
+
+:func:`drain_pool` is the one process-pool orchestrator in the package.
+It serves sweep work units and fleet edges alike: the caller hands it a
+task (a top-level worker function), the per-unit task arguments, and a
+settle step for each finished attempt, and it owns everything in
+between — shm data-plane publication with an inline-pickle fallback,
+pool construction with :func:`~repro.experiments.worker.init_worker`,
+respawn-once recovery from a killed worker (unfinished units requeued
+without charging an attempt), an orderly abort that re-raises the
+earliest-ordered fatal error, and unit-ordered stitching of worker
+metric and span snapshots.
 
 The scheduler (:mod:`repro.experiments.scheduler`) decides *what* to
 run; an executor backend decides *where and how*. Both backends share
 one contract — given a planned grid they must produce the exact result
 list the serial runner would, bit for bit:
 
-- :class:`PoolExecutorBackend` — the default: fan work units over a
-  local :class:`~concurrent.futures.ProcessPoolExecutor` with the
-  zero-copy shm data plane, full failure policy (skip/retry, one pool
-  respawn after a break), and deterministic submission-order merging.
+- :class:`PoolExecutorBackend` — the default: fan work units over
+  :func:`drain_pool`, settling each through :class:`SweepLedger` (store
+  write-back, the skip/retry policy, progress). The engine's serial
+  path settles through the same ledger.
 - :class:`MultiHostExecutorBackend` — cooperative workers on any number
   of machines sharing one store directory: each participant derives the
   same canonical unit catalogue, claims units through atomic lease
@@ -31,11 +42,14 @@ embedders can substitute the pool class in one place.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from multiprocessing.context import BaseContext
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.dataplane import try_publish
@@ -67,6 +81,7 @@ from repro.telemetry.metrics import (
     SHM_BLOCKS_METRIC,
     SHM_BYTES_METRIC,
     SHM_PUBLISH_SECONDS_METRIC,
+    MetricsRegistry,
 )
 from repro.telemetry.pipeline import (
     SPAN_LEASE_CLAIM,
@@ -78,7 +93,7 @@ from repro.telemetry.pipeline import (
     SPAN_SWEEP_MERGE,
     SPAN_UNIT_RUN,
 )
-from repro.telemetry.spans import maybe_span
+from repro.telemetry.spans import SpanTracer, maybe_span
 from repro.video.model import VideoAsset
 
 __all__ = [
@@ -88,6 +103,8 @@ __all__ = [
     "ExecutorBackend",
     "PoolExecutorBackend",
     "MultiHostExecutorBackend",
+    "SweepLedger",
+    "drain_pool",
     "resolve_executor",
 ]
 
@@ -141,33 +158,77 @@ class ExecutorBackend:
         raise NotImplementedError
 
 
-def _pool_initargs(engine, ctx: PlanContext):
-    """Publish the shm data plane and build the pool initializer args.
+def _shutdown_before_unlink(pool) -> None:
+    """Shut a drained pool down and wait for every worker to exit.
 
-    Returns ``(plane, initargs)`` — ``plane`` is None on the inline
-    fallback (shared memory unavailable or disabled), and the caller
-    owns ``plane.close_and_unlink()``.
+    Called before the shm data plane is unlinked. Not ``wait=False``: a
+    worker the pool started late (spawn starts workers on demand) would
+    run its initializer after the unlink, fail to attach, and leave the
+    pool's manager thread to hang interpreter exit; and the manager and
+    queue-feeder threads of a pool left winding down would still be
+    alive when the next pool forks its workers. Queued units that never
+    started (an aborted drain) are cancelled rather than run.
     """
-    registry = engine.registry
-    tracer = engine.tracer
-    plane = None
-    if engine.use_shared_memory:
-        with maybe_span(tracer, SPAN_SHM_PUBLISH, cat="sched") as shm_span:
-            with engine._timed(
-                SHM_PUBLISH_SECONDS_METRIC, "shm data-plane publish (seconds)"
-            ):
-                plane = try_publish(ctx.videos, ctx.traces_by_plan)
-            if plane is not None:
-                shm_span.annotate(nbytes=plane.nbytes)
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+def drain_pool(
+    task: Callable[..., tuple],
+    tasks: Sequence[Tuple[int, ...]],
+    settle: Callable[[int, int, object, Optional[BaseException]], bool],
+    *,
+    specs: Sequence[object],
+    config: object,
+    videos: Mapping[str, VideoAsset],
+    traces_by_plan: Mapping[Optional[FaultPlan], Sequence[NetworkTrace]],
+    workers: int,
+    mp_context: Union[str, BaseContext, None],
+    registry: Optional[MetricsRegistry],
+    tracer: Optional[SpanTracer],
+    cat: str,
+    drain_span: str,
+    merge_span: str,
+) -> None:
+    """Run ``task(*tasks[order])`` for every unit order on a process pool.
+
+    The one process-pool drain: sweep work units and fleet edges both
+    run here. Assets are published once through the shm data plane
+    (inline initializer pickles when shared memory is unavailable) and
+    every worker is set up by :func:`init_worker` with ``specs`` and
+    ``config``. A task returns ``(result, snapshot, error, spans)``: a
+    failure comes back as a value, so the metric and span snapshots of
+    a failed unit still reach the parent (either may be None).
+
+    ``settle(order, attempt, result, error)`` folds each finished
+    attempt, in unit order within a completion batch, and returns True
+    to run the unit again with a charged attempt. ``error`` is the
+    task's error value, or the exception the task raised. When settle
+    raises, the drain stops scheduling, lets in-flight units finish and
+    re-raises the error of the earliest-ordered failing unit. A broken
+    pool (a worker killed) is respawned once and its unfinished units
+    requeued without charging an attempt; a second break raises
+    :class:`BrokenProcessPool`. Worker snapshots are folded into
+    ``registry``/``tracer`` in unit order after the drain, so merged
+    telemetry does not depend on completion order.
+    ``drain_span``/``merge_span``/``cat`` name the caller's spans.
+    """
+    # Resolved through the parallel module namespace at call time so
+    # one monkeypatch of parallel.ProcessPoolExecutor swaps the pool
+    # class (the tests' payload-measuring pool relies on it).
+    from repro.experiments import parallel as parallel_mod
+
+    publish_timer = (
+        registry.timer(SHM_PUBLISH_SECONDS_METRIC, "shm data-plane publish (seconds)")
+        if registry is not None
+        else nullcontext()
+    )
+    with maybe_span(tracer, SPAN_SHM_PUBLISH, cat=cat) as shm_span:
+        with publish_timer:
+            plane = try_publish(videos, traces_by_plan)
+        if plane is not None:
+            shm_span.annotate(nbytes=plane.nbytes)
     if plane is not None:
-        initargs = (
-            list(ctx.specs),
-            ctx.config,
-            registry is not None,
-            None,
-            plane.manifest,
-            tracer is not None,
-        )
+        inline_assets, manifest = None, plane.manifest
         if registry is not None:
             registry.gauge(
                 SHM_BLOCKS_METRIC, "shared-memory blocks published for the sweep"
@@ -177,93 +238,188 @@ def _pool_initargs(engine, ctx: PlanContext):
             ).set(plane.nbytes)
     else:
         inline_assets = (
-            dict(ctx.videos),
-            {plan: list(batch) for plan, batch in ctx.traces_by_plan.items()},
+            dict(videos),
+            {plan: list(batch) for plan, batch in traces_by_plan.items()},
         )
-        initargs = (
-            list(ctx.specs),
-            ctx.config,
-            registry is not None,
-            inline_assets,
-            None,
-            tracer is not None,
-        )
-    return plane, initargs
+        manifest = None
+    initargs = (
+        list(specs),
+        config,
+        registry is not None,
+        inline_assets,
+        manifest,
+        tracer is not None,
+    )
+    context = (
+        multiprocessing.get_context(mp_context)
+        if isinstance(mp_context, str)
+        else mp_context
+    )
+
+    attempts = [0] * len(tasks)
+    # (unit order, attempt, snapshot): merged after the pool drains,
+    # sorted by key, so telemetry is deterministic regardless of
+    # completion order.
+    snapshots: List[Tuple[int, int, Mapping[str, dict]]] = []
+    worker_spans: List[Tuple[int, int, List[Dict[str, object]]]] = []
+    # (unit order, error) raised by settle: the earliest-ordered one is
+    # re-raised after an orderly drain.
+    fatal: List[Tuple[int, BaseException]] = []
+    respawned = False
+
+    def make_pool():
+        with maybe_span(tracer, SPAN_POOL_SPAWN, cat=cat, workers=workers):
+            return parallel_mod.ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=context,
+                initializer=init_worker,
+                initargs=initargs,
+            )
+
+    def submit(order: int, count_attempt: bool = True) -> None:
+        if count_attempt:
+            attempts[order] += 1
+        futures[pool.submit(task, *tasks[order])] = order
+
+    def keep_telemetry(order: int, snapshot, unit_spans) -> None:
+        if snapshot is not None:
+            snapshots.append((order, attempts[order], snapshot))
+        if unit_spans is not None:
+            worker_spans.append((order, attempts[order], unit_spans))
+
+    def consume(future: Future, order: int) -> Optional[str]:
+        """Settle one finished future.
+
+        Returns ``"retry"`` / ``"requeue"`` when the unit must run
+        again (settle asked for a retry / broken pool), else None.
+        """
+        exc = future.exception()
+        if isinstance(exc, BrokenProcessPool):
+            # The pool died under this unit — not the unit's own
+            # failure, so its attempt count is not charged.
+            return "requeue"
+        if exc is not None:
+            # The task raised outside its own catch (pickling,
+            # initializer crash): settle sees the exception itself.
+            result, error = None, exc
+        else:
+            result, snapshot, error, unit_spans = future.result()
+            keep_telemetry(order, snapshot, unit_spans)
+        try:
+            return "retry" if settle(order, attempts[order], result, error) else None
+        except Exception as fatal_error:  # noqa: BLE001 - re-raised below
+            fatal.append((order, fatal_error))
+            return None
+
+    pool = make_pool()
+    futures: Dict[Future, int] = {}
+    # Entered/exited manually so the drain span brackets exactly the
+    # submit/consume event loop, whatever path exits the try below.
+    drain = maybe_span(tracer, drain_span, cat=cat, units=len(tasks), workers=workers)
+    drain.__enter__()
+    try:
+        for order in range(len(tasks)):
+            submit(order)
+        while futures and not fatal:
+            done, _ = wait(futures, return_when=FIRST_COMPLETED)
+            broken = False
+            rerun: List[Tuple[int, bool]] = []  # (unit order, count_attempt)
+            for future in sorted(done, key=futures.__getitem__):
+                order = futures.pop(future)
+                verdict = consume(future, order)
+                if verdict == "requeue":
+                    broken = True
+                    rerun.append((order, False))
+                elif verdict == "retry":
+                    rerun.append((order, True))
+            if broken:
+                # A broken pool settles every remaining future with
+                # BrokenProcessPool (completed ones keep their
+                # results); drain them all, then respawn once.
+                for future in sorted(futures, key=futures.__getitem__):
+                    order = futures[future]
+                    verdict = consume(future, order)
+                    if verdict is not None:
+                        rerun.append((order, verdict == "retry"))
+                futures.clear()
+                pool.shutdown(wait=False)
+                if fatal:
+                    break
+                if respawned:
+                    raise BrokenProcessPool(
+                        "process pool broke twice; aborting after one respawn"
+                    )
+                respawned = True
+                if registry is not None:
+                    registry.counter(
+                        POOL_RESPAWNS_METRIC,
+                        "process-pool respawns after a pool break",
+                    ).inc()
+                pool = make_pool()
+            rerun.sort()
+            for order, count_attempt in rerun:
+                submit(order, count_attempt=count_attempt)
+        if fatal:
+            # Orderly abort: stop scheduling, let in-flight units
+            # finish, and keep their telemetry before re-raising.
+            for future in futures:
+                future.cancel()
+            wait(list(futures))
+            for future in sorted(futures, key=futures.__getitem__):
+                if future.cancelled() or future.exception() is not None:
+                    continue
+                _result, snapshot, _error, unit_spans = future.result()
+                keep_telemetry(futures[future], snapshot, unit_spans)
+            futures.clear()
+    finally:
+        drain.__exit__(None, None, None)
+        _shutdown_before_unlink(pool)
+        if plane is not None:
+            plane.close_and_unlink()
+
+    if registry is not None or tracer is not None:
+        with maybe_span(tracer, merge_span, cat=cat):
+            if registry is not None:
+                for _order, _attempt, snapshot in sorted(
+                    snapshots, key=lambda item: (item[0], item[1])
+                ):
+                    registry.merge(snapshot)
+            if tracer is not None:
+                # Stitch worker span snapshots in unit order — the
+                # timeline is deterministic no matter which worker
+                # finished first. Each span keeps its own worker track;
+                # the unit/attempt tags key the (worker, unit, stage)
+                # view.
+                for order, attempt, unit_spans in sorted(
+                    worker_spans, key=lambda item: (item[0], item[1])
+                ):
+                    tracer.absorb(unit_spans, unit=order, attempt=attempt)
+    if fatal:
+        raise min(fatal, key=lambda item: item[0])[1]
 
 
-def _merge_telemetry(engine, snapshots, worker_spans) -> None:
-    """Fold worker snapshots/spans back in deterministic order."""
-    registry = engine.registry
-    tracer = engine.tracer
-    if registry is None and tracer is None:
-        return
-    with maybe_span(tracer, SPAN_SWEEP_MERGE, cat="sched"):
-        if registry is not None:
-            for _order, _attempt, snapshot in sorted(
-                snapshots, key=lambda item: (item[0], item[1])
-            ):
-                registry.merge(snapshot)
-        if tracer is not None:
-            # Stitch worker span snapshots in submission order — the
-            # timeline is deterministic no matter which worker finished
-            # first. Each span keeps its own worker track; the
-            # unit/attempt tags key the (worker, unit, stage) view.
-            for order, attempt, unit_spans in sorted(
-                worker_spans, key=lambda item: (item[0], item[1])
-            ):
-                tracer.absorb(unit_spans, unit=order, attempt=attempt)
+class SweepLedger:
+    """The sweep's settle step: what one finished unit attempt does.
 
-
-def _shutdown_before_unlink(pool) -> None:
-    """Shut a drained pool down and wait for every worker to exit.
-
-    Called before the shm data plane is unlinked. Not ``wait=False``: a
-    worker the pool started late (spawn starts workers on demand) would
-    run its initializer after the unlink, fail to attach, and leave the
-    pool's manager thread to hang interpreter exit; and the manager and
-    queue-feeder threads of a pool left winding down would still be
-    alive when the next sweep forks its workers. Queued units that never
-    started (an aborted drain) are cancelled rather than run.
+    Shared by the pool backend (through :func:`drain_pool`) and the
+    engine's in-process serial path: store write-back, the per-spec
+    result parts, the raise/skip/retry ladder with its
+    :class:`FailedUnit` records, and progress.
     """
-    pool.shutdown(wait=True, cancel_futures=True)
 
-
-class PoolExecutorBackend(ExecutorBackend):
-    """The in-process process-pool backend (the default sweep path)."""
-
-    name = "pool"
-
-    def execute(self, engine, ctx: PlanContext) -> List[SweepResult]:
-        # Resolved through the parallel module namespace at call time so
-        # one monkeypatch of parallel.ProcessPoolExecutor swaps the pool
-        # class (the tests' payload-measuring pool relies on it).
-        from repro.experiments import parallel as parallel_mod
-
-        specs, videos = ctx.specs, ctx.videos
-        keys = ctx.keys
-        units = engine.scheduler.plan_units(specs, ctx.runs, ctx.workers)
-        # Never spin up more workers than there are tasks.
-        workers = min(ctx.workers, len(units))
-        registry = engine.registry
-        tracer = engine.tracer
-        if registry is not None:
-            registry.gauge(WORKERS_METRIC, "sweep worker processes").set(workers)
-        mp_context = engine._resolve_context()
-        plane, initargs = _pool_initargs(engine, ctx)
-
-        parts = ctx.seed_parts()
-        failures: List[List[FailedUnit]] = [[] for _ in specs]
-        attempts: Dict[int, int] = {unit.order: 0 for unit in units}
-        # (unit order, attempt, snapshot): merged after the pool drains,
-        # sorted by key, so telemetry is deterministic regardless of
-        # completion order.
-        snapshots: List[Tuple[int, int, Mapping[str, dict]]] = []
-        worker_spans: List[Tuple[int, int, List[Dict[str, object]]]] = []
-        # (unit order, error) under on_error="raise": the earliest-
-        # submitted failure is re-raised after an orderly drain.
-        fatal: List[Tuple[int, SweepWorkerError]] = []
-        respawned = False
-        done_units = failed_units = completed_sessions = 0
+    def __init__(
+        self, engine, ctx: PlanContext, units: Sequence[WorkUnit], workers: int
+    ) -> None:
+        self.engine = engine
+        self.ctx = ctx
+        self.units = units
+        self.parts = ctx.seed_parts()
+        self.failures: List[List[FailedUnit]] = [[] for _ in ctx.specs]
+        self.done_units = self.failed_units = self.completed_sessions = 0
+        if engine.registry is not None:
+            engine.registry.gauge(WORKERS_METRIC, "sweep worker processes").set(
+                workers
+            )
         engine._progress_update(
             force=True,
             phase="running",
@@ -276,166 +432,90 @@ class PoolExecutorBackend(ExecutorBackend):
             cached_sessions=ctx.cached_sessions(),
         )
 
-        def make_pool():
-            with maybe_span(tracer, SPAN_POOL_SPAWN, cat="sched", workers=workers):
-                return parallel_mod.ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=mp_context,
-                    initializer=init_worker,
-                    initargs=initargs,
-                )
+    def settle(
+        self,
+        order: int,
+        attempt: int,
+        metrics: Optional[List[SessionMetrics]],
+        error: Optional[BaseException],
+    ) -> bool:
+        """Fold attempt ``attempt`` of ``units[order]``; True = retry it.
 
-        def submit(unit: WorkUnit, count_attempt: bool = True) -> None:
-            if count_attempt:
-                attempts[unit.order] += 1
-            future = pool.submit(
-                run_batch_in_worker, unit.spec_idx, unit.start, unit.stop
+        Raises the unit's :class:`SweepWorkerError` under
+        ``on_error="raise"``.
+        """
+        engine = self.engine
+        unit = self.units[order]
+        spec = self.ctx.specs[unit.spec_idx]
+        if error is None:
+            self.parts[unit.spec_idx][unit.start] = metrics
+            engine._store_unit(self.ctx.keys[unit.spec_idx], unit.start, metrics)
+            self.done_units += 1
+            self.completed_sessions += len(metrics)
+            engine._progress_update(
+                done_units=self.done_units,
+                completed_sessions=self.completed_sessions,
             )
-            futures[future] = unit
-
-        def consume(future: Future, unit: WorkUnit) -> Optional[str]:
-            """Fold one settled future into the result state.
-
-            Returns ``"retry"`` / ``"requeue"`` when the unit must run
-            again (policy retry / broken pool), else None.
-            """
-            nonlocal done_units, failed_units, completed_sessions
-            exc = future.exception()
-            if isinstance(exc, BrokenProcessPool):
-                # The pool died under this unit — not the unit's own
-                # failure, so its attempt count is not charged.
-                return "requeue"
-            if exc is not None:
-                # The task raised outside the worker's catch (pickling,
-                # initializer crash, OOM): identify the batch by range.
-                error = (
-                    exc
-                    if isinstance(exc, SweepWorkerError)
-                    else SweepWorkerError(
-                        specs[unit.spec_idx].describe(),
-                        videos[specs[unit.spec_idx].video_key].name,
-                        f"traces[{unit.start}:{unit.stop}]",
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                metrics = snapshot = unit_spans = None
-            else:
-                metrics, snapshot, error, unit_spans = future.result()
-            if snapshot is not None:
-                snapshots.append((unit.order, attempts[unit.order], snapshot))
-            if unit_spans is not None:
-                worker_spans.append((unit.order, attempts[unit.order], unit_spans))
-            if error is None:
-                parts[unit.spec_idx][unit.start] = metrics
-                engine._store_unit(keys[unit.spec_idx], unit.start, metrics)
-                done_units += 1
-                completed_sessions += len(metrics)
-                engine._progress_update(
-                    done_units=done_units,
-                    completed_sessions=completed_sessions,
-                )
-                return None
-            if engine.on_error == "raise":
-                fatal.append((unit.order, error))
-                return None
-            if engine._should_retry(attempts[unit.order]):
-                return "retry"
-            spec = specs[unit.spec_idx]
-            failures[unit.spec_idx].append(
-                engine._failed_unit(
-                    spec,
-                    videos[spec.video_key].name,
-                    unit.start,
-                    unit.stop,
-                    attempts[unit.order],
-                    error,
-                )
+            return False
+        video_name = self.ctx.videos[spec.video_key].name
+        if not isinstance(error, SweepWorkerError):
+            # Raised outside the worker's catch: identify the batch by
+            # its range.
+            error = SweepWorkerError(
+                spec.describe(),
+                video_name,
+                f"traces[{unit.start}:{unit.stop}]",
+                f"{type(error).__name__}: {error}",
             )
-            failed_units += 1
-            engine._progress_update(failed_units=failed_units)
-            return None
-
-        pool = make_pool()
-        futures: Dict[Future, WorkUnit] = {}
-        # Entered/exited manually so the drain span brackets exactly the
-        # submit/consume event loop, whatever path exits the try below.
-        drain_span = maybe_span(
-            tracer, SPAN_SWEEP_DRAIN, cat="sched", units=len(units)
+        if engine.on_error == "raise":
+            raise error
+        if engine._should_retry(attempt):
+            return True
+        self.failures[unit.spec_idx].append(
+            engine._failed_unit(
+                spec, video_name, unit.start, unit.stop, attempt, error
+            )
         )
-        drain_span.__enter__()
-        try:
-            for unit in units:
-                submit(unit)
-            while futures and not fatal:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                broken = False
-                rerun: List[Tuple[WorkUnit, bool]] = []  # (unit, count_attempt)
-                for future in sorted(done, key=lambda f: futures[f].order):
-                    unit = futures.pop(future)
-                    verdict = consume(future, unit)
-                    if verdict == "requeue":
-                        broken = True
-                        rerun.append((unit, False))
-                    elif verdict == "retry":
-                        rerun.append((unit, True))
-                if broken:
-                    # A broken pool settles every remaining future with
-                    # BrokenProcessPool (completed ones keep their
-                    # results); drain them all, then respawn once.
-                    for future in sorted(futures, key=lambda f: futures[f].order):
-                        unit = futures[future]
-                        verdict = consume(future, unit)
-                        if verdict is not None:
-                            rerun.append((unit, verdict == "retry"))
-                    futures.clear()
-                    pool.shutdown(wait=False)
-                    if fatal:
-                        break
-                    if respawned:
-                        raise BrokenProcessPool(
-                            "sweep pool broke twice; aborting after one respawn"
-                        )
-                    respawned = True
-                    engine._count(
-                        POOL_RESPAWNS_METRIC,
-                        "process-pool respawns after a pool break",
-                    )
-                    pool = make_pool()
-                rerun.sort(key=lambda item: item[0].order)
-                for unit, count_attempt in rerun:
-                    submit(unit, count_attempt=count_attempt)
-            if fatal:
-                # Orderly abort: stop scheduling, let in-flight units
-                # finish, and keep their telemetry before re-raising.
-                for future in futures:
-                    future.cancel()
-                wait(list(futures))
-                for future in sorted(futures, key=lambda f: futures[f].order):
-                    unit = futures[future]
-                    if future.cancelled() or future.exception() is not None:
-                        continue
-                    _metrics, snapshot, _error, unit_spans = future.result()
-                    if snapshot is not None:
-                        snapshots.append((unit.order, attempts[unit.order], snapshot))
-                    if unit_spans is not None:
-                        worker_spans.append(
-                            (unit.order, attempts[unit.order], unit_spans)
-                        )
-                futures.clear()
-        finally:
-            drain_span.__exit__(None, None, None)
-            _shutdown_before_unlink(pool)
-            if plane is not None:
-                plane.close_and_unlink()
+        self.failed_units += 1
+        engine._progress_update(failed_units=self.failed_units)
+        return False
 
-        _merge_telemetry(engine, snapshots, worker_spans)
-        if fatal:
-            fatal.sort(key=lambda item: item[0])
-            raise fatal[0][1]
-
-        results = SweepScheduler.assemble(specs, videos, parts, failures)
-        engine._finish_progress(specs, results)
+    def results(self) -> List[SweepResult]:
+        """The assembled, ordered sweep results (final progress write)."""
+        results = SweepScheduler.assemble(
+            self.ctx.specs, self.ctx.videos, self.parts, self.failures
+        )
+        self.engine._finish_progress(self.ctx.specs, results)
         return results
+
+
+class PoolExecutorBackend(ExecutorBackend):
+    """The in-process process-pool backend (the default sweep path)."""
+
+    name = "pool"
+
+    def execute(self, engine, ctx: PlanContext) -> List[SweepResult]:
+        units = engine.scheduler.plan_units(ctx.specs, ctx.runs, ctx.workers)
+        # Never spin up more workers than there are tasks.
+        workers = min(ctx.workers, len(units))
+        ledger = SweepLedger(engine, ctx, units, workers)
+        drain_pool(
+            run_batch_in_worker,
+            [(unit.spec_idx, unit.start, unit.stop) for unit in units],
+            ledger.settle,
+            specs=ctx.specs,
+            config=ctx.config,
+            videos=ctx.videos,
+            traces_by_plan=ctx.traces_by_plan,
+            workers=workers,
+            mp_context=engine.mp_context,
+            registry=engine.registry,
+            tracer=engine.tracer,
+            cat="sched",
+            drain_span=SPAN_SWEEP_DRAIN,
+            merge_span=SPAN_SWEEP_MERGE,
+        )
+        return ledger.results()
 
 
 class MultiHostExecutorBackend(ExecutorBackend):

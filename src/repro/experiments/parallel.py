@@ -18,7 +18,10 @@ The engine is split into three layers (one module each):
 - :mod:`repro.experiments.executors` — the two executor backends:
   ``"pool"`` (local process pool, the default) and ``"multihost"``
   (workers on any number of machines cooperating through atomic lease
-  files in a shared store directory — see ``repro sweep-worker``).
+  files in a shared store directory — see ``repro sweep-worker``), plus
+  the process-pool drain the pool backend and the fleet share, and the
+  sweep's settle step (:class:`~repro.experiments.executors.SweepLedger`)
+  the pool backend and the serial path share.
 
 This module keeps the public engine API (:class:`ParallelSweepRunner`)
 and re-exports the vocabulary so existing imports keep working.
@@ -117,6 +120,7 @@ from repro.experiments.executors import (
     EXECUTOR_NAMES,
     ExecutorBackend,
     PlanContext,
+    SweepLedger,
     resolve_executor,
 )
 from repro.experiments.leases import DEFAULT_LEASE_TTL_S
@@ -130,7 +134,6 @@ from repro.experiments.scheduler import (
     SweepSpec,
     SweepWorkerError,
     WorkUnit,
-    batch_bounds,
 )
 from repro.experiments.store import SessionStore
 from repro.experiments.worker import (
@@ -179,7 +182,6 @@ __all__ = [
     "FailedUnit",
     "WorkUnit",
     "ParallelSweepRunner",
-    "run_comparison_parallel",
     "EXECUTOR_NAMES",
     "SESSIONS_COMPLETED_METRIC",
     "SESSIONS_FAILED_METRIC",
@@ -259,11 +261,6 @@ class ParallelSweepRunner:
         path. Specs whose factories have no stable content identity
         (lambdas/closures) simply bypass the store. Required by the
         multihost executor (it is the coordination medium).
-    use_shared_memory:
-        Publish sweep assets through the shared-memory data plane for
-        pool runs (default). Disable to force inline initializer
-        pickling; results are identical either way, and the engine falls
-        back automatically when shared memory is unavailable.
     tracer:
         Optional :class:`~repro.telemetry.spans.SpanTracer` the sweep
         records its run timeline into: scheduler phases (plan, store
@@ -310,7 +307,6 @@ class ParallelSweepRunner:
         max_retries: int = 2,
         fault_plan: Optional[FaultPlan] = None,
         store: Optional[SessionStore] = None,
-        use_shared_memory: bool = True,
         tracer: Optional[SpanTracer] = None,
         progress: Optional[ProgressBoard] = None,
         executor: Union[str, ExecutorBackend] = "pool",
@@ -344,7 +340,6 @@ class ParallelSweepRunner:
         self.max_retries = max_retries
         self.fault_plan = fault_plan
         self.store = store
-        self.use_shared_memory = use_shared_memory
         self.tracer = tracer
         self.progress = progress
         self.executor = executor
@@ -371,23 +366,6 @@ class ParallelSweepRunner:
         if self.n_workers is not None:
             return self.n_workers
         return os.cpu_count() or 1
-
-    def _resolve_context(self):
-        if self.mp_context is None:
-            return None
-        if isinstance(self.mp_context, str):
-            return multiprocessing.get_context(self.mp_context)
-        return self.mp_context
-
-    def _batch_bounds(
-        self, num_traces: int, workers: int, cost_per_session: float = 1.0
-    ) -> List[Tuple[int, int]]:
-        """Contiguous [start, stop) trace batches for one spec.
-
-        Delegates to :func:`repro.experiments.scheduler.batch_bounds`
-        with this engine's ``batch_size`` override.
-        """
-        return batch_bounds(num_traces, workers, cost_per_session, self.batch_size)
 
     # -- fault-plan materialization ------------------------------------
 
@@ -477,6 +455,16 @@ class ParallelSweepRunner:
                     missing_runs=sum(len(r) for r in runs),
                 )
             workers = self.resolved_workers()
+            ctx = PlanContext(
+                specs=specs,
+                videos=videos,
+                traces_by_plan=traces_by_plan,
+                config=config,
+                workers=workers,
+                cached=cached,
+                keys=keys,
+                runs=runs,
+            )
             pending_sessions = sum(
                 stop - start for spec_runs in runs for start, stop in spec_runs
             )
@@ -492,33 +480,11 @@ class ParallelSweepRunner:
                     or pending_sessions < self.min_parallel_sessions
                 )
             ):
-                return self._run_serial(
-                    specs, videos, traces_by_plan, config, cached, keys, runs
-                )
-            ctx = PlanContext(
-                specs=specs,
-                videos=videos,
-                traces_by_plan=traces_by_plan,
-                config=config,
-                workers=workers,
-                cached=cached,
-                keys=keys,
-                runs=runs,
-            )
+                return self._run_serial(ctx)
             return backend.execute(self, ctx)
         finally:
             if store_before is not None:
                 self._fold_store_stats(store_before)
-
-    def _partition_specs(
-        self,
-        specs: Sequence[SweepSpec],
-        videos: Mapping[str, VideoAsset],
-        traces_by_plan: Mapping[Optional[FaultPlan], Sequence[NetworkTrace]],
-        config: SessionConfig,
-    ):
-        """Historical name for :meth:`SweepScheduler.partition`."""
-        return self.scheduler.partition(specs, videos, traces_by_plan, config)
 
     def _store_unit(
         self,
@@ -611,110 +577,48 @@ class ParallelSweepRunner:
             error=error.cause,
         )
 
-    def _run_serial(
-        self,
-        specs: Sequence[SweepSpec],
-        videos: Mapping[str, VideoAsset],
-        traces_by_plan: Mapping[Optional[FaultPlan], Sequence[NetworkTrace]],
-        config: SessionConfig,
-        cached: Sequence[Dict[int, SessionMetrics]],
-        keys: Sequence[Optional[List[str]]],
-        runs: Sequence[List[Tuple[int, int]]],
-    ) -> List[SweepResult]:
-        if self.registry is not None:
-            self.registry.gauge(WORKERS_METRIC, "sweep worker processes").set(1)
+    def _run_serial(self, ctx: PlanContext) -> List[SweepResult]:
+        # One work unit per missing run (without a store that is one
+        # unit per spec), settled by the same ledger as the pool.
+        units: List[WorkUnit] = []
+        for spec_idx, spec_runs in enumerate(ctx.runs):
+            for start, stop in spec_runs:
+                units.append(WorkUnit(len(units), spec_idx, start, stop))
+        ledger = SweepLedger(self, ctx, units, workers=1)
         cache = ArtifactCache()
-        total_units = sum(len(spec_runs) for spec_runs in runs)
-        done_units = failed_units = completed_sessions = 0
-        self._progress_update(
-            force=True,
-            phase="running",
-            workers=1,
-            total_units=total_units,
-            done_units=0,
-            failed_units=0,
-            total_sessions=sum(
-                len(traces_by_plan[spec.fault_plan]) for spec in specs
-            ),
-            completed_sessions=0,
-            cached_sessions=sum(len(spec_cached) for spec_cached in cached),
-        )
-        results = []
-        for spec_idx, spec in enumerate(specs):
-            video = videos[spec.video_key]
-            traces = traces_by_plan[spec.fault_plan]
-            # One work unit per missing run (without a store that is one
-            # unit per spec — the historical serial granularity), run
-            # under the same failure policy as the pool. Cached sessions
-            # are merged back in by trace index; run starts and cached
-            # indices are disjoint, so sorting the merge keys restores
-            # exact trace order.
-            merged: Dict[int, List[SessionMetrics]] = {
-                idx: [metric] for idx, metric in cached[spec_idx].items()
-            }
-            failures: List[FailedUnit] = []
-            for rstart, rstop in runs[spec_idx]:
-                attempts = 0
-                while True:
-                    attempts += 1
-                    try:
-                        # The same unit.run span the pool workers record,
-                        # so serial and pooled traces share one shape.
-                        with maybe_span(
-                            self.tracer,
-                            SPAN_UNIT_RUN,
-                            cat="unit",
-                            scheme=spec.describe(),
-                            video=spec.video_key,
-                            start=rstart,
-                            stop=rstop,
-                        ):
-                            run_metrics = sweep_batch(
-                                spec,
-                                video,
-                                traces[rstart:rstop],
-                                config,
-                                cache,
-                                self.registry,
-                                self.tracer,
-                            )
-                        self._store_unit(keys[spec_idx], rstart, run_metrics)
-                        merged[rstart] = run_metrics
-                        done_units += 1
-                        completed_sessions += len(run_metrics)
-                        self._progress_update(
-                            done_units=done_units,
-                            completed_sessions=completed_sessions,
-                        )
-                        break
-                    except SweepWorkerError as exc:
-                        if self.on_error == "raise":
-                            raise
-                        if self._should_retry(attempts):
-                            continue
-                        failures.append(
-                            self._failed_unit(
-                                spec, video.name, rstart, rstop, attempts, exc
-                            )
-                        )
-                        failed_units += 1
-                        self._progress_update(failed_units=failed_units)
-                        break
-            results.append(
-                SweepResult(
-                    scheme=spec.scheme,
-                    video_name=video.name,
-                    network=spec.network,
-                    metrics=[
-                        metric
-                        for key in sorted(merged)
-                        for metric in merged[key]
-                    ],
-                    failures=failures,
-                )
-            )
-        self._finish_progress(specs, results)
-        return results
+
+        def attempt_unit(unit: WorkUnit):
+            spec = ctx.specs[unit.spec_idx]
+            try:
+                # The same unit.run span the pool workers record, so
+                # serial and pooled traces share one shape.
+                with maybe_span(
+                    self.tracer,
+                    SPAN_UNIT_RUN,
+                    cat="unit",
+                    scheme=spec.describe(),
+                    video=spec.video_key,
+                    start=unit.start,
+                    stop=unit.stop,
+                ):
+                    metrics = sweep_batch(
+                        spec,
+                        ctx.videos[spec.video_key],
+                        ctx.traces_by_plan[spec.fault_plan][unit.start : unit.stop],
+                        ctx.config,
+                        cache,
+                        self.registry,
+                        self.tracer,
+                    )
+            except SweepWorkerError as exc:
+                return None, exc
+            return metrics, None
+
+        for unit in units:
+            attempt = 1
+            while ledger.settle(unit.order, attempt, *attempt_unit(unit)):
+                attempt += 1
+        return ledger.results()
 
     def _finish_progress(
         self, specs: Sequence[SweepSpec], results: Sequence[SweepResult]
@@ -810,33 +714,3 @@ class ParallelSweepRunner:
             for spec, result in zip(specs, results)
         }
 
-
-def run_comparison_parallel(
-    schemes: Sequence[str],
-    video: VideoAsset,
-    traces: Sequence[NetworkTrace],
-    network: str = "lte",
-    config: SessionConfig = SessionConfig(),
-    n_workers: Optional[int] = None,
-    registry: Optional[MetricsRegistry] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    on_error: str = "raise",
-    max_retries: int = 2,
-    store: Optional[SessionStore] = None,
-    tracer: Optional[SpanTracer] = None,
-    progress: Optional[ProgressBoard] = None,
-    executor: Union[str, ExecutorBackend] = "pool",
-) -> Dict[str, SweepResult]:
-    """One-call parallel comparison (``n_workers=None`` = all cores)."""
-    engine = ParallelSweepRunner(
-        n_workers=n_workers,
-        registry=registry,
-        fault_plan=fault_plan,
-        on_error=on_error,
-        max_retries=max_retries,
-        store=store,
-        tracer=tracer,
-        progress=progress,
-        executor=executor,
-    )
-    return engine.run_comparison(schemes, video, traces, network, config)

@@ -7,7 +7,10 @@ This module owns that path plus the pool-process plumbing around it:
 the per-process :data:`WORKER_STATE` pinned by :func:`init_worker`
 (shared-memory attach or inline assets), the three-integer task entry
 point :func:`run_batch_in_worker`, and the per-unit telemetry fold
-:func:`record_unit`.
+:func:`record_unit`. :func:`init_worker` sets up every worker of the
+one process-pool drain (:func:`repro.experiments.executors.drain_pool`),
+so fleet workers are pinned here too and their task
+(:func:`repro.fleet.runner.run_edge_in_worker`) reads the same state.
 
 Nothing here knows about scheduling, leases, or failure policy — those
 live in :mod:`repro.experiments.scheduler` and
@@ -98,7 +101,8 @@ def init_worker(
     fault plan in play (``None`` = the unperturbed set) to its trace
     list; perturbation happened once in the parent, so workers never
     rebuild faulted timelines. Specs ship here once, so tasks can refer
-    to them by index.
+    to them by index (a fleet pool ships its one ``FleetSpec`` and no
+    session config).
 
     ``spans`` turns on per-unit span tracing: each task records into a
     fresh :class:`~repro.telemetry.spans.SpanTracer` whose snapshot

@@ -8,11 +8,16 @@ ascending edge order — produces the same :class:`FleetResult` for any
 worker count and start method. That is the fleet's determinism
 contract, pinned by ``tests/fleet/test_runner.py``.
 
-Assets ship to workers the same way the sweep engine ships them: videos
-and edge traces are published once into the PR 5 shared-memory data
-plane and workers attach read-only views; when shared memory is
-unavailable the payload falls back to inline pickles. Telemetry rides
-the existing rails — fleet spans stitch into the parent
+Pooled runs go through the same process-pool drain as sweep work units
+(:func:`repro.experiments.executors.drain_pool`): videos and edge
+traces are published once into the shared-memory data plane (inline
+initializer pickles when shared memory is unavailable), each edge is
+one unit run by :func:`run_edge_in_worker`, and a worker death is
+recovered once — the pool is respawned and the unfinished edges rerun.
+A second pool break, or an edge that raises, aborts the run; the
+raised error names the edge. Telemetry rides the existing rails —
+fleet spans (a pooled traced run ships each edge's stage spans back
+from its worker) stitch into the parent
 :class:`~repro.telemetry.spans.SpanTracer`, counters/gauges land in a
 :class:`~repro.telemetry.metrics.MetricsRegistry` (servable live via
 ``repro fleet --serve-metrics``), and a
@@ -24,13 +29,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.dataplane import attach_plane, try_publish
+from repro.experiments.executors import drain_pool
+from repro.experiments.worker import WORKER_STATE
 from repro.fleet.sim import EdgeResult, simulate_edge
 from repro.fleet.spec import FleetSpec
 from repro.network.traces import MIN_TRACE_DURATION_S, NetworkTrace
@@ -40,7 +45,6 @@ from repro.telemetry.pipeline import (
     SPAN_FLEET_EDGE,
     SPAN_FLEET_MERGE,
     SPAN_FLEET_PLAN,
-    SPAN_SHM_PUBLISH,
     ProgressBoard,
 )
 from repro.telemetry.spans import SpanTracer, StageTimer, maybe_span
@@ -323,27 +327,33 @@ class FleetResult:
 # Worker side
 # ---------------------------------------------------------------------------
 
-_WORKER_STATE: Dict[str, object] = {}
 
+def run_edge_in_worker(edge_index: int):
+    """Pool task: simulate one edge inside a :func:`drain_pool` worker.
 
-def _init_fleet_worker(spec, plane_manifest, inline_videos, inline_traces) -> None:
-    """Pool initializer (top-level: spawn must be able to pickle it)."""
-    if plane_manifest is not None:
-        videos, traces_by_plan, shm = attach_plane(plane_manifest)
-        _WORKER_STATE["shm"] = shm  # keep the mapping alive
-        traces = traces_by_plan[None]
-    else:
-        videos, traces = inline_videos, inline_traces
-    _WORKER_STATE["spec"] = spec
-    _WORKER_STATE["videos"] = videos
-    _WORKER_STATE["traces"] = traces
-
-
-def _run_edge(edge_index: int) -> EdgeResult:
-    spec: FleetSpec = _WORKER_STATE["spec"]  # type: ignore[assignment]
-    videos = _WORKER_STATE["videos"]
-    traces = _WORKER_STATE["traces"]
-    return simulate_edge(spec, edge_index, videos, traces[edge_index])
+    :func:`~repro.experiments.worker.init_worker` pinned the fleet spec
+    (the one entry of ``specs``), the videos and the edge traces (the
+    unperturbed ``None`` plan; fault plans were applied parent-side).
+    Returns the drain's ``(result, snapshot, error, spans)`` shape; an
+    edge that raises propagates through its future. Under a tracer the
+    edge loop times its stages, shipped back as aggregate stage spans
+    tagged with the edge, the same spans a serial traced run records.
+    """
+    tracer = (
+        SpanTracer(f"worker-{os.getpid()}") if WORKER_STATE["spans"] else None
+    )
+    timer = StageTimer() if tracer is not None else None
+    edge = simulate_edge(
+        WORKER_STATE["specs"][0],  # type: ignore[index]
+        edge_index,
+        WORKER_STATE["videos"],  # type: ignore[arg-type]
+        WORKER_STATE["traces_by_plan"][None][edge_index],  # type: ignore[index]
+        stage_timer=timer,
+    )
+    if tracer is None:
+        return edge, None, None, None
+    tracer.record_stages(timer, cat="fleet", edge=edge_index)
+    return edge, None, None, tracer.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +400,25 @@ class FleetRunner:
         if self.n_workers <= 1:
             edges = self._drain_serial(videos, traces)
         else:
-            edges = self._drain_pool(videos, traces)
+            edges = []
+            drain_pool(
+                run_edge_in_worker,
+                [(index,) for index in range(spec.n_edges)],
+                self._edge_settle(edges),
+                specs=[spec],
+                config=None,
+                videos=videos,
+                traces_by_plan={None: traces},
+                workers=self.n_workers,
+                mp_context=self.mp_context,
+                registry=self.registry,
+                tracer=self.tracer,
+                cat="fleet",
+                drain_span=SPAN_FLEET_DRAIN,
+                merge_span=SPAN_FLEET_MERGE,
+            )
+        # Both drains return the edges in ascending edge order.
         with maybe_span(self.tracer, SPAN_FLEET_MERGE, "fleet"):
-            edges.sort(key=lambda e: e.edge_index)
             result = FleetResult(spec, edges, wall_s=time.perf_counter() - t0)
         self._publish_metrics(result)
         if self.progress is not None:
@@ -423,41 +449,29 @@ class FleetRunner:
                 self._note_edge(edge, len(edges))
         return edges
 
-    def _drain_pool(self, videos, traces) -> List[EdgeResult]:
-        spec = self.spec
-        with maybe_span(self.tracer, SPAN_SHM_PUBLISH, "fleet"):
-            plane = try_publish(videos, {None: traces})
-        # Without shared memory the assets ride the initializer pickles.
-        initargs = (
-            (spec, plane.manifest, None, None)
-            if plane is not None
-            else (spec, None, videos, traces)
-        )
-        import multiprocessing
+    def _edge_settle(self, edges: List[EdgeResult]):
+        """The pool drain's settle step: collect edges in edge order.
 
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context
-            else None
-        )
-        edges: List[EdgeResult] = []
-        try:
-            with maybe_span(
-                self.tracer, SPAN_FLEET_DRAIN, "fleet", workers=self.n_workers
-            ):
-                with ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=context,
-                    initializer=_init_fleet_worker,
-                    initargs=initargs,
-                ) as pool:
-                    for edge in pool.map(_run_edge, range(spec.n_edges)):
-                        edges.append(edge)
-                        self._note_edge(edge, len(edges))
-        finally:
-            if plane is not None:
-                plane.close_and_unlink()
-        return edges
+        Edges finish in any order; each is noted (span, progress) once
+        every lower edge has been, so the parent's timeline and progress
+        read the same on every run. A failing edge aborts the fleet with
+        an error naming it.
+        """
+        ready: Dict[int, EdgeResult] = {}
+
+        def settle(edge_index, _attempt, edge, error) -> bool:
+            if error is not None:
+                raise RuntimeError(
+                    f"fleet edge {edge_index} failed: "
+                    f"{type(error).__name__}: {error}"
+                ) from error
+            ready[edge_index] = edge
+            while len(edges) in ready:
+                edges.append(ready.pop(len(edges)))
+                self._note_edge(edges[-1], len(edges))
+            return False
+
+        return settle
 
     def _note_edge(self, edge: EdgeResult, done: int) -> None:
         if self.tracer is not None:

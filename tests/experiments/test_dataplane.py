@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.experiments import parallel
+from repro.experiments import executors, parallel
 from repro.experiments.dataplane import SharedDataPlane, attach_plane
 from repro.experiments.parallel import (
     SHM_ATTACHED_WORKERS_METRIC,
@@ -21,6 +21,8 @@ from repro.experiments.parallel import (
     ParallelSweepRunner,
 )
 from repro.experiments.runner import run_comparison
+from repro.fleet import FleetSpec, run_fleet
+from repro.fleet.fingerprint import fleet_fingerprint
 from repro.network.link import TraceLink, cumulative_bits_table
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -131,17 +133,31 @@ class TestZeroCopyDataPlaneInSweeps:
         assert max(sizes) < 128
         assert len(set(sizes)) <= 2  # int widths, not asset sizes
 
-    def test_shared_and_inline_paths_bit_identical(self, short_video, lte_traces):
+    def test_shared_and_inline_paths_bit_identical(
+        self, monkeypatch, short_video, lte_traces
+    ):
         traces = lte_traces[:4]
         baseline = run_comparison(SCHEMES, short_video, traces)
         shared = ParallelSweepRunner(
-            n_workers=2, min_parallel_sessions=0, use_shared_memory=True
+            n_workers=2, min_parallel_sessions=0
         ).run_comparison(SCHEMES, short_video, traces)
+        # No shared memory: assets ride the initializer pickles instead.
+        monkeypatch.setattr(executors, "try_publish", lambda videos, traces: None)
         inline = ParallelSweepRunner(
-            n_workers=2, min_parallel_sessions=0, use_shared_memory=False
+            n_workers=2, min_parallel_sessions=0
         ).run_comparison(SCHEMES, short_video, traces)
         _assert_comparisons_identical(baseline, shared)
         _assert_comparisons_identical(baseline, inline)
+
+    def test_fleet_inline_path_matches_serial(self, monkeypatch):
+        spec = FleetSpec(
+            seed=0, duration_s=300.0, n_edges=2, arrivals_per_s=0.5,
+            videos=("ED-youtube-h264",),
+        )
+        serial = fleet_fingerprint(run_fleet(spec, n_workers=1))
+        monkeypatch.setattr(executors, "try_publish", lambda videos, traces: None)
+        inline = fleet_fingerprint(run_fleet(spec, n_workers=2, mp_context="fork"))
+        assert inline == serial
 
     def test_shm_telemetry_reported(self, short_video, lte_traces):
         registry = MetricsRegistry()

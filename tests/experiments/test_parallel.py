@@ -21,9 +21,9 @@ from repro.experiments.parallel import (
     ParallelSweepRunner,
     SweepSpec,
     SweepWorkerError,
-    run_comparison_parallel,
 )
 from repro.experiments.runner import run_comparison, run_scheme_on_traces
+from repro.experiments.scheduler import batch_bounds
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -85,13 +85,6 @@ class TestSerialParallelEquivalence:
         serial = run_comparison(SCHEMES, short_video, lte_traces[:6])
         routed = run_comparison(SCHEMES, short_video, lte_traces[:6], n_workers=2)
         assert_sweeps_identical(serial, routed)
-
-    def test_convenience_wrapper(self, short_video, lte_traces):
-        serial = run_comparison(SCHEMES, short_video, lte_traces[:6])
-        parallel = run_comparison_parallel(
-            SCHEMES, short_video, lte_traces[:6], n_workers=2
-        )
-        assert_sweeps_identical(serial, parallel)
 
     def test_spawn_context_matches_serial(self, short_video, lte_traces):
         # The initializer must carry all worker state explicitly: under
@@ -190,8 +183,7 @@ class TestEngineConfig:
     @settings(max_examples=200, deadline=None)
     def test_batch_bounds_partition_the_trace_set(self, num_traces, workers, batch_size):
         """Batches tile [0, n) contiguously, in order, without overlap."""
-        engine = ParallelSweepRunner(batch_size=batch_size)
-        bounds = engine._batch_bounds(num_traces, workers)
+        bounds = batch_bounds(num_traces, workers, batch_size=batch_size)
         assert bounds[0][0] == 0
         assert bounds[-1][1] == num_traces
         for (start, stop), (next_start, _) in zip(bounds, bounds[1:]):

@@ -4,8 +4,8 @@ The golden digest in ``golden_fleet_fingerprint.json`` was captured
 *before* the hot-path overhaul landed (cached completions, fused event
 loop, numpy buckets), so these tests assert the optimized engine still
 produces byte-identical totals and bucket curves — for serial and
-pooled runs, under both multiprocessing start methods, and for a traced
-serial run (the edge loop then times its stages).
+pooled runs, under both multiprocessing start methods, and for traced
+serial and pooled runs (the edge loop then times its stages).
 
 Regenerate the golden with ``tools/fleet_golden.py`` ONLY when a PR
 intentionally changes the simulated numbers.
@@ -72,13 +72,21 @@ def assert_spec_matches(entry, spec):
 
 
 #: (workers, start method, traced): both start methods at one and two
-#: workers, plus a serial run under a tracer, whose edge loop times its
-#: stages and must still produce the golden bytes.
-PIN_CASES = [
-    pytest.param(workers, method, False, id=f"{workers}-{method}")
-    for workers in (1, 2)
-    for method in ("fork", "spawn")
-] + [pytest.param(1, None, True, id="1-traced")]
+#: workers, plus traced runs — serial, and pooled under both start
+#: methods — whose edge loops time their stages and must still produce
+#: the golden bytes.
+PIN_CASES = (
+    [
+        pytest.param(workers, method, False, id=f"{workers}-{method}")
+        for workers in (1, 2)
+        for method in ("fork", "spawn")
+    ]
+    + [pytest.param(1, None, True, id="1-traced")]
+    + [
+        pytest.param(2, method, True, id=f"2-{method}-traced")
+        for method in ("fork", "spawn")
+    ]
+)
 
 FLEET_STAGES = {STAGE_COMPLETION, STAGE_ADVANCE, STAGE_DISPATCH, STAGE_BUCKET_FOLD}
 

@@ -1,12 +1,17 @@
 """FleetRunner determinism contract: one spec, one result — however the
-edges are sharded (worker count) and however workers start (fork/spawn).
+edges are sharded (worker count) and however workers start (fork/spawn),
+and whether or not a pool worker died once along the way.
 """
 
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.fleet.runner as fleet_runner
+from repro.experiments.worker import POOL_RESPAWNS_METRIC
 from repro.fleet import FlashCrowd, FleetSpec, run_fleet, synthesize_edge_trace
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanTracer
@@ -65,6 +70,57 @@ class TestDeterminism:
 
     def test_edge_order_is_canonical(self, serial_result):
         assert [e.edge_index for e in serial_result.edges] == list(range(SPEC.n_edges))
+
+
+class TestWorkerFailures:
+    """Failures injected into the worker-side edge function.
+
+    Under fork the workers inherit the patched module attribute, so the
+    pool runs the failing edge function without pickling it.
+    """
+
+    @staticmethod
+    def patch_edge(monkeypatch, fail_on, failure):
+        real = fleet_runner.simulate_edge
+
+        def edge(spec, edge_index, *args, **kwargs):
+            if edge_index == fail_on:
+                failure()
+            return real(spec, edge_index, *args, **kwargs)
+
+        monkeypatch.setattr(fleet_runner, "simulate_edge", edge)
+
+    def test_worker_killed_once_is_recovered(
+        self, monkeypatch, tmp_path, serial_result
+    ):
+        flag = tmp_path / "killed.flag"
+
+        def kill_once():
+            if not flag.exists():
+                flag.write_text("killed")
+                os._exit(1)
+
+        self.patch_edge(monkeypatch, 1, kill_once)
+        registry = MetricsRegistry()
+        pooled = run_fleet(SPEC, n_workers=2, mp_context="fork", registry=registry)
+        assert flag.exists()
+        assert fingerprint(pooled) == fingerprint(serial_result)
+        assert registry.value(POOL_RESPAWNS_METRIC) == 1
+
+    def test_worker_killed_every_time_aborts_after_one_respawn(self, monkeypatch):
+        self.patch_edge(monkeypatch, 1, lambda: os._exit(1))
+        with pytest.raises(BrokenProcessPool, match="twice"):
+            run_fleet(SPEC, n_workers=2, mp_context="fork")
+
+    def test_raising_edge_is_named(self, monkeypatch):
+        def fail():
+            raise ValueError("injected edge failure")
+
+        self.patch_edge(monkeypatch, 2, fail)
+        with pytest.raises(
+            RuntimeError, match="fleet edge 2 failed: ValueError: injected edge failure"
+        ):
+            run_fleet(SPEC, n_workers=2, mp_context="fork")
 
 
 class TestEdgeTraces:

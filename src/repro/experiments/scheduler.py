@@ -395,10 +395,7 @@ class SweepScheduler:
         if self.store is None:
             return None
         try:
-            return [
-                self.store.key_for(spec, video, trace, config)
-                for trace in traces
-            ]
+            return self.store.keys_for(spec, video, traces, config)
         except UncacheableValueError:
             return None
 

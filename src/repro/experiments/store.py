@@ -24,6 +24,15 @@ Digests use explicit content bytes only — never ``id()`` or Python's
 per-process-salted ``hash()`` — so equal inputs produce identical keys
 across processes and across fork/spawn start methods.
 
+Key derivation is one function, :func:`session_keys`. The parts are
+hashed in a fixed order, and the trace digest is the last part but one,
+so all that comes before it is the same for every session of a spec.
+That prefix is hashed once per spec; each trace's key copies the
+hasher state and feeds only its trace digest and the pre-encoded config
+fingerprint. The bytes hashed are exactly those of hashing each key
+from scratch, so sharing the prefix changes no key
+(``tests/experiments/test_store.py::TestGoldenKeys`` pins them).
+
 On-disk layout (see docs/architecture.md): one JSON file per session
 under ``<root>/objects/<key[:2]>/<key>.json``, each carrying the schema
 version, its own key, the metric payload, and a checksum over the
@@ -50,7 +59,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +75,7 @@ __all__ = [
     "UncacheableValueError",
     "fingerprint",
     "session_key",
+    "session_keys",
     "StoreStats",
     "EntryProblem",
     "SessionStore",
@@ -83,6 +93,7 @@ STORE_SCHEMA_VERSION = 2
 _METRIC_FIELDS: Tuple[str, ...] = tuple(
     f.name for f in dataclasses.fields(SessionMetrics)
 )
+_SORTED_METRIC_FIELDS: Tuple[str, ...] = tuple(sorted(_METRIC_FIELDS))
 
 
 class UncacheableValueError(TypeError):
@@ -168,6 +179,56 @@ def fingerprint(obj: object) -> str:
     return hasher.hexdigest()
 
 
+#: Hasher fed the schema-version pair and the metric field list, the
+#: part every key starts with; each key derivation copies it.
+_SCHEMA_HASHER = hashlib.blake2b(digest_size=20)
+_encode(
+    ("schema", STORE_SCHEMA_VERSION, GOLDEN_SCHEMA_VERSION, _METRIC_FIELDS),
+    _SCHEMA_HASHER.update,
+)
+
+
+def session_keys(
+    scheme: str,
+    network: str,
+    algorithm_factory: Optional[Callable],
+    estimator_factory: Optional[Callable],
+    fault_plan: object,
+    video_hexdigest: str,
+    trace_hexdigests: Sequence[str],
+    config: SessionConfig,
+) -> List[str]:
+    """The store keys of one spec's sessions, one per trace digest.
+
+    Every argument that can influence the resulting
+    :class:`SessionMetrics` participates; the schema-version pair and the
+    metric field list are folded in so output-format changes invalidate
+    the store wholesale. Only the trace digest differs between the
+    sessions of a spec, and it is the last part but one, so everything
+    before it is hashed once and each key copies that state, then feeds
+    its trace digest and the pre-encoded config fingerprint.
+    """
+    prefix = _SCHEMA_HASHER.copy()
+    for part in (
+        scheme,
+        network,
+        fingerprint(algorithm_factory),
+        fingerprint(estimator_factory),
+        fingerprint(fault_plan),
+        video_hexdigest,
+    ):
+        _encode(part, prefix.update)
+    suffix = bytearray()
+    _encode(fingerprint(config), suffix.extend)
+    keys: List[str] = []
+    for trace_hexdigest in trace_hexdigests:
+        hasher = prefix.copy()
+        _encode(trace_hexdigest, hasher.update)
+        hasher.update(suffix)
+        keys.append(hasher.hexdigest())
+    return keys
+
+
 def session_key(
     scheme: str,
     network: str,
@@ -178,27 +239,18 @@ def session_key(
     trace_hexdigest: str,
     config: SessionConfig,
 ) -> str:
-    """The store key for one fully specified session.
-
-    Every argument that can influence the resulting
-    :class:`SessionMetrics` participates; the schema-version pair and the
-    metric field list are folded in so output-format changes invalidate
-    the store wholesale.
-    """
-    hasher = hashlib.blake2b(digest_size=20)
-    for part in (
-        ("schema", STORE_SCHEMA_VERSION, GOLDEN_SCHEMA_VERSION, _METRIC_FIELDS),
+    """The store key for one fully specified session (see :func:`session_keys`)."""
+    (key,) = session_keys(
         scheme,
         network,
-    ):
-        _encode(part, hasher.update)
-    _encode(fingerprint(algorithm_factory), hasher.update)
-    _encode(fingerprint(estimator_factory), hasher.update)
-    _encode(fingerprint(fault_plan), hasher.update)
-    _encode(video_hexdigest, hasher.update)
-    _encode(trace_hexdigest, hasher.update)
-    _encode(fingerprint(config), hasher.update)
-    return hasher.hexdigest()
+        algorithm_factory,
+        estimator_factory,
+        fault_plan,
+        video_hexdigest,
+        (trace_hexdigest,),
+        config,
+    )
+    return key
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,8 +276,13 @@ class EntryProblem:
         return f"{self.path}: {self.problem}"
 
 
+#: The canonical payload encoding the checksum covers; built once, as
+#: ``json.dumps`` would build an encoder on every call for these options.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _payload_checksum(payload: Dict[str, object]) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = _CANONICAL_JSON.encode(payload)
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
@@ -245,6 +302,9 @@ class SessionStore:
         self.root = Path(root)
         self._objects = self.root / "objects"
         self._objects.mkdir(parents=True, exist_ok=True)
+        # Entry paths are formatted as strings: building a Path per read
+        # cost more than the read itself on a warm re-run.
+        self._objects_dir = str(self._objects)
         self._hits = 0
         self._misses = 0
         self._corrupt = 0
@@ -273,14 +333,14 @@ class SessionStore:
             self._trace_digests[id(trace)] = entry
         return entry[1]
 
-    def key_for(
+    def keys_for(
         self,
         spec,
         video: VideoAsset,
-        trace: NetworkTrace,
+        traces: Sequence[NetworkTrace],
         config: SessionConfig,
-    ) -> str:
-        """Store key for (spec, video, trace, config).
+    ) -> List[str]:
+        """Store keys for (spec, video, trace, config), one per trace.
 
         ``spec`` is duck-typed (``scheme`` / ``network`` /
         ``algorithm_factory`` / ``estimator_factory`` / ``fault_plan``
@@ -288,21 +348,32 @@ class SessionStore:
         Raises :class:`UncacheableValueError` when a factory has no
         stable content identity.
         """
-        return session_key(
+        return session_keys(
             spec.scheme,
             spec.network,
             spec.algorithm_factory,
             spec.estimator_factory,
             spec.fault_plan,
             self._video_digest(video),
-            self._trace_digest(trace),
+            [self._trace_digest(trace) for trace in traces],
             config,
         )
 
+    def key_for(
+        self,
+        spec,
+        video: VideoAsset,
+        trace: NetworkTrace,
+        config: SessionConfig,
+    ) -> str:
+        """Store key for one session (see :meth:`keys_for`)."""
+        (key,) = self.keys_for(spec, video, (trace,), config)
+        return key
+
     # -- entry I/O ------------------------------------------------------
 
-    def _entry_path(self, key: str) -> Path:
-        return self._objects / key[:2] / f"{key}.json"
+    def _entry_path(self, key: str) -> str:
+        return f"{self._objects_dir}/{key[:2]}/{key}.json"
 
     def has(self, key: str) -> bool:
         """Whether an entry file exists under ``key`` — stats-neutral.
@@ -314,7 +385,7 @@ class SessionStore:
         as present — it is surfaced (and charged) by :meth:`get` when
         the merge actually reads it.
         """
-        return self._entry_path(key).is_file()
+        return os.path.isfile(self._entry_path(key))
 
     def get(self, key: str) -> Optional[SessionMetrics]:
         """The cached metrics under ``key``, or None (miss / bad entry).
@@ -324,9 +395,9 @@ class SessionStore:
         :attr:`stats` ``.corrupt``, reported as a miss, and never
         returned as data.
         """
-        path = self._entry_path(key)
         try:
-            raw = path.read_bytes()
+            with open(self._entry_path(key), "rb") as handle:
+                raw = handle.read()
         except OSError:
             self._misses += 1
             return None
@@ -356,7 +427,7 @@ class SessionStore:
         payload = entry.get("payload")
         if not isinstance(payload, dict):
             return None
-        if tuple(sorted(payload)) != tuple(sorted(_METRIC_FIELDS)):
+        if tuple(sorted(payload)) != _SORTED_METRIC_FIELDS:
             return None
         if entry.get("checksum") != _payload_checksum(payload):
             return None
@@ -375,7 +446,7 @@ class SessionStore:
             "checksum": _payload_checksum(payload),
         }
         raw = json.dumps(entry, sort_keys=True).encode("utf-8")
-        path = self._entry_path(key)
+        path = Path(self._entry_path(key))
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_bytes(raw)

@@ -14,10 +14,10 @@ traces are published once into the shared-memory data plane (inline
 initializer pickles when shared memory is unavailable), each edge is
 one unit run by :func:`run_edge_in_worker`, and a worker death is
 recovered once — the pool is respawned and the unfinished edges rerun.
-A second pool break, or an edge that raises, aborts the run; the
-raised error names the edge. Telemetry rides the existing rails —
-fleet spans (a pooled traced run ships each edge's stage spans back
-from its worker) stitch into the parent
+A second pool break aborts the run. So does an edge that raises, serial
+or pooled alike, with a ``RuntimeError`` naming the edge. Telemetry
+rides the existing rails — fleet spans (a pooled traced run ships each
+edge's stage spans back from its worker) stitch into the parent
 :class:`~repro.telemetry.spans.SpanTracer`, counters/gauges land in a
 :class:`~repro.telemetry.metrics.MetricsRegistry` (servable live via
 ``repro fleet --serve-metrics``), and a
@@ -361,6 +361,13 @@ def run_edge_in_worker(edge_index: int):
 # ---------------------------------------------------------------------------
 
 
+def _edge_failure(edge_index: int, error: BaseException) -> RuntimeError:
+    """The error a fleet run aborts with when an edge raises, on either drain."""
+    return RuntimeError(
+        f"fleet edge {edge_index} failed: {type(error).__name__}: {error}"
+    )
+
+
 class FleetRunner:
     """Plan, shard, drain and merge one fleet simulation."""
 
@@ -440,9 +447,12 @@ class FleetRunner:
                 # Stage timing pays per-event clock reads, so the loop
                 # only times itself when a trace is wanted.
                 timer = StageTimer() if tracer is not None else None
-                edge = simulate_edge(
-                    self.spec, index, videos, traces[index], stage_timer=timer
-                )
+                try:
+                    edge = simulate_edge(
+                        self.spec, index, videos, traces[index], stage_timer=timer
+                    )
+                except Exception as exc:
+                    raise _edge_failure(index, exc) from exc
                 if timer is not None:
                     tracer.record_stages(timer, cat="fleet", edge=index)
                 edges.append(edge)
@@ -461,10 +471,7 @@ class FleetRunner:
 
         def settle(edge_index, _attempt, edge, error) -> bool:
             if error is not None:
-                raise RuntimeError(
-                    f"fleet edge {edge_index} failed: "
-                    f"{type(error).__name__}: {error}"
-                ) from error
+                raise _edge_failure(edge_index, error) from error
             ready[edge_index] = edge
             while len(edges) in ready:
                 edges.append(ready.pop(len(edges)))

@@ -8,6 +8,7 @@ cold computation it replaced, serial or pooled; and a damaged store
 degrades to a cold one — corrupt entries read as misses, never as data.
 """
 
+import hashlib
 import json
 import multiprocessing
 
@@ -24,7 +25,7 @@ from repro.experiments.store import (
     fingerprint,
 )
 from repro.faults.plan import FaultPlan, OutageFault
-from repro.network.traces import NetworkTrace
+from repro.network.traces import NetworkTrace, synthesize_lte_traces
 from repro.player.session import SessionConfig
 from repro.telemetry.metrics import STORE_UNCACHEABLE_METRIC, MetricsRegistry
 
@@ -207,6 +208,72 @@ def _short_spec():
     )
 
 
+#: Keys of three seeded LTE sessions per spec. Any drift in the key
+#: bytes orphans every existing store, so these change only together
+#: with STORE_SCHEMA_VERSION.
+GOLDEN_KEYS = {
+    "default": (
+        "decdc8f80de5634115d2214e1e9d6853e3ad5da7",
+        "d2398666c69979957c8b1d41bd87a8f9b1539fec",
+        "b2d7ccf0f9b0f1fa1f1b8f7e7f369562c0b1ff7c",
+    ),
+    "fcc": (
+        "d59a449d9f20c0983970f586b114e1c366783126",
+        "de363719b59cbf8eefeecca5fa1930f9f9530e53",
+        "08a2378c8791457799bb89e196f5b34ed57d1343",
+    ),
+    "cava-factory": (
+        "da62fe15751385a1285d30b28df2b90283f1ab38",
+        "c4f75372351e0dced8bf5d187c1335ee03606f5c",
+        "b99de42bfdaaaf2bb8fd9bd8caa573028fe14354",
+    ),
+    "fault-plan": (
+        "6ff118a15ed6de6b7e1db54e7da2ca642ca7ce01",
+        "6b73c1454a653ed1db54d3f1995252e29d33224d",
+        "bf4db8ecf16d216bfaa9cf9806b6a2204572d445",
+    ),
+    "session-config": (
+        "fe7b4ea9a90df0306696d4401d35f69d7a2a2805",
+        "5978cabc6065b5610c75ee3d2f21cec37968b0cf",
+        "9c91581951450644c0a59c0adcf41466a24e00bf",
+    ),
+}
+
+GOLDEN_CASES = {
+    "default": ({}, SessionConfig()),
+    "fcc": ({"scheme": "RBA", "network": "fcc"}, SessionConfig()),
+    "cava-factory": (
+        {"algorithm_factory": CavaFactory(CavaConfig(inner_window_s=20.0))},
+        SessionConfig(),
+    ),
+    "fault-plan": (
+        {"fault_plan": FaultPlan((OutageFault(p=0.05),), seed=7)},
+        SessionConfig(),
+    ),
+    "session-config": ({}, SessionConfig(startup_latency_s=5.0)),
+}
+
+
+class TestGoldenKeys:
+    """Key bytes are pinned, so existing stores stay warm across changes."""
+
+    @pytest.fixture(scope="class")
+    def golden_inputs(self):
+        from repro.video.dataset import build_video
+
+        return build_video(_short_spec(), seed=0), synthesize_lte_traces(count=3, seed=0)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_keys_match_golden(self, tmp_path, golden_inputs, case):
+        video, traces = golden_inputs
+        overrides, config = GOLDEN_CASES[case]
+        spec = _base_spec(video, **overrides)
+        keys = SessionStore(tmp_path / "batch").keys_for(spec, video, traces, config)
+        single = SessionStore(tmp_path / "single")
+        assert keys == list(GOLDEN_KEYS[case])
+        assert keys == [single.key_for(spec, video, trace, config) for trace in traces]
+
+
 class TestCrossProcessKeys:
     """Equal inputs must digest identically under fork and spawn."""
 
@@ -235,6 +302,57 @@ class TestCrossProcessKeys:
                 (str(tmp_path / "child"), spec, short_video, one_lte_trace, config),
             )
         assert child_key == parent_key
+
+
+def _signed(payload):
+    """The entry checksum, computed independently of the store."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def _edit_entry(edit):
+    """A defect that edits the parsed entry and writes it back as ``put`` does."""
+
+    def damage(raw):
+        entry = json.loads(raw)
+        edit(entry)
+        return json.dumps(entry, sort_keys=True).encode("utf-8")
+
+    return damage
+
+
+def _edit_payload(edit):
+    """A payload defect re-signed with a valid checksum, so only the
+    field-set check can catch it."""
+
+    def apply(entry):
+        edit(entry["payload"])
+        entry["checksum"] = _signed(entry["payload"])
+
+    return _edit_entry(apply)
+
+
+def _flip_checksum_digit(entry):
+    checksum = entry["checksum"]
+    entry["checksum"] = ("1" if checksum[0] == "0" else "0") + checksum[1:]
+
+
+#: One defect per check of the read path: (verify() report prefix,
+#: damage applied to the entry bytes).
+ENTRY_DEFECTS = {
+    "key-not-filename": (
+        "corrupt",
+        _edit_entry(lambda entry: entry.update(key="0" * len(entry["key"]))),
+    ),
+    "missing-field": ("corrupt", _edit_payload(lambda p: p.pop("rebuffer_s"))),
+    "extra-field": ("corrupt", _edit_payload(lambda p: p.update(bogus=0.0))),
+    "flipped-checksum-digit": ("corrupt", _edit_entry(_flip_checksum_digit)),
+    "truncated": ("corrupt", lambda raw: raw[: len(raw) // 2]),
+    "schema-bumped": (
+        "stale",
+        _edit_entry(lambda entry: entry.update(schema=entry["schema"] + 1)),
+    ),
+}
 
 
 class TestEntryIO:
@@ -295,6 +413,45 @@ class TestEntryIO:
         assert store.get(key) is None  # stale is a miss, never data
         problems = store.verify()
         assert len(problems) == 1 and "stale" in problems[0].problem
+
+    def _put_one(self, root, short_video, one_lte_trace):
+        """Store one RBA session; returns its key, metrics and entry path."""
+        store = SessionStore(root)
+        key = store.key_for(
+            _base_spec(short_video, scheme="RBA"),
+            short_video,
+            one_lte_trace,
+            SessionConfig(),
+        )
+        metric = self._one_metric(short_video, one_lte_trace)
+        store.put(key, metric)
+        (path,) = self._entry_paths(store)
+        return key, metric, path
+
+    @pytest.mark.parametrize("defect", list(ENTRY_DEFECTS))
+    def test_defective_entry_reads_as_miss(
+        self, tmp_path, short_video, one_lte_trace, defect
+    ):
+        key, _metric, path = self._put_one(tmp_path, short_video, one_lte_trace)
+        kind, damage = ENTRY_DEFECTS[defect]
+        path.write_bytes(damage(path.read_bytes()))
+
+        reader = SessionStore(tmp_path)
+        assert reader.get(key) is None
+        assert (reader.stats.hits, reader.stats.misses, reader.stats.corrupt) == (0, 1, 1)
+        problems = reader.verify()
+        assert [problem.path for problem in problems] == [path]
+        assert problems[0].problem.startswith(kind)
+
+    def test_rewritten_intact_entry_still_hits(
+        self, tmp_path, short_video, one_lte_trace
+    ):
+        """The defect table's rewrite and re-sign alone break nothing."""
+        key, metric, path = self._put_one(tmp_path, short_video, one_lte_trace)
+        path.write_bytes(_edit_payload(lambda payload: None)(path.read_bytes()))
+        reader = SessionStore(tmp_path)
+        assert reader.get(key) == metric
+        assert reader.verify() == []
 
     def test_gc_bounds_entry_count(self, tmp_path, short_video, lte_traces):
         store = SessionStore(tmp_path)

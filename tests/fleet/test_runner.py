@@ -112,15 +112,23 @@ class TestWorkerFailures:
         with pytest.raises(BrokenProcessPool, match="twice"):
             run_fleet(SPEC, n_workers=2, mp_context="fork")
 
-    def test_raising_edge_is_named(self, monkeypatch):
+    def assert_raising_edge_named(self, monkeypatch, n_workers):
         def fail():
             raise ValueError("injected edge failure")
 
         self.patch_edge(monkeypatch, 2, fail)
         with pytest.raises(
             RuntimeError, match="fleet edge 2 failed: ValueError: injected edge failure"
-        ):
-            run_fleet(SPEC, n_workers=2, mp_context="fork")
+        ) as raised:
+            run_fleet(SPEC, n_workers=n_workers, mp_context="fork")
+        assert isinstance(raised.value.__cause__, ValueError)
+
+    def test_raising_edge_is_named(self, monkeypatch):
+        self.assert_raising_edge_named(monkeypatch, n_workers=2)
+
+    def test_raising_edge_is_named_serially(self, monkeypatch):
+        """The serial drain aborts with the same error as the pooled one."""
+        self.assert_raising_edge_named(monkeypatch, n_workers=1)
 
 
 class TestEdgeTraces:

@@ -10,10 +10,14 @@ store keys, summaries, and figures are unchanged by how sessions were
 executed.
 
 Not every configuration is batchable. :func:`batch_capability` is the
-single routing probe shared by the serial runner and the parallel sweep
-engine; anything it rejects (custom estimators, idle-requesting schemes
-such as BOLA-E, latency fault injection, schemes without a vectorized
-decider) silently falls back to the scalar loop. Setting the
+routing probe, asked by the one unit runner
+(:func:`repro.experiments.worker.sweep_batch`) and by unit sizing
+(:func:`repro.experiments.scheduler.session_cost`); a unit it rejects
+(single traces, custom estimators, idle-requesting schemes such as
+BOLA-E, latency fault injection, schemes without a vectorized decider)
+runs on the scalar loop, as does one whose decider declines. That is
+routing, not error handling: an exception raised by the engine fails
+the unit loudly and is never retried on the scalar loop. Setting the
 ``REPRO_DISABLE_BATCH`` environment variable (to anything non-empty)
 forces the scalar path everywhere — the escape hatch for debugging and
 for the equality tests themselves.

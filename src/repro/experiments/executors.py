@@ -14,7 +14,8 @@ metric and span snapshots.
 The scheduler (:mod:`repro.experiments.scheduler`) decides *what* to
 run; an executor backend decides *where and how*. Both backends share
 one contract — given a planned grid they must produce the exact result
-list the serial runner would, bit for bit:
+list the engine's in-process serial path would, bit for bit. Every path
+runs a unit through :func:`~repro.experiments.worker.run_unit`:
 
 - :class:`PoolExecutorBackend` — the default: fan work units over
   :func:`drain_pool`, settling each through :class:`SweepLedger` (store
@@ -68,7 +69,7 @@ from repro.experiments.worker import (
     WORKERS_METRIC,
     init_worker,
     run_batch_in_worker,
-    sweep_batch,
+    run_unit,
 )
 from repro.faults.plan import FaultPlan
 from repro.network.traces import NetworkTrace
@@ -91,7 +92,6 @@ from repro.telemetry.pipeline import (
     SPAN_STORE_MERGE,
     SPAN_SWEEP_DRAIN,
     SPAN_SWEEP_MERGE,
-    SPAN_UNIT_RUN,
 )
 from repro.telemetry.spans import SpanTracer, maybe_span
 from repro.video.model import VideoAsset
@@ -596,24 +596,19 @@ class MultiHostExecutorBackend(ExecutorBackend):
                         video = videos[spec.video_key]
                         traces = ctx.traces_by_plan[spec.fault_plan]
                         for run_start, run_stop in contiguous_runs(missing):
-                            with maybe_span(
+                            run_metrics, error = run_unit(
+                                spec,
+                                video,
+                                traces[run_start:run_stop],
+                                ctx.config,
+                                cache,
+                                registry,
                                 tracer,
-                                SPAN_UNIT_RUN,
-                                cat="unit",
-                                scheme=spec.describe(),
-                                video=spec.video_key,
                                 start=run_start,
                                 stop=run_stop,
-                            ):
-                                run_metrics = sweep_batch(
-                                    spec,
-                                    video,
-                                    traces[run_start:run_stop],
-                                    ctx.config,
-                                    cache,
-                                    registry,
-                                    tracer,
-                                )
+                            )
+                            if error is not None:
+                                raise error
                             engine._store_unit(spec_keys, run_start, run_metrics)
                             completed_sessions += len(run_metrics)
                             engine._progress_update(

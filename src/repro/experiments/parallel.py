@@ -1,20 +1,21 @@
-"""Sweep engine facade: the §6 evaluation grid on all cores (or hosts).
+"""Sweep engine: the §6 evaluation grid, serially or on all cores (or hosts).
 
-The serial runner replays one session at a time, so a Table 1 / Fig. 8
-scale sweep (10+ schemes x 16 videos x 200 traces) is bottlenecked on a
-single core. Sessions are embarrassingly parallel — each (scheme, video,
-trace) triple is independent and fully seeded — so this engine fans
-trace *batches* out over a pluggable executor backend and reassembles
-results in submission order.
+Every sweep runs here: :func:`repro.experiments.runner.run_comparison`
+and :func:`~repro.experiments.runner.run_scheme_on_traces` hand their
+arguments to :class:`ParallelSweepRunner`, as do the CLI, the tuner and
+the figure/table modules. Sessions are embarrassingly parallel — each
+(scheme, video, trace) triple is independent and fully seeded — so the
+engine plans trace *batches*, runs them in process or over a pluggable
+executor backend, and reassembles results in submission order.
 
 The engine is split into three layers (one module each):
 
 - :mod:`repro.experiments.scheduler` — backend-agnostic planning: the
   grid vocabulary, cache-hit partitioning against the session store,
   cost-aware batch sizing, deterministic assembly;
-- :mod:`repro.experiments.worker` — the worker-side unit execution
-  every backend funnels into (batch engine + scalar fallback, per-unit
-  telemetry);
+- :mod:`repro.experiments.worker` — :func:`~repro.experiments.worker.
+  run_unit`, the one function that runs a work unit on every path
+  (lockstep batch engine or scalar loop, per-unit telemetry);
 - :mod:`repro.experiments.executors` — the two executor backends:
   ``"pool"`` (local process pool, the default) and ``"multihost"``
   (workers on any number of machines cooperating through atomic lease
@@ -30,10 +31,10 @@ Design points:
 
 - **Determinism.** Work units are indexed at submission; results are
   keyed by that index and concatenated in order, so the output is
-  bit-identical to the serial runner and identically ordered no matter
-  which worker — or which *host* — finishes first. Retried units re-run
-  the same seeded sessions, so a retry that succeeds is bit-identical
-  to a first-try success.
+  bit-identical to an in-process serial run and identically ordered no
+  matter which worker — or which *host* — finishes first. Retried units
+  re-run the same seeded sessions, so a retry that succeeds is
+  bit-identical to a first-try success.
 - **Shared-artifact caching.** Each worker holds one
   :class:`~repro.experiments.artifacts.ArtifactCache`, so a video's
   manifest/classifier and a trace's cumulative-bits table are built once
@@ -59,9 +60,10 @@ Design points:
   estimate (MPC-family rollouts cost many CAVA sessions), so cheap
   schemes get large batches that amortize pool overhead while expensive
   schemes split fine enough to balance the pool tail.
-- **Graceful serial fallback.** ``n_workers=1`` — or a grid too small to
-  amortize pool startup — runs in-process through the exact same batch
-  code path, with the same cache and failure-policy semantics.
+- **In-process serial path.** ``n_workers=1`` — or a grid too small to
+  amortize pool startup — runs in-process through the same
+  :func:`~repro.experiments.worker.run_unit`, settled by the same ledger,
+  with the same cache and failure-policy semantics.
 - **Sweep telemetry.** Attach a
   :class:`~repro.telemetry.metrics.MetricsRegistry` and every work unit
   reports sessions completed/failed, wall time, and artifact-cache
@@ -148,7 +150,7 @@ from repro.experiments.worker import (
     SKIPPED_UNITS_METRIC,
     UNIT_SECONDS_METRIC,
     WORKERS_METRIC,
-    sweep_batch,
+    run_unit,
 )
 from repro.faults.plan import FaultPlan
 from repro.network.traces import NetworkTrace
@@ -527,8 +529,9 @@ class ParallelSweepRunner:
                 after.bytes_written - before.bytes_written,
             ),
         ):
-            if delta:
-                registry.counter(name, help_text).inc(delta)
+            # Registered even at zero, so a warm run's dump reads
+            # "misses 0" rather than leaving the line out.
+            registry.counter(name, help_text).inc(delta)
 
     # -- telemetry plumbing --------------------------------------------
 
@@ -589,30 +592,17 @@ class ParallelSweepRunner:
 
         def attempt_unit(unit: WorkUnit):
             spec = ctx.specs[unit.spec_idx]
-            try:
-                # The same unit.run span the pool workers record, so
-                # serial and pooled traces share one shape.
-                with maybe_span(
-                    self.tracer,
-                    SPAN_UNIT_RUN,
-                    cat="unit",
-                    scheme=spec.describe(),
-                    video=spec.video_key,
-                    start=unit.start,
-                    stop=unit.stop,
-                ):
-                    metrics = sweep_batch(
-                        spec,
-                        ctx.videos[spec.video_key],
-                        ctx.traces_by_plan[spec.fault_plan][unit.start : unit.stop],
-                        ctx.config,
-                        cache,
-                        self.registry,
-                        self.tracer,
-                    )
-            except SweepWorkerError as exc:
-                return None, exc
-            return metrics, None
+            return run_unit(
+                spec,
+                ctx.videos[spec.video_key],
+                ctx.traces_by_plan[spec.fault_plan][unit.start : unit.stop],
+                ctx.config,
+                cache,
+                self.registry,
+                self.tracer,
+                start=unit.start,
+                stop=unit.stop,
+            )
 
         for unit in units:
             attempt = 1
@@ -664,7 +654,8 @@ class ParallelSweepRunner:
         estimator_factory: Optional[EstimatorFactory] = None,
         algorithm_factory=None,
     ) -> SweepResult:
-        """Parallel counterpart of :func:`run_scheme_on_traces`."""
+        """One scheme over ``traces`` (what :func:`run_scheme_on_traces`
+        runs)."""
         spec = SweepSpec(
             scheme=scheme,
             video_key=video.name,
@@ -682,8 +673,9 @@ class ParallelSweepRunner:
         network: str = "lte",
         config: SessionConfig = SessionConfig(),
     ) -> Dict[str, SweepResult]:
-        """Parallel counterpart of :func:`run_comparison`: same traces,
-        same ordering, one pool for the whole scheme set."""
+        """Several schemes over the same traces (what
+        :func:`run_comparison` runs): same ordering, one pool for the
+        whole scheme set."""
         specs = [
             SweepSpec(scheme=scheme, video_key=video.name, network=network)
             for scheme in schemes

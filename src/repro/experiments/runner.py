@@ -13,12 +13,14 @@ The runner owns the conventions the whole evaluation shares (§6.1):
 Results come back as plain lists of :class:`SessionMetrics`; the figure
 and table modules aggregate from there.
 
-Expensive per-video and per-trace artifacts (manifests, classifiers,
-cumulative-bits tables) are memoized through an
-:class:`~repro.experiments.artifacts.ArtifactCache`; pass one cache to
-several calls to share artifacts across schemes. For multi-core
-execution, set ``n_workers`` on :func:`run_comparison` (or use
-:class:`repro.experiments.parallel.ParallelSweepRunner` directly).
+This module holds one session (:func:`run_one_session`), the result
+types and :func:`aggregate`. Sweeps are not run here:
+:func:`run_scheme_on_traces` and :func:`run_comparison` hand their
+arguments to :class:`repro.experiments.parallel.ParallelSweepRunner`, the
+one sweep path, which memoizes manifests, classifiers and links in an
+:class:`~repro.experiments.artifacts.ArtifactCache` and runs batchable
+units on the lockstep batch engine. Set ``n_workers`` on
+:func:`run_comparison` for multi-core execution.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ if TYPE_CHECKING:  # annotation only; the engine imports it for real
 from repro.abr.base import ABRAlgorithm
 from repro.abr.registry import make_scheme, needs_quality_manifest
 from repro.experiments.artifacts import ArtifactCache
-from repro.experiments.batch import batch_capability, run_batch_metrics
 from repro.network.estimator import BandwidthEstimator
 from repro.network.traces import NetworkTrace
 from repro.player.metrics import SessionMetrics, metric_for_network, summarize_session
@@ -146,9 +147,9 @@ def run_one_session(
 ) -> SessionMetrics:
     """Run and summarize a single (scheme, video, trace) session.
 
-    The unit of work shared by the serial runner and the parallel sweep
-    engine's workers; ``cache`` supplies (or memoizes) the manifest,
-    classifier, and link artifacts.
+    The sweep engine's scalar loop runs each session of a unit the
+    lockstep engine does not take through here; ``cache`` supplies (or
+    memoizes) the manifest, classifier, and link artifacts.
 
     ``fault_plan`` applies only the plan's *link-level* faults (latency
     spikes) here. Trace-level perturbations are applied once per trace
@@ -182,51 +183,22 @@ def run_scheme_on_traces(
     config: SessionConfig = SessionConfig(),
     estimator_factory: Optional[EstimatorFactory] = None,
     algorithm_factory: Optional[Callable[[], ABRAlgorithm]] = None,
-    cache: Optional[ArtifactCache] = None,
 ) -> SweepResult:
     """Run one scheme over a trace set and summarize each session.
 
     ``algorithm_factory`` overrides the registry (used by parameter
     sweeps); ``estimator_factory`` lets the §6.7 study install a
-    controlled-error estimator per trace; ``cache`` shares artifacts
-    with other sweeps in the same process.
-
-    Multi-trace sweeps of batchable configurations are executed on the
-    lockstep batch engine (:mod:`repro.experiments.batch`) — results
-    are bit-identical to the scalar loop, just an order of magnitude
-    faster; anything the :func:`~repro.experiments.batch.
-    batch_capability` probe rejects (or a decider declines) falls back
-    to the per-trace loop below.
+    controlled-error estimator per trace. A one-spec, in-process run of
+    the sweep engine (:class:`~repro.experiments.parallel.
+    ParallelSweepRunner`), so a failing session raises its
+    :class:`~repro.experiments.scheduler.SweepWorkerError`.
     """
-    if not traces:
-        raise ValueError("need at least one trace")
-    if cache is None:
-        cache = ArtifactCache()
-    if batch_capability(
-        scheme,
-        network=network,
-        algorithm_factory=algorithm_factory,
-        estimator_factory=estimator_factory,
-        num_traces=len(traces),
-    ):
-        batched = run_batch_metrics(
-            scheme, video, traces, network, config, cache, algorithm_factory
-        )
-        if batched is not None:
-            return SweepResult(
-                scheme=scheme,
-                video_name=video.name,
-                network=network,
-                metrics=batched,
-            )
-    results = [
-        run_one_session(
-            scheme, video, trace, network, config,
-            estimator_factory, algorithm_factory, cache,
-        )
-        for trace in traces
-    ]
-    return SweepResult(scheme=scheme, video_name=video.name, network=network, metrics=results)
+    from repro.experiments.parallel import ParallelSweepRunner
+
+    return ParallelSweepRunner(n_workers=1).run_scheme(
+        scheme, video, traces, network, config,
+        estimator_factory, algorithm_factory,
+    )
 
 
 def run_comparison(
@@ -247,58 +219,42 @@ def run_comparison(
 ) -> Dict[str, SweepResult]:
     """Run several schemes under identical conditions (same traces).
 
-    ``n_workers`` routes the sweep through the process-pool engine:
-    ``1`` (the default) runs serially in this process, ``None`` uses all
-    cores, any other value that many workers. Results are bit-identical
-    and identically ordered regardless of worker count.
+    The arguments go straight to :class:`repro.experiments.parallel.
+    ParallelSweepRunner`, so every option behaves the same at every
+    worker count. ``n_workers=1`` (the default) runs in this process,
+    ``None`` uses all cores, any other value that many workers. Results
+    are bit-identical and identically ordered regardless of worker
+    count.
 
     ``registry`` attaches sweep telemetry (sessions, per-unit wall time,
     cache hits — see :mod:`repro.telemetry.metrics`); ``fault_plan``
     replays the grid under injected adverse conditions; ``on_error`` /
-    ``max_retries`` select the failure policy; ``store`` attaches a
-    :class:`~repro.experiments.store.SessionStore` so previously
-    computed sessions are read back instead of re-run (see
-    :class:`repro.experiments.parallel.ParallelSweepRunner`). ``tracer``
-    (a :class:`~repro.telemetry.spans.SpanTracer`) records the stitched
-    sweep span timeline for Chrome-trace export, and ``progress`` (a
-    :class:`~repro.telemetry.pipeline.ProgressBoard`) streams live
-    progress for ``repro top``. ``executor`` selects the backend that
-    runs the planned units (``"pool"`` or ``"multihost"`` — see
-    :mod:`repro.experiments.executors`); both backends return
-    bit-identical results. Any non-default value routes through the
-    engine so serial and pooled runs behave identically.
+    ``max_retries`` select the failure policy (``"raise"`` raises the
+    failing unit's :class:`~repro.experiments.scheduler.SweepWorkerError`);
+    ``store`` attaches a :class:`~repro.experiments.store.SessionStore`
+    so previously computed sessions are read back instead of re-run.
+    ``tracer`` (a :class:`~repro.telemetry.spans.SpanTracer`) records the
+    stitched sweep span timeline for Chrome-trace export, and
+    ``progress`` (a :class:`~repro.telemetry.pipeline.ProgressBoard`)
+    streams live progress for ``repro top``. ``executor`` selects the
+    backend that runs the planned units (``"pool"`` or ``"multihost"`` —
+    see :mod:`repro.experiments.executors`); both backends return
+    bit-identical results.
     """
-    if (
-        n_workers != 1
-        or registry is not None
-        or fault_plan is not None
-        or on_error != "raise"
-        or store is not None
-        or tracer is not None
-        or progress is not None
-        or executor != "pool"
-    ):
-        from repro.experiments.parallel import ParallelSweepRunner
+    from repro.experiments.parallel import ParallelSweepRunner
 
-        engine = ParallelSweepRunner(
-            n_workers=n_workers,
-            registry=registry,
-            fault_plan=fault_plan,
-            on_error=on_error,
-            max_retries=max_retries,
-            store=store,
-            tracer=tracer,
-            progress=progress,
-            executor=executor,
-        )
-        return engine.run_comparison(schemes, video, traces, network, config)
-    cache = ArtifactCache()
-    return {
-        scheme: run_scheme_on_traces(
-            scheme, video, traces, network, config, cache=cache
-        )
-        for scheme in schemes
-    }
+    engine = ParallelSweepRunner(
+        n_workers=n_workers,
+        registry=registry,
+        fault_plan=fault_plan,
+        on_error=on_error,
+        max_retries=max_retries,
+        store=store,
+        tracer=tracer,
+        progress=progress,
+        executor=executor,
+    )
+    return engine.run_comparison(schemes, video, traces, network, config)
 
 
 def aggregate(results: Dict[str, SweepResult], field_name: str) -> Dict[str, float]:

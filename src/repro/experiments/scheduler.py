@@ -435,16 +435,10 @@ class SweepScheduler:
         unit catalogue from the grid alone, so lease-file names line up
         across hosts. Units whose sessions are already in the shared
         store are simply observed as complete without being leased.
+        It is :meth:`plan_units` with every trace of every spec missing.
         """
-        units: List[WorkUnit] = []
-        for spec_idx, spec in enumerate(specs):
-            cost = session_cost(spec)
-            num_traces = len(traces_by_plan[spec.fault_plan])
-            for start, stop in batch_bounds(
-                num_traces, workers, cost, self.batch_size
-            ):
-                units.append(WorkUnit(len(units), spec_idx, start, stop))
-        return units
+        full = [[(0, len(traces_by_plan[spec.fault_plan]))] for spec in specs]
+        return self.plan_units(specs, full, workers)
 
     # -- result assembly ------------------------------------------------
 

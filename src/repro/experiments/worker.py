@@ -1,15 +1,18 @@
 """Worker-side sweep machinery shared by every executor backend.
 
-One work unit's execution is the same everywhere — the in-process pool,
-a leased multi-host ``repro sweep-worker`` process, and the serial
-fallback all funnel into :func:`sweep_batch`.
+One work unit runs the same way everywhere: the pool worker, a leased
+multi-host ``repro sweep-worker`` process and the engine's in-process
+serial path all call :func:`run_unit`, which opens the unit's
+``unit.run`` span around :func:`sweep_batch` (the lockstep batch engine,
+or the scalar loop for what it cannot run, plus the per-unit telemetry
+fold :func:`record_unit`) and hands a failure back as a value.
 This module owns that path plus the pool-process plumbing around it:
 the per-process :data:`WORKER_STATE` pinned by :func:`init_worker`
-(shared-memory attach or inline assets), the three-integer task entry
-point :func:`run_batch_in_worker`, and the per-unit telemetry fold
-:func:`record_unit`. :func:`init_worker` sets up every worker of the
-one process-pool drain (:func:`repro.experiments.executors.drain_pool`),
-so fleet workers are pinned here too and their task
+(shared-memory attach or inline assets) and the three-integer task entry
+point :func:`run_batch_in_worker`. :func:`init_worker` sets up every
+worker of the one process-pool drain
+(:func:`repro.experiments.executors.drain_pool`), so fleet workers are
+pinned here too and their task
 (:func:`repro.fleet.runner.run_edge_in_worker`) reads the same state.
 
 Nothing here knows about scheduling, leases, or failure policy — those
@@ -37,7 +40,11 @@ from repro.telemetry.metrics import (
     SHM_ATTACHED_WORKERS_METRIC,
     MetricsRegistry,
 )
-from repro.telemetry.pipeline import SPAN_SESSION_SCALAR, SPAN_UNIT_BATCH
+from repro.telemetry.pipeline import (
+    SPAN_SESSION_SCALAR,
+    SPAN_UNIT_BATCH,
+    SPAN_UNIT_RUN,
+)
 from repro.telemetry.spans import SpanTracer, StageTimer, maybe_span
 from repro.video.model import VideoAsset
 
@@ -57,6 +64,7 @@ __all__ = [
     "init_worker",
     "record_unit",
     "sweep_batch",
+    "run_unit",
     "run_batch_in_worker",
 ]
 
@@ -74,8 +82,8 @@ POOL_RESPAWNS_METRIC = "repro_sweep_pool_respawns_total"
 FAULTS_INJECTED_METRIC = "repro_sweep_faults_injected_total"
 
 
-# Populated by init_worker in every pool process (and used directly by
-# the serial fallback through sweep_batch's explicit arguments).
+# Populated by init_worker in every pool process (the serial path hands
+# run_unit the same things as explicit arguments).
 WORKER_STATE: Dict[str, object] = {}
 
 
@@ -173,28 +181,33 @@ def sweep_batch(
     recorded even when the unit fails, so partial progress is counted.
     ``tracer`` (optional) records the unit's span hierarchy: the batch
     engine's run plus its aggregate estimate/decide/advance stage costs,
-    or one span per scalar session on the fallback path. Results are
+    or one span per scalar session on the scalar path. Results are
     identical with or without either.
 
     Batchable multi-trace units run on the lockstep batch engine
     (:mod:`repro.experiments.batch`) — bit-identical results, one
-    vectorized pass instead of a per-trace loop. Any configuration the
-    capability probe rejects, a decider declines, or the engine fails
-    on falls back silently to the scalar loop below.
+    vectorized pass instead of a per-trace loop. A configuration the
+    capability probe rejects, or a decider declines, runs the scalar
+    loop below instead. An exception on either path raises a
+    :class:`SweepWorkerError` naming the spec, the video and the trace:
+    the failing session's on the scalar path, the unit's first trace on
+    the engine, which runs every lane at once.
     """
     out: List[SessionMetrics] = []
+    failed = 0
+    at = 0  # index of the trace a failure is blamed on
     start_s = time.perf_counter()
     stats_before = cache.stats
-    if batch_capability(
-        spec.scheme,
-        network=spec.network,
-        algorithm_factory=spec.algorithm_factory,
-        estimator_factory=spec.estimator_factory,
-        fault_plan=spec.fault_plan,
-        num_traces=len(batch),
-    ):
-        stage_timer = StageTimer() if tracer is not None else None
-        try:
+    try:
+        if batch_capability(
+            spec.scheme,
+            network=spec.network,
+            algorithm_factory=spec.algorithm_factory,
+            estimator_factory=spec.estimator_factory,
+            fault_plan=spec.fault_plan,
+            num_traces=len(batch),
+        ):
+            stage_timer = StageTimer() if tracer is not None else None
             with maybe_span(
                 tracer,
                 SPAN_UNIT_BATCH,
@@ -216,22 +229,10 @@ def sweep_batch(
                     # Aggregate stage spans nest under the open
                     # unit.batch span (one span per stage, not per step).
                     tracer.record_stages(stage_timer, scheme=spec.describe())
-        except Exception:  # noqa: BLE001 - scalar loop is the oracle
-            batched = None
-        if batched is not None:
-            if registry is not None:
-                stats_after = cache.stats
-                record_unit(
-                    registry,
-                    completed=len(batched),
-                    failed=0,
-                    elapsed_s=time.perf_counter() - start_s,
-                    hits_delta=stats_after.hits - stats_before.hits,
-                    misses_delta=stats_after.misses - stats_before.misses,
-                )
-            return batched
-    for trace in batch:
-        try:
+            if batched is not None:
+                out = batched
+                return out
+        for at, trace in enumerate(batch):
             with maybe_span(
                 tracer, SPAN_SESSION_SCALAR, cat="session", trace=trace.name
             ):
@@ -248,32 +249,60 @@ def sweep_batch(
                         fault_plan=spec.fault_plan,
                     )
                 )
-        except Exception as exc:
-            if registry is not None:
-                stats_after = cache.stats
-                record_unit(
-                    registry,
-                    completed=len(out),
-                    failed=1,
-                    elapsed_s=time.perf_counter() - start_s,
-                    hits_delta=stats_after.hits - stats_before.hits,
-                    misses_delta=stats_after.misses - stats_before.misses,
-                )
-            raise SweepWorkerError(
-                spec.describe(), video.name, trace.name,
-                f"{type(exc).__name__}: {exc}",
-            ) from exc
-    if registry is not None:
-        stats_after = cache.stats
-        record_unit(
-            registry,
-            completed=len(out),
-            failed=0,
-            elapsed_s=time.perf_counter() - start_s,
-            hits_delta=stats_after.hits - stats_before.hits,
-            misses_delta=stats_after.misses - stats_before.misses,
-        )
-    return out
+        return out
+    except Exception as exc:
+        failed = 1
+        raise SweepWorkerError(
+            spec.describe(), video.name, batch[at].name,
+            f"{type(exc).__name__}: {exc}",
+        ) from exc
+    finally:
+        if registry is not None:
+            stats_after = cache.stats
+            record_unit(
+                registry,
+                completed=len(out),
+                failed=failed,
+                elapsed_s=time.perf_counter() - start_s,
+                hits_delta=stats_after.hits - stats_before.hits,
+                misses_delta=stats_after.misses - stats_before.misses,
+            )
+
+
+def run_unit(
+    spec: SweepSpec,
+    video: VideoAsset,
+    traces: Sequence[NetworkTrace],
+    config: SessionConfig,
+    cache: ArtifactCache,
+    registry: Optional[MetricsRegistry] = None,
+    tracer: Optional[SpanTracer] = None,
+    **span_meta,
+) -> Tuple[Optional[List[SessionMetrics]], Optional[SweepWorkerError]]:
+    """Run one work unit: the one function every sweep path calls.
+
+    The pool worker (:func:`run_batch_in_worker`), the engine's serial
+    path and the multihost backend all run a unit here: a ``unit.run``
+    span (annotated with the spec, the video and ``span_meta``) around
+    :func:`sweep_batch`. Returns ``(metrics, None)``, or ``(None,
+    error)`` when a session failed — a value, not an exception, so the
+    caller's failure policy decides what the failure does to the sweep.
+    """
+    try:
+        with maybe_span(
+            tracer,
+            SPAN_UNIT_RUN,
+            cat="unit",
+            scheme=spec.describe(),
+            video=spec.video_key,
+            **span_meta,
+        ):
+            metrics = sweep_batch(
+                spec, video, traces, config, cache, registry, tracer
+            )
+    except SweepWorkerError as exc:
+        return None, exc
+    return metrics, None
 
 
 def run_batch_in_worker(spec_idx: int, start: int, stop: int):
@@ -294,15 +323,11 @@ def run_batch_in_worker(spec_idx: int, start: int, stop: int):
     survives a failed unit: the unit span closes with an ``error``
     annotation and ships back with the :class:`SweepWorkerError`.
     """
-    from repro.telemetry.pipeline import SPAN_UNIT_RUN
-
     spec: SweepSpec = WORKER_STATE["specs"][spec_idx]  # type: ignore[index]
     videos: Mapping[str, VideoAsset] = WORKER_STATE["videos"]  # type: ignore[assignment]
     traces_by_plan: Mapping[Optional[FaultPlan], Sequence[NetworkTrace]] = (
         WORKER_STATE["traces_by_plan"]  # type: ignore[assignment]
     )
-    config: SessionConfig = WORKER_STATE["config"]  # type: ignore[assignment]
-    cache: ArtifactCache = WORKER_STATE["cache"]  # type: ignore[assignment]
     registry = MetricsRegistry() if WORKER_STATE.get("telemetry") else None
     if registry is not None and WORKER_STATE.pop("shm_attach_pending", False):
         # Exactly once per worker: its first telemetered unit reports
@@ -320,37 +345,21 @@ def run_batch_in_worker(spec_idx: int, start: int, stop: int):
         # its own: which unit a worker runs first is up to the pool, and
         # the stitched timeline's span list must not depend on that.
         attach_meta["shm_attach_s"] = WORKER_STATE.pop("shm_attach_s")
-    traces = traces_by_plan[spec.fault_plan]
-    try:
-        with maybe_span(
-            tracer,
-            SPAN_UNIT_RUN,
-            cat="unit",
-            scheme=spec.describe(),
-            video=spec.video_key,
-            start=start,
-            stop=stop,
-            **attach_meta,
-        ):
-            metrics = sweep_batch(
-                spec,
-                videos[spec.video_key],
-                traces[start:stop],
-                config,
-                cache,
-                registry,
-                tracer,
-            )
-    except SweepWorkerError as exc:
-        return (
-            None,
-            (registry.snapshot() if registry is not None else None),
-            exc,
-            (tracer.snapshot() if tracer is not None else None),
-        )
+    metrics, error = run_unit(
+        spec,
+        videos[spec.video_key],
+        traces_by_plan[spec.fault_plan][start:stop],
+        WORKER_STATE["config"],  # type: ignore[arg-type]
+        WORKER_STATE["cache"],  # type: ignore[arg-type]
+        registry,
+        tracer,
+        start=start,
+        stop=stop,
+        **attach_meta,
+    )
     return (
         metrics,
         (registry.snapshot() if registry is not None else None),
-        None,
+        error,
         (tracer.snapshot() if tracer is not None else None),
     )

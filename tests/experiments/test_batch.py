@@ -19,6 +19,9 @@ the contract at every layer the dispatch touches:
 - the ``run_comparison``/``ParallelSweepRunner`` dispatch produces the
   same sweep results whether the engine is enabled, disabled, serial,
   or pooled;
+- an exception inside the engine raises a ``SweepWorkerError`` naming
+  the scheme and video with or without telemetry, while a declining
+  decider still routes to the scalar loop;
 - unit sizing costs batchable specs with the amortized batch numbers.
 """
 
@@ -29,6 +32,8 @@ import pytest
 
 from repro.abr.registry import make_scheme, needs_quality_manifest
 from repro.experiments.artifacts import ArtifactCache
+from repro.abr.mpc import MPCAlgorithm
+from repro.experiments import batch as batch_mod
 from repro.experiments.batch import (
     DISABLE_BATCH_ENV,
     batch_capability,
@@ -45,13 +50,20 @@ from repro.experiments.golden import (
 )
 from repro.experiments.parallel import ParallelSweepRunner, SweepSpec
 from repro.experiments.runner import run_comparison
-from repro.experiments.scheduler import BATCH_SCHEME_COSTS, SCHEME_COSTS, session_cost
+from repro.experiments.scheduler import (
+    BATCH_SCHEME_COSTS,
+    SCHEME_COSTS,
+    SweepWorkerError,
+    session_cost,
+)
+from repro.experiments.worker import SESSIONS_COMPLETED_METRIC, SESSIONS_FAILED_METRIC
 from repro.faults.plan import FaultPlan, LatencyFault, ScaleFault
 from repro.network.estimator import HarmonicMeanEstimator
 from repro.network.link import TraceLink
 from repro.network.traces import synthesize_lte_traces
 from repro.player.metrics import summarize_session
 from repro.player.session import SessionConfig, StreamingSession
+from repro.telemetry.metrics import MetricsRegistry
 
 #: CI exports this to exercise the dispatch under both fork and spawn.
 MP_CONTEXT = os.environ.get("REPRO_MP_START_METHOD") or None
@@ -200,6 +212,68 @@ class TestSweepDispatch:
         pooled = engine.run_comparison(schemes, video, traces, network=GOLDEN_NETWORK)
         for scheme in schemes:
             assert pooled[scheme].metrics == scalar[scheme].metrics
+
+
+class TestEngineFailure:
+    """An exception inside the lockstep engine fails the sweep loudly,
+    whatever the options: it is never re-run on the scalar loop."""
+
+    @pytest.fixture
+    def broken_engine(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise RuntimeError("engine defect")
+
+        monkeypatch.setattr(batch_mod, "run_lockstep_sessions", explode)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda *a, **kw: run_comparison(*a, **kw), id="default"),
+            pytest.param(
+                lambda *a, **kw: run_comparison(*a, registry=MetricsRegistry(), **kw),
+                id="registry",
+            ),
+            pytest.param(
+                lambda *a, **kw: ParallelSweepRunner(n_workers=1).run_comparison(
+                    *a, **kw
+                ),
+                id="engine",
+            ),
+        ],
+    )
+    def test_engine_exception_raises_sweep_worker_error(
+        self, broken_engine, video, traces, run
+    ):
+        with pytest.raises(SweepWorkerError) as info:
+            run(["CAVA"], video, traces, network=GOLDEN_NETWORK)
+        error = info.value
+        assert error.spec_label == "CAVA"
+        assert error.video_name == video.name
+        # The engine runs every lane at once: the unit's first trace is named.
+        assert error.trace_name == traces[0].name
+        assert "CAVA" in str(error) and video.name in str(error)
+        assert isinstance(error.__cause__, RuntimeError)
+        assert "engine defect" in error.cause
+
+    def test_failed_unit_is_counted(self, broken_engine, video, traces):
+        registry = MetricsRegistry()
+        with pytest.raises(SweepWorkerError):
+            run_comparison(
+                ["CAVA"], video, traces, network=GOLDEN_NETWORK, registry=registry
+            )
+        assert registry.value(SESSIONS_FAILED_METRIC) == 1
+        assert registry.value(SESSIONS_COMPLETED_METRIC) == 0
+
+    def test_declining_decider_still_routes_to_scalar(
+        self, broken_engine, video, traces, monkeypatch
+    ):
+        # A decider that returns None is routing, not a failure: the
+        # unit runs on the scalar loop and never reaches the engine.
+        monkeypatch.setattr(MPCAlgorithm, "batch_decider", lambda self, m, n: None)
+        declined = run_comparison(["MPC"], video, traces, network=GOLDEN_NETWORK)
+        monkeypatch.setenv(DISABLE_BATCH_ENV, "1")
+        scalar = run_comparison(["MPC"], video, traces, network=GOLDEN_NETWORK)
+        assert declined["MPC"].metrics == scalar["MPC"].metrics
 
 
 class TestBatchAwareCosts:

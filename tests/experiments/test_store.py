@@ -27,7 +27,16 @@ from repro.experiments.store import (
 from repro.faults.plan import FaultPlan, OutageFault
 from repro.network.traces import NetworkTrace, synthesize_lte_traces
 from repro.player.session import SessionConfig
-from repro.telemetry.metrics import STORE_UNCACHEABLE_METRIC, MetricsRegistry
+from repro.telemetry.exporters import registry_to_prometheus
+from repro.telemetry.metrics import (
+    STORE_BYTES_READ_METRIC,
+    STORE_BYTES_WRITTEN_METRIC,
+    STORE_CORRUPT_METRIC,
+    STORE_HITS_METRIC,
+    STORE_MISSES_METRIC,
+    STORE_UNCACHEABLE_METRIC,
+    MetricsRegistry,
+)
 
 SCHEMES = ["CAVA", "RBA"]
 
@@ -531,6 +540,31 @@ class TestWarmColdIdentity:
         assert_sweeps_identical(baseline, warm)
         assert warm_store.stats.hits == len(SCHEMES) * len(traces)
         assert warm_store.stats.puts == 0
+
+    def test_warm_rerun_exports_zero_misses(self, tmp_path, short_video, lte_traces):
+        """A fully warm run still exports every store counter, so a dump
+        reads ``repro_store_misses_total 0`` rather than leaving it out."""
+        traces = lte_traces[:3]
+        ParallelSweepRunner(n_workers=1, store=SessionStore(tmp_path)).run_comparison(
+            SCHEMES, short_video, traces
+        )
+        registry = MetricsRegistry()
+        warm_store = SessionStore(tmp_path)
+        ParallelSweepRunner(
+            n_workers=1, store=warm_store, registry=registry
+        ).run_comparison(SCHEMES, short_video, traces)
+        assert warm_store.stats.hits == len(SCHEMES) * len(traces)
+        text = registry_to_prometheus(registry)
+        assert f"\n{STORE_HITS_METRIC} {len(SCHEMES) * len(traces)}" in text
+        for name in (
+            STORE_MISSES_METRIC,
+            STORE_CORRUPT_METRIC,
+            STORE_BYTES_WRITTEN_METRIC,
+        ):
+            assert registry.get(name) is not None, name
+            assert registry.value(name) == 0, name
+            assert f"\n{name} 0\n" in text, name
+        assert registry.value(STORE_BYTES_READ_METRIC) > 0
 
     def test_widened_grid_replays_only_new_sessions(
         self, tmp_path, short_video, lte_traces

@@ -10,12 +10,15 @@ store keys, summaries, and figures are unchanged by how sessions were
 executed.
 
 Not every configuration is batchable. :func:`batch_capability` is the
-routing probe, asked by the one unit runner
-(:func:`repro.experiments.worker.sweep_batch`) and by unit sizing
-(:func:`repro.experiments.scheduler.session_cost`); a unit it rejects
-(single traces, custom estimators, idle-requesting schemes such as
+probe for *can the engine replay this spec bit-identically*, asked by
+the one unit runner (:func:`repro.experiments.worker.sweep_batch`) and
+by unit sizing (:func:`repro.experiments.scheduler.session_cost`); a
+spec it rejects (custom estimators, idle-requesting schemes such as
 BOLA-E, latency fault injection, schemes without a vectorized decider)
-runs on the scalar loop, as does one whose decider declines. That is
+runs on the scalar loop, as does one whose decider declines. Whether
+the engine is *cheaper* for a unit's width is a separate question,
+answered by :func:`repro.experiments.scheduler.engine_break_even`: a
+unit narrower than its spec's break-even also runs scalar. Both are
 routing, not error handling: an exception raised by the engine fails
 the unit loudly and is never retried on the scalar loop. Setting the
 ``REPRO_DISABLE_BATCH`` environment variable (to anything non-empty)
@@ -94,17 +97,15 @@ def batch_capability(
     algorithm_factory: Optional[Callable[[], ABRAlgorithm]] = None,
     estimator_factory: Optional[Callable] = None,
     fault_plan: Optional[FaultPlan] = None,
-    num_traces: Optional[int] = None,
 ) -> BatchCapability:
     """Can this sweep configuration run on the lockstep batch engine?
 
     The probe is conservative: anything the batch engine cannot replay
     bit-identically is rejected, and the caller falls back to the scalar
-    loop. Rejection reasons, in order checked:
+    loop. It says nothing about cost: how many traces make the engine
+    worth running is :func:`repro.experiments.scheduler.engine_break_even`.
+    Rejection reasons, in order checked:
 
-    - fewer than two traces (when ``num_traces`` is given): a single
-      session gains nothing from lockstep and the scalar loop is the
-      reference path;
     - ``REPRO_DISABLE_BATCH`` set in the environment;
     - a custom per-trace estimator factory (the engine owns its
       lockstep harmonic-mean estimator);
@@ -120,8 +121,6 @@ def batch_capability(
     type-exact), in which case :func:`run_batch_sessions` returns
     ``None`` and the caller falls back.
     """
-    if num_traces is not None and num_traces < 2:
-        return _unsupported("single-trace unit; scalar loop is cheaper")
     if os.environ.get(DISABLE_BATCH_ENV):
         return _unsupported(f"{DISABLE_BATCH_ENV} set")
     if estimator_factory is not None:

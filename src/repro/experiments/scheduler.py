@@ -24,6 +24,7 @@ leasing (:mod:`repro.experiments.leases`) coordination-free.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -59,6 +60,7 @@ __all__ = [
     "WorkUnit",
     "contiguous_runs",
     "session_cost",
+    "engine_break_even",
     "batch_bounds",
     "SweepScheduler",
     "sweep_grid_id",
@@ -134,53 +136,96 @@ class WorkUnit:
 
 
 # ----------------------------------------------------------------------
-# Batch sizing
+# Cost model: unit sizing and engine routing
 # ----------------------------------------------------------------------
+#
+# Every cost below is in scalar-CAVA-session equivalents (~1.1-1.6 ms on
+# ED-youtube-h264 over LTE). All of them were measured together on
+# 2026-10-19 on a 2-core shared x86-64 host, in one process: each of 25
+# repetitions timed every configuration once, round-robin, so host noise
+# hit them alike; each time was divided by the same repetition's scalar
+# CAVA session, and the median over repetitions kept. Sessions ran on
+# ED-youtube-h264 over seeded LTE traces with the video's artifacts warm
+# and the links fresh, as every unit of a sweep after its first sees
+# them. Results are bit-identical however units are sized or routed, so
+# these numbers only move time around.
 
-#: Rough per-session cost relative to a scalar CAVA session (1-2.5 ms
-#: on one core). Each measured entry is the median over 10 processes of
-#: the ratio of median scalar `StreamingSession` wall times in that
-#: process (5 warm sessions per scheme over LTE traces); ED-ffmpeg-h264
-#: and ED-youtube-h264 agree within 2 for the planners and within 0.4
-#: for the others. Only batch *sizing* reads these — results are
-#: bit-identical however the grid is batched — so coarse numbers are
-#: fine; unknown schemes default to 1.
+#: Scalar-loop cost per session (``run_one_session``, mean over 16
+#: sessions, 4 for the planners). Unit sizing reads it for specs the
+#: engine cannot run, and :func:`engine_break_even` for the ones it can;
+#: unknown schemes default to 1.
 SCHEME_COSTS: Dict[str, float] = {
-    "MPC": 22.0,
-    "RobustMPC": 22.0,
-    "PANDA/CQ max-sum": 26.0,
-    "PANDA/CQ max-min": 27.0,
+    "MPC": 16.2,
+    "RobustMPC": 15.9,
+    "PANDA/CQ max-sum": 18.8,
+    "PANDA/CQ max-min": 20.6,
     "CAVA-oboe": 4.0,
-    "PIA": 1.7,
-    "FESTIVE": 1.1,
-    "BOLA-E (peak)": 1.0,
-    "BOLA-E (avg)": 1.0,
-    "BOLA-E (seg)": 0.9,
-    "DYNAMIC": 0.9,
-    "BBA-1": 0.7,
+    "PIA": 1.8,
+    "FESTIVE": 1.2,
+    "BOLA-E (peak)": 1.1,
+    "BOLA-E (avg)": 1.1,
+    "BOLA-E (seg)": 1.0,
+    "DYNAMIC": 1.0,
+    "BBA-1": 0.8,
+    "RBA": 0.77,
 }
 
-#: Amortized per-session cost when the unit runs on the lockstep batch
-#: engine, in scalar-CAVA equivalents, measured once on batched MPC and
-#: CAVA grids when the engine landed. Batched sessions are several times
-#: cheaper than their scalar counterparts; sizing units with the
-#: *scalar* numbers would cut batchable specs into a few traces each and
-#: squander the engine's vectorization width.
+#: Lockstep-engine cost per lane: the slope of a least-squares line
+#: through ``run_batch_metrics`` times at 2 to 32 lanes. Unit sizing
+#: costs batchable specs with it, so units stay wide enough to feed the
+#: engine's vector width instead of being cut to a few traces each.
 BATCH_SCHEME_COSTS: Dict[str, float] = {
-    "MPC": 2.2,
-    "RobustMPC": 2.2,
-    "PANDA/CQ max-sum": 5.0,
-    "PANDA/CQ max-min": 0.6,
+    "MPC": 2.1,
+    "RobustMPC": 2.1,
+    "PANDA/CQ max-sum": 3.9,
+    "PANDA/CQ max-min": 0.15,
+    "RBA": 0.06,
 }
 
-#: Default amortized cost of a batchable scheme (CAVA/RBA families) and
-#: of a batchable tuned factory (grid-search CAVA variants).
-BATCH_DEFAULT_COST = 0.15
+#: Per-lane engine cost of the CAVA family (CAVA, its P1/P12 ablations
+#: and tuned grid-search factories) and of any other batchable scheme.
+BATCH_DEFAULT_COST = 0.11
+
+#: Fixed lockstep-engine cost per unit, whatever its width: the
+#: intercept of the same line, averaged over each decider family's
+#: schemes. It is most of a narrow unit's engine time (numpy dispatch
+#: per chunk step).
+BATCH_UNIT_COSTS: Dict[str, float] = {
+    "RBA": 10.3,
+    "MPC": 24.2,
+    "RobustMPC": 24.2,
+    "PANDA/CQ max-sum": 18.2,
+    "PANDA/CQ max-min": 18.2,
+}
+
+#: Fixed engine cost per unit of the CAVA family and of any other
+#: batchable scheme.
+BATCH_DEFAULT_UNIT_COST = 12.6
+
+#: Fewest lanes the engine ever runs: a one-trace unit stays on the
+#: scalar loop, the reference path. The model alone would keep it there
+#: for every family but PANDA/CQ max-min, whose one-lane engine run
+#: measured 22.3 ms against 31.2 ms for one scalar session.
+MIN_ENGINE_LANES = 2
 
 #: Target estimated cost per work unit, in CAVA-session equivalents:
 #: large enough that task dispatch overhead stays a rounding error,
 #: small enough that a pool of a few workers still load-balances.
 TARGET_BATCH_COST = 24.0
+
+
+def _cost_key(spec: SweepSpec) -> Optional[str]:
+    """The scheme name the cost tables are keyed by.
+
+    ``None`` for a tuned factory: grid search builds CAVA variants, so
+    every table falls back to its CAVA default.
+    """
+    if spec.algorithm_factory is not None:
+        return None
+    try:
+        return resolve_scheme_name(spec.scheme)
+    except Exception:
+        return spec.scheme
 
 
 def session_cost(spec: SweepSpec) -> float:
@@ -198,17 +243,28 @@ def session_cost(spec: SweepSpec) -> float:
         estimator_factory=spec.estimator_factory,
         fault_plan=spec.fault_plan,
     )
-    if spec.algorithm_factory is not None:
-        # Tuned factories (grid search) build CAVA variants; treat any
-        # unknown factory as baseline cost.
-        return BATCH_DEFAULT_COST if batchable else 1.0
-    try:
-        name = resolve_scheme_name(spec.scheme)
-    except Exception:
-        name = spec.scheme
+    key = _cost_key(spec)
     if batchable:
-        return BATCH_SCHEME_COSTS.get(name, BATCH_DEFAULT_COST)
-    return SCHEME_COSTS.get(name, 1.0)
+        return BATCH_SCHEME_COSTS.get(key, BATCH_DEFAULT_COST)
+    return SCHEME_COSTS.get(key, 1.0)
+
+
+def engine_break_even(spec: SweepSpec) -> int:
+    """Fewest lanes at which the lockstep engine is cheaper for ``spec``.
+
+    The engine runs a unit of ``n`` lanes only when ``n * scalar > fixed
+    + n * lane`` (:data:`SCHEME_COSTS`, :data:`BATCH_UNIT_COSTS`,
+    :data:`BATCH_SCHEME_COSTS`), and never below
+    :data:`MIN_ENGINE_LANES`. Whether the engine *can* run the spec is
+    :func:`~repro.experiments.batch.batch_capability`'s question, not
+    this one's.
+    """
+    key = _cost_key(spec)
+    saving = SCHEME_COSTS.get(key, 1.0) - BATCH_SCHEME_COSTS.get(
+        key, BATCH_DEFAULT_COST
+    )
+    fixed = BATCH_UNIT_COSTS.get(key, BATCH_DEFAULT_UNIT_COST)
+    return max(MIN_ENGINE_LANES, math.floor(fixed / saving) + 1)
 
 
 def batch_bounds(

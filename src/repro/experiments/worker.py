@@ -4,8 +4,9 @@ One work unit runs the same way everywhere: the pool worker, a leased
 multi-host ``repro sweep-worker`` process and the engine's in-process
 serial path all call :func:`run_unit`, which opens the unit's
 ``unit.run`` span around :func:`sweep_batch` (the lockstep batch engine,
-or the scalar loop for what it cannot run, plus the per-unit telemetry
-fold :func:`record_unit`) and hands a failure back as a value.
+or the scalar loop for what it cannot run or runs cheaper, plus the
+per-unit telemetry fold :func:`record_unit`) and hands a failure back
+as a value.
 This module owns that path plus the pool-process plumbing around it:
 the per-process :data:`WORKER_STATE` pinned by :func:`init_worker`
 (shared-memory attach or inline assets) and the three-integer task entry
@@ -31,7 +32,11 @@ from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.batch import batch_capability, run_batch_metrics
 from repro.experiments.dataplane import PlaneManifest, attach_plane
 from repro.experiments.runner import run_one_session
-from repro.experiments.scheduler import SweepSpec, SweepWorkerError
+from repro.experiments.scheduler import (
+    SweepSpec,
+    SweepWorkerError,
+    engine_break_even,
+)
 from repro.faults.plan import FaultPlan
 from repro.network.traces import NetworkTrace
 from repro.player.metrics import SessionMetrics
@@ -173,6 +178,7 @@ def sweep_batch(
     cache: ArtifactCache,
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[SpanTracer] = None,
+    unit_span=None,
 ) -> List[SessionMetrics]:
     """Run one spec over a contiguous trace batch; identify any failure.
 
@@ -181,14 +187,21 @@ def sweep_batch(
     recorded even when the unit fails, so partial progress is counted.
     ``tracer`` (optional) records the unit's span hierarchy: the batch
     engine's run plus its aggregate estimate/decide/advance stage costs,
-    or one span per scalar session on the scalar path. Results are
-    identical with or without either.
+    or one span per scalar session on the scalar path. ``unit_span``
+    (optional, the open ``unit.run`` span) is annotated with the route
+    taken: ``engine`` (``"batch"`` or ``"scalar"``) and, for the scalar
+    loop, ``reason``. Results are identical with or without any of them.
 
-    Batchable multi-trace units run on the lockstep batch engine
-    (:mod:`repro.experiments.batch`) — bit-identical results, one
-    vectorized pass instead of a per-trace loop. A configuration the
-    capability probe rejects, or a decider declines, runs the scalar
-    loop below instead. An exception on either path raises a
+    This is the one routing site, and it asks two questions. Can the
+    engine replay the spec bit-identically
+    (:func:`~repro.experiments.batch.batch_capability`)? And is it
+    cheaper at this many lanes
+    (:func:`~repro.experiments.scheduler.engine_break_even`)? A unit
+    that passes both runs on the lockstep batch engine
+    (:mod:`repro.experiments.batch`) in one vectorized pass; any other,
+    or one whose decider declines, runs the scalar loop below. Narrow
+    CAVA/RBA units take the scalar loop; planner units take the engine
+    from two lanes. An exception on either path raises a
     :class:`SweepWorkerError` naming the spec, the video and the trace:
     the failing session's on the scalar path, the unit's first trace on
     the engine, which runs every lane at once.
@@ -199,14 +212,21 @@ def sweep_batch(
     start_s = time.perf_counter()
     stats_before = cache.stats
     try:
-        if batch_capability(
+        capability = batch_capability(
             spec.scheme,
             network=spec.network,
             algorithm_factory=spec.algorithm_factory,
             estimator_factory=spec.estimator_factory,
             fault_plan=spec.fault_plan,
-            num_traces=len(batch),
-        ):
+        )
+        reason = capability.reason
+        if capability:
+            break_even = engine_break_even(spec)
+            if len(batch) < break_even:
+                reason = f"{len(batch)} lanes below break-even {break_even}"
+        if not reason:
+            if unit_span is not None:
+                unit_span.annotate(engine="batch")
             stage_timer = StageTimer() if tracer is not None else None
             with maybe_span(
                 tracer,
@@ -232,6 +252,9 @@ def sweep_batch(
             if batched is not None:
                 out = batched
                 return out
+            reason = "batch decider declined"
+        if unit_span is not None:
+            unit_span.annotate(engine="scalar", reason=reason)
         for at, trace in enumerate(batch):
             with maybe_span(
                 tracer, SPAN_SESSION_SCALAR, cat="session", trace=trace.name
@@ -296,9 +319,9 @@ def run_unit(
             scheme=spec.describe(),
             video=spec.video_key,
             **span_meta,
-        ):
+        ) as unit_span:
             metrics = sweep_batch(
-                spec, video, traces, config, cache, registry, tracer
+                spec, video, traces, config, cache, registry, tracer, unit_span
             )
     except SweepWorkerError as exc:
         return None, exc

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.scheduler import SweepSpec, engine_break_even
 from repro.network.traces import synthesize_fcc_traces, synthesize_lte_traces
 from repro.video.classify import ChunkClassifier
 from repro.video.dataset import (
@@ -86,6 +87,21 @@ def ed_classifier(ed_ffmpeg_video):
 def lte_traces():
     """A small LTE trace set for integration tests."""
     return synthesize_lte_traces(count=12, seed=SEED)
+
+
+@pytest.fixture(scope="session")
+def engine_lanes():
+    """Fewest traces a CAVA or RBA unit needs to run on the lockstep engine
+    (narrower units are cheaper on the scalar loop and are routed there)."""
+    return max(engine_break_even(SweepSpec(s, "v")) for s in ("CAVA", "RBA"))
+
+
+@pytest.fixture(scope="session")
+def engine_traces(engine_lanes):
+    """LTE traces for sweep-machinery tests that must reach the engine:
+    four break-even-wide units' worth, so a CAVA/RBA sweep over one, two
+    or four pool workers runs every unit on the lockstep engine."""
+    return synthesize_lte_traces(count=4 * engine_lanes, seed=SEED)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,9 @@ the contract at every layer the dispatch touches:
 - the ``run_comparison``/``ParallelSweepRunner`` dispatch produces the
   same sweep results whether the engine is enabled, disabled, serial,
   or pooled;
+- a unit one lane below its spec's break-even width runs the scalar
+  loop and one at it runs the engine, both equal to a scalar run, and
+  the ``unit.run`` span names the route and why;
 - an exception inside the engine raises a ``SweepWorkerError`` naming
   the scheme and video with or without telemetry, while a declining
   decider still routes to the scalar loop;
@@ -52,8 +55,10 @@ from repro.experiments.parallel import ParallelSweepRunner, SweepSpec
 from repro.experiments.runner import run_comparison
 from repro.experiments.scheduler import (
     BATCH_SCHEME_COSTS,
+    MIN_ENGINE_LANES,
     SCHEME_COSTS,
     SweepWorkerError,
+    engine_break_even,
     session_cost,
 )
 from repro.experiments.worker import SESSIONS_COMPLETED_METRIC, SESSIONS_FAILED_METRIC
@@ -64,6 +69,7 @@ from repro.network.traces import synthesize_lte_traces
 from repro.player.metrics import summarize_session
 from repro.player.session import SessionConfig, StreamingSession
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.spans import SpanTracer
 
 #: CI exports this to exercise the dispatch under both fork and spawn.
 MP_CONTEXT = os.environ.get("REPRO_MP_START_METHOD") or None
@@ -92,6 +98,22 @@ def traces():
     # Trace 0 is the golden trace, so golden-lane comparison rides the
     # same batch as the scalar sweep.
     return synthesize_lte_traces(count=5, seed=GOLDEN_TRACE_SEED)
+
+
+def break_even(scheme):
+    return engine_break_even(SweepSpec(scheme=scheme, video_key="v"))
+
+
+@pytest.fixture(scope="module")
+def wide_traces():
+    """Just enough traces that a one-unit sweep of any batchable scheme
+    takes the engine; trace 0 is the golden trace, as in ``traces``."""
+    width = max(break_even(scheme) for scheme in BATCHABLE_SCHEMES)
+    return synthesize_lte_traces(count=width, seed=GOLDEN_TRACE_SEED)
+
+
+def unit_spans(tracer, name):
+    return [span for span in tracer.spans if span["name"] == name]
 
 
 def scalar_sessions(scheme, video, traces):
@@ -191,9 +213,10 @@ def test_batch_lane_matches_golden_snapshot(scheme, video, traces):
 
 class TestSweepDispatch:
     def test_run_comparison_identical_with_engine_disabled(
-        self, video, traces, monkeypatch
+        self, video, wide_traces, monkeypatch
     ):
         schemes = ["CAVA", "RBA", "MPC"]
+        traces = wide_traces  # one break-even-wide unit per scheme
         batched = run_comparison(schemes, video, traces, network=GOLDEN_NETWORK)
         monkeypatch.setenv(DISABLE_BATCH_ENV, "1")
         scalar = run_comparison(schemes, video, traces, network=GOLDEN_NETWORK)
@@ -201,17 +224,83 @@ class TestSweepDispatch:
             assert batched[scheme].metrics == scalar[scheme].metrics
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_parallel_engine_identical(self, video, traces, workers, monkeypatch):
+    def test_parallel_engine_identical(self, video, workers, monkeypatch):
         schemes = ["CAVA", "PANDA/CQ max-min"]
+        # Each worker's CAVA unit is exactly at break-even width, so
+        # both schemes reach the engine on every worker count.
+        traces = synthesize_lte_traces(
+            count=workers * break_even("CAVA"), seed=GOLDEN_TRACE_SEED
+        )
         monkeypatch.setenv(DISABLE_BATCH_ENV, "1")
         scalar = run_comparison(schemes, video, traces, network=GOLDEN_NETWORK)
         monkeypatch.delenv(DISABLE_BATCH_ENV)
+        tracer = SpanTracer()
         engine = ParallelSweepRunner(
-            n_workers=workers, min_parallel_sessions=0, mp_context=MP_CONTEXT
+            n_workers=workers,
+            min_parallel_sessions=0,
+            mp_context=MP_CONTEXT,
+            tracer=tracer,
         )
         pooled = engine.run_comparison(schemes, video, traces, network=GOLDEN_NETWORK)
         for scheme in schemes:
             assert pooled[scheme].metrics == scalar[scheme].metrics
+        batched = unit_spans(tracer, "unit.batch")
+        assert {span["meta"]["scheme"] for span in batched} == set(schemes)
+        assert all(
+            span["meta"]["engine"] == "batch" for span in unit_spans(tracer, "unit.run")
+        )
+
+
+class TestWidthRouting:
+    """A unit one lane below its spec's break-even runs the scalar loop,
+    and one at break-even runs the engine; both give the scalar bits."""
+
+    @pytest.mark.parametrize("scheme", BATCHABLE_SCHEMES)
+    def test_break_even_boundary(self, scheme, video, monkeypatch):
+        width = break_even(scheme)
+        below = synthesize_lte_traces(count=width - 1, seed=GOLDEN_TRACE_SEED)
+        at = synthesize_lte_traces(count=width, seed=GOLDEN_TRACE_SEED + 1)
+        monkeypatch.setenv(DISABLE_BATCH_ENV, "1")
+        reference = [
+            ParallelSweepRunner(n_workers=1).run_scheme(
+                scheme, video, lanes, network=GOLDEN_NETWORK
+            ).metrics
+            for lanes in (below, at)
+        ]
+        monkeypatch.delenv(DISABLE_BATCH_ENV)
+        for lanes, want, engine in zip((below, at), reference, ("scalar", "batch")):
+            tracer = SpanTracer()
+            result = ParallelSweepRunner(n_workers=1, tracer=tracer).run_scheme(
+                scheme, video, lanes, network=GOLDEN_NETWORK
+            )
+            assert result.metrics == want
+            assert len(unit_spans(tracer, "unit.batch")) == (engine == "batch")
+            (run,) = unit_spans(tracer, "unit.run")
+            assert run["meta"]["engine"] == engine
+            if engine == "scalar":
+                assert run["meta"]["reason"] == (
+                    f"{width - 1} lanes below break-even {width}"
+                )
+
+    def test_break_even_widths(self):
+        # The lockstep engine's fixed cost per unit outweighs a few cheap
+        # scalar sessions; planner sessions cost enough to batch from two
+        # lanes, and a one-trace unit never takes the engine.
+        assert MIN_ENGINE_LANES == 2
+        for scheme in ("CAVA", "CAVA-p1", "CAVA-p12", "RBA"):
+            assert break_even(scheme) > 4
+        for scheme in ("MPC", "RobustMPC", "PANDA/CQ max-sum", "PANDA/CQ max-min"):
+            assert break_even(scheme) == MIN_ENGINE_LANES
+
+    def test_rejected_spec_reports_the_probe_reason(self, video, traces):
+        tracer = SpanTracer()
+        ParallelSweepRunner(n_workers=1, tracer=tracer).run_scheme(
+            "BOLA-E (peak)", video, traces, network=GOLDEN_NETWORK
+        )
+        (run,) = unit_spans(tracer, "unit.run")
+        assert run["meta"]["engine"] == "scalar"
+        assert run["meta"]["reason"] == batch_capability("BOLA-E (peak)").reason
+        assert not unit_spans(tracer, "unit.batch")
 
 
 class TestEngineFailure:
@@ -242,25 +331,27 @@ class TestEngineFailure:
         ],
     )
     def test_engine_exception_raises_sweep_worker_error(
-        self, broken_engine, video, traces, run
+        self, broken_engine, video, wide_traces, run
     ):
+        # A break-even-wide unit, so the sweep reaches the broken engine.
         with pytest.raises(SweepWorkerError) as info:
-            run(["CAVA"], video, traces, network=GOLDEN_NETWORK)
+            run(["CAVA"], video, wide_traces, network=GOLDEN_NETWORK)
         error = info.value
         assert error.spec_label == "CAVA"
         assert error.video_name == video.name
         # The engine runs every lane at once: the unit's first trace is named.
-        assert error.trace_name == traces[0].name
+        assert error.trace_name == wide_traces[0].name
         assert "CAVA" in str(error) and video.name in str(error)
         assert isinstance(error.__cause__, RuntimeError)
         assert "engine defect" in error.cause
 
-    def test_failed_unit_is_counted(self, broken_engine, video, traces):
+    def test_failed_unit_is_counted(self, broken_engine, video, wide_traces):
         registry = MetricsRegistry()
-        with pytest.raises(SweepWorkerError):
+        with pytest.raises(SweepWorkerError) as info:
             run_comparison(
-                ["CAVA"], video, traces, network=GOLDEN_NETWORK, registry=registry
+                ["CAVA"], video, wide_traces, network=GOLDEN_NETWORK, registry=registry
             )
+        assert "engine defect" in info.value.cause
         assert registry.value(SESSIONS_FAILED_METRIC) == 1
         assert registry.value(SESSIONS_COMPLETED_METRIC) == 0
 
@@ -269,8 +360,12 @@ class TestEngineFailure:
     ):
         # A decider that returns None is routing, not a failure: the
         # unit runs on the scalar loop and never reaches the engine.
-        monkeypatch.setattr(MPCAlgorithm, "batch_decider", lambda self, m, n: None)
+        asked = []
+        monkeypatch.setattr(
+            MPCAlgorithm, "batch_decider", lambda self, m, n: asked.append(n)
+        )
         declined = run_comparison(["MPC"], video, traces, network=GOLDEN_NETWORK)
+        assert asked == [len(traces)]  # the unit was routed to the engine
         monkeypatch.setenv(DISABLE_BATCH_ENV, "1")
         scalar = run_comparison(["MPC"], video, traces, network=GOLDEN_NETWORK)
         assert declined["MPC"].metrics == scalar["MPC"].metrics
@@ -292,4 +387,5 @@ class TestBatchAwareCosts:
 
     def test_kill_switch_restores_scalar_costs(self, monkeypatch):
         monkeypatch.setenv(DISABLE_BATCH_ENV, "1")
-        assert session_cost(SweepSpec(scheme="RBA", video_key="v")) == 1.0
+        assert session_cost(SweepSpec(scheme="RBA", video_key="v")) == SCHEME_COSTS["RBA"]
+        assert session_cost(SweepSpec(scheme="CAVA", video_key="v")) == 1.0

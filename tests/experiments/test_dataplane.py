@@ -118,14 +118,14 @@ class _PayloadMeasuringPool(parallel.ProcessPoolExecutor):
 
 class TestZeroCopyDataPlaneInSweeps:
     def test_per_task_payload_is_three_integers(
-        self, monkeypatch, short_video, lte_traces
+        self, monkeypatch, short_video, engine_traces
     ):
         _PayloadMeasuringPool.payload_sizes = []
         monkeypatch.setattr(
             parallel, "ProcessPoolExecutor", _PayloadMeasuringPool
         )
         engine = ParallelSweepRunner(n_workers=2, min_parallel_sessions=0)
-        engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        engine.run_comparison(SCHEMES, short_video, engine_traces)
         sizes = _PayloadMeasuringPool.payload_sizes
         assert sizes, "pool path was not exercised"
         # (spec_idx, start, stop): a constant few dozen bytes per task,
@@ -134,9 +134,10 @@ class TestZeroCopyDataPlaneInSweeps:
         assert len(set(sizes)) <= 2  # int widths, not asset sizes
 
     def test_shared_and_inline_paths_bit_identical(
-        self, monkeypatch, short_video, lte_traces
+        self, monkeypatch, short_video, engine_traces
     ):
-        traces = lte_traces[:4]
+        # Wide enough units that the lockstep engine reads the views.
+        traces = engine_traces
         baseline = run_comparison(SCHEMES, short_video, traces)
         shared = ParallelSweepRunner(
             n_workers=2, min_parallel_sessions=0
@@ -159,12 +160,12 @@ class TestZeroCopyDataPlaneInSweeps:
         inline = fleet_fingerprint(run_fleet(spec, n_workers=2, mp_context="fork"))
         assert inline == serial
 
-    def test_shm_telemetry_reported(self, short_video, lte_traces):
+    def test_shm_telemetry_reported(self, short_video, engine_traces):
         registry = MetricsRegistry()
         engine = ParallelSweepRunner(
             n_workers=2, min_parallel_sessions=0, registry=registry
         )
-        engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        engine.run_comparison(SCHEMES, short_video, engine_traces)
         assert registry.gauge(SHM_BLOCKS_METRIC).value == 1
         assert registry.gauge(SHM_BYTES_METRIC).value > 0
         attached = registry.counter(SHM_ATTACHED_WORKERS_METRIC).value

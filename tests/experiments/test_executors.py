@@ -22,6 +22,7 @@ from repro.experiments.leases import LeaseBoard, SweepRecipe, recipe_sweep_id, w
 from repro.experiments.parallel import ParallelSweepRunner, SweepSpec
 from repro.experiments.store import SessionStore
 from repro.experiments.runner import run_comparison
+from repro.network.traces import synthesize_lte_traces
 from repro.telemetry.metrics import (
     LEASES_CLAIMED_METRIC,
     LEASES_RECLAIMED_METRIC,
@@ -32,6 +33,13 @@ from tests.experiments.test_leases import backdate
 from tests.experiments.test_parallel import assert_sweeps_identical
 
 SCHEMES = ["CAVA", "RBA"]
+
+
+@pytest.fixture(scope="module")
+def multihost_traces(engine_lanes):
+    """Enough traces that every unit of the multi-host grid plan is
+    break-even wide, so leased units run on the lockstep engine."""
+    return synthesize_lte_traces(count=MULTIHOST_PLAN_WORKERS * engine_lanes, seed=0)
 
 
 class TestResolveExecutor:
@@ -66,19 +74,21 @@ class TestMultiHostBackend:
         with pytest.raises(ValueError, match="raise"):
             engine.run_comparison(["RBA"], short_video, lte_traces[:4])
 
-    def test_single_host_matches_serial(self, short_video, lte_traces, tmp_path):
-        serial = run_comparison(SCHEMES, short_video, lte_traces[:6])
+    def test_single_host_matches_serial(self, short_video, multihost_traces, tmp_path):
+        serial = run_comparison(SCHEMES, short_video, multihost_traces)
         engine = ParallelSweepRunner(
             executor="multihost", store=SessionStore(tmp_path)
         )
-        result = engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        result = engine.run_comparison(SCHEMES, short_video, multihost_traces)
         assert_sweeps_identical(serial, result)
 
-    def test_two_workers_share_one_store(self, short_video, lte_traces, tmp_path):
+    def test_two_workers_share_one_store(
+        self, short_video, multihost_traces, tmp_path
+    ):
         # Two engines race over the same store directory — the lease
         # board splits the grid between them, and both merge the full
         # grid back bit-identical to the serial computation.
-        serial = run_comparison(SCHEMES, short_video, lte_traces[:8])
+        serial = run_comparison(SCHEMES, short_video, multihost_traces)
         outcomes = {}
 
         def work(name):
@@ -88,7 +98,7 @@ class TestMultiHostBackend:
                 lease_poll_s=0.05,
             )
             outcomes[name] = engine.run_comparison(
-                SCHEMES, short_video, lte_traces[:8]
+                SCHEMES, short_video, multihost_traces
             )
 
         threads = [

@@ -57,10 +57,11 @@ def assert_sweeps_identical(serial, parallel):
 
 class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_comparison_matches_serial_runner(self, short_video, lte_traces, n_workers):
-        serial = run_comparison(SCHEMES, short_video, lte_traces)
+    def test_comparison_matches_serial_runner(self, short_video, engine_traces, n_workers):
+        # Every unit is at least break-even wide: both sides run the engine.
+        serial = run_comparison(SCHEMES, short_video, engine_traces)
         engine = ParallelSweepRunner(n_workers=n_workers, min_parallel_sessions=0)
-        parallel = engine.run_comparison(SCHEMES, short_video, lte_traces)
+        parallel = engine.run_comparison(SCHEMES, short_video, engine_traces)
         assert_sweeps_identical(serial, parallel)
 
     def test_trace_order_preserved(self, short_video, lte_traces):
@@ -81,28 +82,28 @@ class TestSerialParallelEquivalence:
         parallel = engine.run_scheme("PANDA/CQ max-min", short_video, lte_traces[:4])
         assert serial.metrics == parallel.metrics
 
-    def test_run_comparison_n_workers_routes_to_engine(self, short_video, lte_traces):
-        serial = run_comparison(SCHEMES, short_video, lte_traces[:6])
-        routed = run_comparison(SCHEMES, short_video, lte_traces[:6], n_workers=2)
+    def test_run_comparison_n_workers_routes_to_engine(self, short_video, engine_traces):
+        serial = run_comparison(SCHEMES, short_video, engine_traces)
+        routed = run_comparison(SCHEMES, short_video, engine_traces, n_workers=2)
         assert_sweeps_identical(serial, routed)
 
-    def test_spawn_context_matches_serial(self, short_video, lte_traces):
+    def test_spawn_context_matches_serial(self, short_video, engine_traces):
         # The initializer must carry all worker state explicitly: under
         # "spawn" nothing is inherited from the parent process.
-        serial = run_scheme_on_traces("RBA", short_video, lte_traces[:4])
+        serial = run_scheme_on_traces("RBA", short_video, engine_traces)
         engine = ParallelSweepRunner(
             n_workers=2, mp_context="spawn", min_parallel_sessions=0
         )
-        parallel = engine.run_scheme("RBA", short_video, lte_traces[:4])
+        parallel = engine.run_scheme("RBA", short_video, engine_traces)
         assert serial.metrics == parallel.metrics
 
 
 class TestGrid:
-    def test_run_grid_keys_and_equivalence(self, short_video, lte_traces):
+    def test_run_grid_keys_and_equivalence(self, short_video, engine_traces):
         engine = ParallelSweepRunner(n_workers=2, min_parallel_sessions=0)
-        grid = engine.run_grid(["RBA"], [short_video], lte_traces[:4])
+        grid = engine.run_grid(["RBA"], [short_video], engine_traces)
         assert set(grid) == {("RBA", short_video.name)}
-        serial = run_scheme_on_traces("RBA", short_video, lte_traces[:4])
+        serial = run_scheme_on_traces("RBA", short_video, engine_traces)
         assert grid[("RBA", short_video.name)].metrics == serial.metrics
 
     def test_duplicate_video_names_rejected(self, short_video, lte_traces):
@@ -194,10 +195,11 @@ class TestEngineConfig:
 
 
 class TestTuningIntegration:
-    def test_grid_search_parallel_matches_serial(self, short_video, lte_traces):
+    def test_grid_search_parallel_matches_serial(self, short_video, engine_traces):
+        # Break-even-wide units: tuned factories run on the lockstep engine.
         grid = {"inner_window_s": (20.0, 40.0)}
-        serial = grid_search(grid, short_video, lte_traces[:4])
-        parallel = grid_search(grid, short_video, lte_traces[:4], n_workers=2)
+        serial = grid_search(grid, short_video, engine_traces)
+        parallel = grid_search(grid, short_video, engine_traces, n_workers=2)
         assert [r.overrides for r in serial] == [r.overrides for r in parallel]
         assert [r.score for r in serial] == [r.score for r in parallel]
 
@@ -276,18 +278,21 @@ class TestArtifactCache:
 
 class TestSweepTelemetry:
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_session_count_across_pool(self, short_video, lte_traces, n_workers):
+    def test_session_count_across_pool(self, short_video, engine_traces, n_workers):
         registry = MetricsRegistry()
         engine = ParallelSweepRunner(
             n_workers=n_workers, min_parallel_sessions=0, registry=registry
         )
-        engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
-        assert registry.counter(SESSIONS_COMPLETED_METRIC).value == len(SCHEMES) * 6
+        engine.run_comparison(SCHEMES, short_video, engine_traces)
+        sessions = len(SCHEMES) * len(engine_traces)
+        assert registry.counter(SESSIONS_COMPLETED_METRIC).value == sessions
         assert registry.gauge(WORKERS_METRIC).value == n_workers
         hist = registry.get(UNIT_SECONDS_METRIC)
         assert hist.count == registry.counter(BATCHES_METRIC).value
 
-    def test_serial_and_pool_report_same_invariants(self, short_video, lte_traces):
+    def test_serial_and_pool_report_same_invariants(
+        self, short_video, engine_traces, engine_lanes
+    ):
         # Which worker builds which artifact is scheduling-dependent, so
         # the hit/miss *split* may vary across runs — but the totals are
         # invariant: every session does the same three cache lookups.
@@ -296,7 +301,49 @@ class TestSweepTelemetry:
             CACHE_MISSES_METRIC,
         )
 
+        # Pool units of exactly the break-even width, so every unit of
+        # both runs takes the lockstep engine.
+        width = engine_lanes
+        traces = engine_traces[: 2 * width]
         snapshots = {}
+        for n_workers in (1, 2):
+            registry = MetricsRegistry()
+            engine = ParallelSweepRunner(
+                n_workers=n_workers,
+                batch_size=width,
+                min_parallel_sessions=0,
+                registry=registry,
+            )
+            engine.run_comparison(SCHEMES, short_video, traces)
+            snapshots[n_workers] = registry.snapshot()
+        serial, pooled = snapshots[1], snapshots[2]
+        # The pool additionally reports the shm data plane (block/bytes
+        # gauges, attached-worker count); every serial metric must still
+        # appear pool-side with the same unit-level invariants.
+        assert set(serial) <= set(pooled)
+        sessions = len(SCHEMES) * len(traces)
+        # serial runs one unit per spec; the pool splits the traces into
+        # two batches per spec
+        serial_units, pooled_units = len(SCHEMES), len(SCHEMES) * 2
+        assert serial[BATCHES_METRIC]["value"] == serial_units
+        assert pooled[BATCHES_METRIC]["value"] == pooled_units
+        # The lockstep batch engine looks up the link once per session
+        # but the manifest and classifier once per *unit*; the scalar
+        # loop would do all three per session, so these counts hold only
+        # if every unit ran on the engine.
+        for snap, units in ((serial, serial_units), (pooled, pooled_units)):
+            assert snap[SESSIONS_COMPLETED_METRIC]["value"] == sessions
+            lookups = snap[CACHE_HITS_METRIC]["value"] + snap[CACHE_MISSES_METRIC]["value"]
+            assert lookups == sessions + 2 * units
+
+    def test_narrow_units_report_scalar_lookups(self, short_video, lte_traces):
+        # Units below the break-even width run the scalar loop, which
+        # looks up the manifest, classifier and link once per session.
+        from repro.experiments.parallel import (
+            CACHE_HITS_METRIC,
+            CACHE_MISSES_METRIC,
+        )
+
         for n_workers in (1, 2):
             registry = MetricsRegistry()
             engine = ParallelSweepRunner(
@@ -306,27 +353,32 @@ class TestSweepTelemetry:
                 registry=registry,
             )
             engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
-            snapshots[n_workers] = registry.snapshot()
-        serial, pooled = snapshots[1], snapshots[2]
-        # The pool additionally reports the shm data plane (block/bytes
-        # gauges, attached-worker count); every serial metric must still
-        # appear pool-side with the same unit-level invariants.
-        assert set(serial) <= set(pooled)
-        sessions = len(SCHEMES) * 6
-        # serial runs one unit per spec; the pool splits 6 traces into
-        # ceil(6/3)=2 batches per spec
-        serial_units, pooled_units = len(SCHEMES), len(SCHEMES) * 2
-        assert serial[BATCHES_METRIC]["value"] == serial_units
-        assert pooled[BATCHES_METRIC]["value"] == pooled_units
-        # Both schemes run on the lockstep batch engine, which looks up
-        # the link once per session but the manifest and classifier once
-        # per *unit* (the scalar loop would do all three per session).
-        for snap, units in ((serial, serial_units), (pooled, pooled_units)):
+            snap = registry.snapshot()
+            sessions = len(SCHEMES) * 6
             assert snap[SESSIONS_COMPLETED_METRIC]["value"] == sessions
             lookups = snap[CACHE_HITS_METRIC]["value"] + snap[CACHE_MISSES_METRIC]["value"]
-            assert lookups == sessions + 2 * units
+            assert lookups == 3 * sessions
 
-    def test_cache_counters_reflect_worker_caches(self, short_video, lte_traces):
+    def test_cache_counters_reflect_worker_caches(
+        self, short_video, engine_traces, engine_lanes
+    ):
+        width = engine_lanes
+        registry = MetricsRegistry()
+        engine = ParallelSweepRunner(n_workers=1, registry=registry)
+        engine.run_scheme("RBA", short_video, engine_traces[:width])
+        from repro.experiments.parallel import (
+            CACHE_HITS_METRIC,
+            CACHE_MISSES_METRIC,
+        )
+
+        # One manifest + one classifier + one link per trace built, every
+        # lookup a miss: the batch engine touches each artifact exactly
+        # once per unit (the scalar loop would re-hit the
+        # manifest/classifier per session).
+        assert registry.counter(CACHE_MISSES_METRIC).value == 2 + width
+        assert registry.counter(CACHE_HITS_METRIC).value == 0
+
+    def test_cache_counters_on_scalar_route(self, short_video, lte_traces):
         registry = MetricsRegistry()
         engine = ParallelSweepRunner(n_workers=1, registry=registry)
         engine.run_scheme("RBA", short_video, lte_traces[:4])
@@ -335,12 +387,11 @@ class TestSweepTelemetry:
             CACHE_MISSES_METRIC,
         )
 
-        # One manifest + one classifier + 4 links built, every lookup a
-        # miss: the batch engine touches each artifact exactly once per
-        # unit (the scalar loop would re-hit the manifest/classifier per
-        # session).
+        # A 4-trace unit runs the scalar loop: the manifest and the
+        # classifier are built by the first session and hit by the other
+        # three, and each session builds its own link.
         assert registry.counter(CACHE_MISSES_METRIC).value == 6
-        assert registry.counter(CACHE_HITS_METRIC).value == 0
+        assert registry.counter(CACHE_HITS_METRIC).value == 6
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_failures_counted_once(self, short_video, lte_traces, n_workers):

@@ -34,6 +34,7 @@ from repro.telemetry.pipeline import (
     SPAN_SWEEP_DRAIN,
     SPAN_SWEEP_MERGE,
     SPAN_SWEEP_PLAN,
+    SPAN_UNIT_BATCH,
     SPAN_UNIT_RUN,
     ProgressBoard,
     chrome_trace,
@@ -74,44 +75,45 @@ class TestBitIdentityWithTracing:
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("mp_context", START_METHODS)
     def test_results_identical_with_tracer(
-        self, short_video, lte_traces, n_workers, mp_context
+        self, short_video, engine_traces, n_workers, mp_context
     ):
         # Plain serial runner, engine with spans off, engine with spans on.
-        plain = run_comparison(SCHEMES, short_video, lte_traces[:6])
+        plain = run_comparison(SCHEMES, short_video, engine_traces)
         untraced = ParallelSweepRunner(
             n_workers=n_workers, mp_context=mp_context, min_parallel_sessions=0
-        ).run_comparison(SCHEMES, short_video, lte_traces[:6])
+        ).run_comparison(SCHEMES, short_video, engine_traces)
         engine = _engine(n_workers, mp_context)
-        traced = engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        traced = engine.run_comparison(SCHEMES, short_video, engine_traces)
         for scheme in SCHEMES:
             assert untraced[scheme].metrics == plain[scheme].metrics
             assert traced[scheme].metrics == plain[scheme].metrics
-        assert engine.tracer.spans  # and the timeline actually recorded
+        # The timeline recorded, with the lockstep engine's unit spans.
+        assert SPAN_UNIT_BATCH in {s["name"] for s in engine.tracer.spans}
 
     def test_progress_board_does_not_change_results(
-        self, short_video, lte_traces, tmp_path
+        self, short_video, engine_traces, tmp_path
     ):
-        plain = run_comparison(SCHEMES, short_video, lte_traces[:6])
+        plain = run_comparison(SCHEMES, short_video, engine_traces)
         board = ProgressBoard(tmp_path, min_interval_s=0.0)
         engine = ParallelSweepRunner(
             n_workers=2, min_parallel_sessions=0, progress=board
         )
-        tracked = engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        tracked = engine.run_comparison(SCHEMES, short_video, engine_traces)
         for scheme in SCHEMES:
             assert tracked[scheme].metrics == plain[scheme].metrics
         progress = load_progress(tmp_path)
         assert progress["phase"] == "merged"
-        assert progress["completed_sessions"] == 12
+        assert progress["completed_sessions"] == len(SCHEMES) * len(engine_traces)
         assert set(progress["schemes"]) == set(SCHEMES)
 
 
 class TestStitchedTimeline:
     @pytest.mark.parametrize("mp_context", START_METHODS)
     def test_pool_timeline_has_scheduler_and_worker_tracks(
-        self, short_video, lte_traces, mp_context
+        self, short_video, engine_traces, mp_context
     ):
         engine = _engine(2, mp_context)
-        engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        engine.run_comparison(SCHEMES, short_video, engine_traces)
         spans = engine.tracer.spans
         names = {s["name"] for s in spans}
         for expected in (
@@ -120,6 +122,7 @@ class TestStitchedTimeline:
             SPAN_SWEEP_DRAIN,
             SPAN_SWEEP_MERGE,
             SPAN_UNIT_RUN,
+            SPAN_UNIT_BATCH,
         ):
             assert expected in names, f"missing {expected} span"
         tracks = {s["track"] for s in spans}
@@ -133,18 +136,20 @@ class TestStitchedTimeline:
         )
 
     def test_serial_timeline_single_track_same_shape(
-        self, short_video, lte_traces
+        self, short_video, engine_traces
     ):
         engine = _engine(1)
-        engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        engine.run_comparison(SCHEMES, short_video, engine_traces)
         spans = engine.tracer.spans
         assert {s["track"] for s in spans} == {"scheduler"}
-        assert SPAN_UNIT_RUN in {s["name"] for s in spans}
+        assert {SPAN_UNIT_RUN, SPAN_UNIT_BATCH} <= {s["name"] for s in spans}
 
-    def test_stitching_is_deterministic(self, short_video, lte_traces):
+    def test_stitching_is_deterministic(
+        self, short_video, engine_traces, engine_lanes
+    ):
         def run_once():
-            engine = _engine(2, batch_size=2)
-            engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+            engine = _engine(2, batch_size=engine_lanes)
+            engine.run_comparison(SCHEMES, short_video, engine_traces)
             return [
                 (s["name"], s["meta"].get("unit"), s["meta"].get("scheme"))
                 for s in engine.tracer.spans
@@ -155,13 +160,14 @@ class TestStitchedTimeline:
         assert first == second
 
     def test_first_unit_ships_the_same_span_names_as_later_units(
-        self, short_video, lte_traces
+        self, short_video, engine_traces, engine_lanes
     ):
         """Which unit a worker runs first is the pool's choice, so the
         worker's one-off shm attach rides as meta on that unit's
         ``unit.run`` span instead of adding a span only it would ship."""
+        width = engine_lanes  # both units run on the lockstep engine
         plane = SharedDataPlane.publish(
-            {short_video.name: short_video}, {None: lte_traces[:4]}
+            {short_video.name: short_video}, {None: engine_traces[: 2 * width]}
         )
         specs = [SweepSpec("CAVA", short_video.name)]
         initargs = (specs, SessionConfig(), False, None, plane.manifest, True)
@@ -169,19 +175,20 @@ class TestStitchedTimeline:
             with ProcessPoolExecutor(
                 max_workers=1, initializer=init_worker, initargs=initargs
             ) as pool:
-                first = pool.submit(run_batch_in_worker, 0, 0, 2).result()[3]
-                later = pool.submit(run_batch_in_worker, 0, 2, 4).result()[3]
+                first = pool.submit(run_batch_in_worker, 0, 0, width).result()[3]
+                later = pool.submit(run_batch_in_worker, 0, width, 2 * width).result()[3]
         finally:
             plane.close_and_unlink()
         assert [s["name"] for s in first] == [s["name"] for s in later]
+        assert SPAN_UNIT_BATCH in [s["name"] for s in first]
         [first_run] = [s for s in first if s["name"] == SPAN_UNIT_RUN]
         [later_run] = [s for s in later if s["name"] == SPAN_UNIT_RUN]
         assert first_run["meta"]["shm_attach_s"] >= 0.0
         assert "shm_attach_s" not in later_run["meta"]
 
-    def test_chrome_export_of_stitched_timeline(self, short_video, lte_traces):
+    def test_chrome_export_of_stitched_timeline(self, short_video, engine_traces):
         engine = _engine(2)
-        engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+        engine.run_comparison(SCHEMES, short_video, engine_traces)
         trace = chrome_trace(engine.tracer.spans)
         lanes = {
             e["args"]["name"]
@@ -226,7 +233,7 @@ class TestFailedUnitTelemetry:
 
     @pytest.mark.parametrize("mp_context", START_METHODS)
     def test_registry_merge_matches_serial_counts(
-        self, short_video, lte_traces, mp_context
+        self, short_video, engine_traces, mp_context
     ):
         def counts(n_workers, ctx):
             registry = MetricsRegistry()
@@ -236,7 +243,8 @@ class TestFailedUnitTelemetry:
                 min_parallel_sessions=0,
                 registry=registry,
             )
-            engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
+            engine.run_comparison(SCHEMES, short_video, engine_traces)
             return registry.value(SESSIONS_COMPLETED_METRIC)
 
-        assert counts(1, None) == counts(2, mp_context) == 12
+        sessions = len(SCHEMES) * len(engine_traces)
+        assert counts(1, None) == counts(2, mp_context) == sessions

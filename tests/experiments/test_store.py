@@ -482,9 +482,9 @@ class TestWarmColdIdentity:
     """Warm re-runs must be bit-identical to cold ones, serial and pooled."""
 
     def test_serial_warm_equals_cold_equals_no_store(
-        self, tmp_path, short_video, lte_traces
+        self, tmp_path, short_video, engine_traces
     ):
-        traces = lte_traces[:4]
+        traces = engine_traces  # cold units run on the lockstep engine
         baseline = run_comparison(SCHEMES, short_video, traces)
 
         store = SessionStore(tmp_path)
@@ -511,9 +511,9 @@ class TestWarmColdIdentity:
         ],
     )
     def test_pooled_cold_fills_store_warm_replays(
-        self, tmp_path, short_video, lte_traces, method
+        self, tmp_path, short_video, engine_traces, method
     ):
-        traces = lte_traces[:4]
+        traces = engine_traces  # cold units run on the lockstep engine
         baseline = run_comparison(SCHEMES, short_video, traces)
 
         store = SessionStore(tmp_path)
@@ -567,22 +567,25 @@ class TestWarmColdIdentity:
         assert registry.value(STORE_BYTES_READ_METRIC) > 0
 
     def test_widened_grid_replays_only_new_sessions(
-        self, tmp_path, short_video, lte_traces
+        self, tmp_path, short_video, engine_traces, engine_lanes
     ):
+        # Both the first run and the added traces are break-even wide, so
+        # each is one lockstep-engine unit per scheme.
+        width = engine_lanes
         store = SessionStore(tmp_path)
         ParallelSweepRunner(n_workers=1, store=store).run_comparison(
-            SCHEMES, short_video, lte_traces[:3]
+            SCHEMES, short_video, engine_traces[:width]
         )
 
         widened_store = SessionStore(tmp_path)
         engine = ParallelSweepRunner(n_workers=1, store=widened_store)
-        widened = engine.run_comparison(SCHEMES, short_video, lte_traces[:5])
+        widened = engine.run_comparison(SCHEMES, short_video, engine_traces[: 2 * width])
         assert_sweeps_identical(
-            run_comparison(SCHEMES, short_video, lte_traces[:5]), widened
+            run_comparison(SCHEMES, short_video, engine_traces[: 2 * width]), widened
         )
-        # Per scheme: 3 cached sessions replayed, 2 new ones computed.
-        assert widened_store.stats.hits == len(SCHEMES) * 3
-        assert widened_store.stats.puts == len(SCHEMES) * 2
+        # Per scheme: the first run's sessions replayed, the new ones computed.
+        assert widened_store.stats.hits == len(SCHEMES) * width
+        assert widened_store.stats.puts == len(SCHEMES) * width
 
     def test_uncacheable_spec_computes_without_store(
         self, tmp_path, short_video, lte_traces
@@ -603,8 +606,10 @@ class TestWarmColdIdentity:
         assert store.describe()["entries"] == 0
         assert registry.counter(STORE_UNCACHEABLE_METRIC).value == 1
 
-    def test_faulted_sweep_warm_replay(self, tmp_path, short_video, lte_traces):
-        traces = lte_traces[:3]
+    def test_faulted_sweep_warm_replay(
+        self, tmp_path, short_video, engine_traces, engine_lanes
+    ):
+        traces = engine_traces[:engine_lanes]  # one lockstep-engine unit
         plan = FaultPlan((OutageFault(p=0.1, duration_intervals=2),), seed=3)
 
         baseline = run_comparison(["RBA"], short_video, traces, fault_plan=plan)

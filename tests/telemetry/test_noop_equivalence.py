@@ -54,28 +54,29 @@ class TestSessionEquivalence:
 
 
 class TestSweepEquivalence:
-    def test_registry_does_not_change_results(self, short_video, lte_traces):
-        plain = run_comparison(SCHEMES, short_video, lte_traces[:6])
+    def test_registry_does_not_change_results(self, short_video, engine_traces):
+        # Break-even-wide units: the registry observes the lockstep engine.
+        plain = run_comparison(SCHEMES, short_video, engine_traces)
         registry = MetricsRegistry()
         observed = run_comparison(
-            SCHEMES, short_video, lte_traces[:6], registry=registry
+            SCHEMES, short_video, engine_traces, registry=registry
         )
         assert list(plain) == list(observed)
         for scheme in plain:
             assert plain[scheme].metrics == observed[scheme].metrics
         completed = registry.counter(SESSIONS_COMPLETED_METRIC).value
-        assert completed == len(SCHEMES) * 6
+        assert completed == len(SCHEMES) * len(engine_traces)
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_pool_and_serial_report_identical_metrics(
-        self, short_video, lte_traces, n_workers
+        self, short_video, engine_traces, n_workers
     ):
         registry = MetricsRegistry()
         engine = ParallelSweepRunner(
             n_workers=n_workers, min_parallel_sessions=0, registry=registry
         )
-        results = engine.run_comparison(SCHEMES, short_video, lte_traces[:6])
-        plain = run_comparison(SCHEMES, short_video, lte_traces[:6])
+        results = engine.run_comparison(SCHEMES, short_video, engine_traces)
+        plain = run_comparison(SCHEMES, short_video, engine_traces)
         for scheme in plain:
             assert plain[scheme].metrics == results[scheme].metrics
-        assert registry.counter(SESSIONS_COMPLETED_METRIC).value == len(SCHEMES) * 6
+        assert registry.counter(SESSIONS_COMPLETED_METRIC).value == len(SCHEMES) * len(engine_traces)

@@ -641,10 +641,13 @@ def cmd_cache(args: argparse.Namespace) -> int:
         dry_run=args.dry_run,
     )
     verb = "would remove" if args.dry_run else "removed"
+    entries = removed["defective"] + removed["expired"] + removed["evicted"]
     print(
         f"{store.root}: {verb} {removed['defective']} defective, "
         f"{removed['expired']} expired, {removed['evicted']} over-cap "
-        f"entr{'y' if sum(removed.values()) == 1 else 'ies'}"
+        f"entr{'y' if entries == 1 else 'ies'}, "
+        f"{removed['orphans']} orphaned temp file"
+        f"{'' if removed['orphans'] == 1 else 's'}"
     )
     return 0
 

@@ -46,6 +46,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.util.atomic import write_atomic
+
 __all__ = [
     "DEFAULT_LEASE_TTL_S",
     "LEASE_SUFFIX",
@@ -271,9 +273,7 @@ def write_manifest(
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"sweep_id": sweep_id, "recipe": recipe.to_dict()}
     raw = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(raw)
-    os.replace(tmp, path)
+    write_atomic(str(path), raw.encode("utf-8"))
     return path
 
 

@@ -33,14 +33,28 @@ fingerprint. The bytes hashed are exactly those of hashing each key
 from scratch, so sharing the prefix changes no key
 (``tests/experiments/test_store.py::TestGoldenKeys`` pins them).
 
-On-disk layout (see docs/architecture.md): one JSON file per session
-under ``<root>/objects/<key[:2]>/<key>.json``, each carrying the schema
-version, its own key, the metric payload, and a checksum over the
-canonical payload bytes. Floats survive the JSON round-trip bit-exactly
-(shortest-round-trip ``repr``), so a warm result is *bit-identical* to
-the cold computation it replaced. Writes are atomic
-(temp file + ``os.replace``); a torn or corrupted entry fails its
-checksum and reads as a miss, never as wrong data.
+On-disk layout (see docs/architecture.md): one file per session at
+``<root>/objects/<key[:2]>/<key>.json``, format version 3. The file is
+one header line and then the payload::
+
+    {"schema":3,"golden_schema":G,"key":"<key>","checksum":"<32 hex>"}
+    [<the 15 SessionMetrics values in field order>]
+
+The payload is a compact JSON array; field names are not stored, since
+the field list is folded into every key. The checksum is BLAKE2b-128 of
+the payload bytes exactly as stored, so a read checks the bytes it read
+and never re-encodes them: the header must equal the one expected for
+the key (one comparison covers both schema versions and the key), the
+payload must hash to the header's checksum, and it must parse as a list
+of 15 values. Floats survive the JSON round-trip bit-exactly
+(shortest-round-trip ``repr``; ``NaN`` and ``Infinity`` as JSON
+extensions), so a warm result is *bit-identical* to the cold
+computation it replaced. Writes are atomic
+(:func:`repro.util.atomic.write_atomic`: a uniquely named temp file,
+then ``os.replace``); a torn, stale or corrupted entry fails a check and
+reads as a miss, never as wrong data. A writer killed before its rename
+leaves a temp file, which ``describe`` counts, ``verify`` reports and
+``gc`` removes once it is :data:`ORPHAN_TEMP_AGE_S` old.
 
 Observability: the store itself stays telemetry-free — the sweep engine
 wraps its lookup scans and unit write-backs in
@@ -56,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import time
 from pathlib import Path
@@ -67,11 +82,13 @@ from repro.experiments.golden import GOLDEN_SCHEMA_VERSION
 from repro.network.traces import NetworkTrace
 from repro.player.metrics import SessionMetrics
 from repro.player.session import SessionConfig
+from repro.util.atomic import TEMP_GLOB, write_atomic
 from repro.video.manifest_io import video_digest
 from repro.video.model import VideoAsset
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
+    "ORPHAN_TEMP_AGE_S",
     "UncacheableValueError",
     "fingerprint",
     "session_key",
@@ -84,16 +101,39 @@ __all__ = [
 #: Store entry format version. Combined with
 #: :data:`~repro.experiments.golden.GOLDEN_SCHEMA_VERSION` (the semantic
 #: version of simulation output) in every key and entry header. Version
-#: 2 retires entries written while batch MPC/RobustMPC could pick a
-#: different level than the scalar player.
-STORE_SCHEMA_VERSION = 2
+#: 2 retired entries written while batch MPC/RobustMPC could pick a
+#: different level than the scalar player; version 3 is the header line
+#: plus positional payload, checksummed over the stored bytes.
+STORE_SCHEMA_VERSION = 3
 
-#: The exact field list a cached payload must carry; folded into every
-#: key so a SessionMetrics schema change invalidates old entries.
+#: Age in seconds after which ``gc`` removes a temp file left by an
+#: interrupted write. A write takes microseconds, so a temp file this old
+#: has no writer left; a younger one may belong to a write in progress.
+ORPHAN_TEMP_AGE_S = 3600.0
+
+#: The exact field list a cached payload must carry, in payload order;
+#: folded into every key so a SessionMetrics schema change invalidates
+#: old entries.
 _METRIC_FIELDS: Tuple[str, ...] = tuple(
     f.name for f in dataclasses.fields(SessionMetrics)
 )
-_SORTED_METRIC_FIELDS: Tuple[str, ...] = tuple(sorted(_METRIC_FIELDS))
+_metric_values = operator.attrgetter(*_METRIC_FIELDS)
+
+#: The entry header is ``_HEADER_HEAD + key + _HEADER_CHECKSUM +
+#: <32 hex digits> + _HEADER_END``: the compact JSON encoding of
+#: ``{"schema", "golden_schema", "key", "checksum"}`` in that order.
+_HEADER_HEAD = b'{"schema":%d,"golden_schema":%d,"key":"' % (
+    STORE_SCHEMA_VERSION,
+    GOLDEN_SCHEMA_VERSION,
+)
+_HEADER_CHECKSUM = b'","checksum":"'
+_HEADER_END = b'"}\n'
+_HEADER_TAIL = 32 + len(_HEADER_END)
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+#: One ``os.read`` of this size takes a whole entry (a few hundred bytes);
+#: a larger file is read on to its end.
+_READ_BYTES = 4096
 
 
 class UncacheableValueError(TypeError):
@@ -276,14 +316,65 @@ class EntryProblem:
         return f"{self.path}: {self.problem}"
 
 
-#: The canonical payload encoding the checksum covers; built once, as
-#: ``json.dumps`` would build an encoder on every call for these options.
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def _payload_checksum(payload: bytes) -> bytes:
+    return hashlib.blake2b(payload, digest_size=16).hexdigest().encode("ascii")
 
 
-def _payload_checksum(payload: Dict[str, object]) -> str:
-    canonical = _CANONICAL_JSON.encode(payload)
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+def _read_bytes(path: str) -> bytes:
+    """The whole file at ``path``, with raw ``os`` calls (no buffered IO)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        raw = os.read(fd, _READ_BYTES)
+        if len(raw) == _READ_BYTES:
+            parts = [raw]
+            while parts[-1]:
+                parts.append(os.read(fd, _READ_BYTES))
+            raw = b"".join(parts)
+    finally:
+        os.close(fd)
+    return raw
+
+
+def _entry_values(raw: bytes, key: str) -> Optional[list]:
+    """The payload values of entry bytes ``raw`` stored under ``key``.
+
+    None when the entry is stale or corrupt: its header is not the one
+    expected for ``key`` under the current schema versions, the payload
+    does not hash to the header's checksum (this also rejects any
+    truncation), or the payload is not UTF-8 JSON holding a list of one
+    value per metric field.
+    """
+    head = _HEADER_HEAD + key.encode("utf-8", "surrogateescape") + _HEADER_CHECKSUM
+    start = len(head) + _HEADER_TAIL
+    payload = raw[start:]
+    if not raw.startswith(head) or raw[len(head):start] != (
+        _payload_checksum(payload) + _HEADER_END
+    ):
+        return None
+    try:
+        values = json.loads(payload.decode("utf-8"))
+    except ValueError:
+        return None
+    if type(values) is not list or len(values) != len(_METRIC_FIELDS):
+        return None
+    return values
+
+
+def _diagnose(raw: bytes) -> str:
+    """Why an entry that failed :func:`_entry_values` failed: stale or corrupt."""
+    try:
+        header = json.loads(raw.split(b"\n", 1)[0].decode("utf-8"))
+    except ValueError:
+        return "corrupt: header is not valid JSON"
+    if isinstance(header, dict) and (
+        header.get("schema") != STORE_SCHEMA_VERSION
+        or header.get("golden_schema") != GOLDEN_SCHEMA_VERSION
+    ):
+        return (
+            f"stale: schema {header.get('schema')}/{header.get('golden_schema')} "
+            f"!= {STORE_SCHEMA_VERSION}/{GOLDEN_SCHEMA_VERSION}"
+        )
+    return "corrupt: checksum/key/payload mismatch"
 
 
 class SessionStore:
@@ -390,67 +481,43 @@ class SessionStore:
     def get(self, key: str) -> Optional[SessionMetrics]:
         """The cached metrics under ``key``, or None (miss / bad entry).
 
-        A corrupted or stale entry — unparseable JSON, schema mismatch,
-        checksum failure, wrong field set — is counted in
-        :attr:`stats` ``.corrupt``, reported as a miss, and never
-        returned as data.
+        A corrupted or stale entry — wrong header, checksum failure,
+        truncation, a payload that is not a list of 15 values — is
+        counted in :attr:`stats` ``.corrupt``, reported as a miss, and
+        never returned as data.
         """
         try:
-            with open(self._entry_path(key), "rb") as handle:
-                raw = handle.read()
+            raw = _read_bytes(self._entry_path(key))
         except OSError:
             self._misses += 1
             return None
         self._bytes_read += len(raw)
-        payload = self._validate_entry(raw, key)
-        if payload is None:
+        values = _entry_values(raw, key)
+        if values is None:
             self._corrupt += 1
             self._misses += 1
             return None
         self._hits += 1
-        return SessionMetrics(**payload)
-
-    def _validate_entry(self, raw: bytes, key: Optional[str]) -> Optional[Dict]:
-        """Parse + verify one entry; None when corrupted or stale."""
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        if entry.get("golden_schema") != GOLDEN_SCHEMA_VERSION:
-            return None
-        if key is not None and entry.get("key") != key:
-            return None
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
-            return None
-        if tuple(sorted(payload)) != _SORTED_METRIC_FIELDS:
-            return None
-        if entry.get("checksum") != _payload_checksum(payload):
-            return None
-        return payload
+        return SessionMetrics(*values)
 
     def put(self, key: str, metrics: SessionMetrics) -> None:
         """Persist one session result under ``key`` (atomic, immutable)."""
-        payload = {
-            field: getattr(metrics, field) for field in _METRIC_FIELDS
-        }
-        entry = {
-            "schema": STORE_SCHEMA_VERSION,
-            "golden_schema": GOLDEN_SCHEMA_VERSION,
-            "key": key,
-            "payload": payload,
-            "checksum": _payload_checksum(payload),
-        }
-        raw = json.dumps(entry, sort_keys=True).encode("utf-8")
-        path = Path(self._entry_path(key))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
+        payload = _COMPACT_JSON.encode(_metric_values(metrics)).encode("ascii")
+        raw = b"".join((
+            _HEADER_HEAD,
+            key.encode("ascii"),
+            _HEADER_CHECKSUM,
+            _payload_checksum(payload),
+            _HEADER_END,
+            payload,
+        ))
+        path = self._entry_path(key)
+        try:
+            write_atomic(path, raw)
+        except FileNotFoundError:
+            # The first write into a shard creates its directory.
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_atomic(path, raw)
         self._puts += 1
         self._bytes_written += len(raw)
 
@@ -468,22 +535,34 @@ class SessionStore:
             bytes_written=self._bytes_written,
         )
 
-    def _iter_entry_paths(self) -> Iterator[Path]:
+    def _shard_files(self, pattern: str) -> Iterator[Path]:
         if not self._objects.is_dir():
             return
         for shard in sorted(self._objects.iterdir()):
             if not shard.is_dir():
                 continue
-            for path in sorted(shard.glob("*.json")):
-                yield path
+            yield from sorted(shard.glob(pattern))
+
+    def _temp_files(self) -> Iterator[Tuple[Path, float]]:
+        """(path, mtime) of every temp file left by a write."""
+        for path in self._shard_files(TEMP_GLOB):
+            try:
+                mtime = path.stat().st_mtime
+            except OSError:
+                continue
+            yield path, mtime
 
     def describe(self) -> Dict[str, object]:
-        """On-disk summary for ``repro cache stats``."""
+        """On-disk summary for ``repro cache stats``.
+
+        ``temp_files`` counts temp files of writes that are in progress
+        or were interrupted before their rename.
+        """
         entries = 0
         total_bytes = 0
         oldest: Optional[float] = None
         newest: Optional[float] = None
-        for path in self._iter_entry_paths():
+        for path in self._shard_files("*.json"):
             try:
                 info = path.stat()
             except OSError:
@@ -498,52 +577,41 @@ class SessionStore:
             "golden_schema": GOLDEN_SCHEMA_VERSION,
             "entries": entries,
             "bytes": total_bytes,
+            "temp_files": sum(1 for _ in self._temp_files()),
             "oldest_mtime": oldest,
             "newest_mtime": newest,
             "session": dataclasses.asdict(self.stats),
         }
 
-    def verify(self) -> List[EntryProblem]:
-        """Scan every entry; report the corrupted/stale ones.
-
-        Checks filename/key agreement, schema versions, payload field
-        set, and the checksum — the same validation :meth:`get` applies,
-        so anything reported here would have read as a miss, never as
-        wrong data.
-        """
+    def _entry_problems(self) -> List[EntryProblem]:
+        """Every entry that :meth:`get` would read as a miss, and why."""
         problems: List[EntryProblem] = []
-        for path in self._iter_entry_paths():
-            key = path.stem
+        for path in self._shard_files("*.json"):
             try:
-                raw = path.read_bytes()
+                raw = _read_bytes(str(path))
             except OSError as exc:
                 problems.append(EntryProblem(path, f"unreadable: {exc}"))
                 continue
-            if self._validate_entry(raw, key) is not None:
-                continue
-            # Distinguish stale-schema from corruption for the report.
-            try:
-                entry = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                problems.append(EntryProblem(path, "corrupt: not valid JSON"))
-                continue
-            if isinstance(entry, dict) and (
-                entry.get("schema") != STORE_SCHEMA_VERSION
-                or entry.get("golden_schema") != GOLDEN_SCHEMA_VERSION
-            ):
-                problems.append(
-                    EntryProblem(
-                        path,
-                        "stale: schema "
-                        f"{entry.get('schema')}/{entry.get('golden_schema')} != "
-                        f"{STORE_SCHEMA_VERSION}/{GOLDEN_SCHEMA_VERSION}",
-                    )
-                )
-            else:
-                problems.append(
-                    EntryProblem(path, "corrupt: checksum/key/payload mismatch")
-                )
+            if _entry_values(raw, path.stem) is None:
+                problems.append(EntryProblem(path, _diagnose(raw)))
         return problems
+
+    def verify(self) -> List[EntryProblem]:
+        """Scan every entry; report the corrupted/stale ones and temp files.
+
+        Entries get the same validation as :meth:`get` (header against
+        the filename's key and both schema versions, checksum over the
+        stored payload bytes, payload length), so anything reported here
+        would have read as a miss, never as wrong data. Every temp file
+        is reported as an ``orphan`` with its age; one younger than
+        :data:`ORPHAN_TEMP_AGE_S` may still belong to a running write.
+        """
+        now = time.time()
+        return self._entry_problems() + [
+            EntryProblem(path, f"orphan: temp file of an unfinished write, "
+                               f"{max(now - mtime, 0.0):.0f} s old")
+            for path, mtime in self._temp_files()
+        ]
 
     def gc(
         self,
@@ -554,10 +622,10 @@ class SessionStore:
     ) -> Dict[str, int]:
         """Prune the store; returns removal counts by reason.
 
-        Removes (in order): defective entries (anything
-        :meth:`verify` reports, when ``remove_defective``), entries older
-        than ``max_age_s``, then the oldest entries beyond
-        ``max_entries``.
+        Removes (in order): defective entries (every entry :meth:`verify`
+        reports, when ``remove_defective``), temp files older than
+        :data:`ORPHAN_TEMP_AGE_S`, entries older than ``max_age_s``, then
+        the oldest entries beyond ``max_entries``.
 
         With ``dry_run`` nothing is deleted: the returned counts report
         what a real run *would* remove under the same policy, so
@@ -573,21 +641,20 @@ class SessionStore:
             except OSError:
                 return False
 
-        removed_defective = 0
+        # Entries removed as defective (or, in a dry run, that would be)
+        # do not also count toward age/size eviction.
+        defective = set()
         if remove_defective:
-            for problem in self.verify():
+            for problem in self._entry_problems():
                 if remove(problem.path):
-                    removed_defective += 1
+                    defective.add(problem.path)
+        removed_orphans = 0
+        orphan_cutoff = time.time() - ORPHAN_TEMP_AGE_S
+        for path, mtime in self._temp_files():
+            if mtime < orphan_cutoff and remove(path):
+                removed_orphans += 1
         survivors: List[Tuple[float, Path]] = []
-        defective = (
-            {problem.path for problem in self.verify()}
-            if (dry_run and remove_defective)
-            else set()
-        )
-        for path in self._iter_entry_paths():
-            # Entries a dry run "removed" as defective must not also be
-            # counted toward age/size eviction — mirror the real pass,
-            # where they are already gone.
+        for path in self._shard_files("*.json"):
             if path in defective:
                 continue
             try:
@@ -611,7 +678,8 @@ class SessionStore:
                 if remove(path):
                     removed_excess += 1
         return {
-            "defective": removed_defective,
+            "defective": len(defective),
+            "orphans": removed_orphans,
             "expired": removed_old,
             "evicted": removed_excess,
         }

@@ -61,6 +61,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     TimeSeries,
 )
+from repro.util.atomic import write_atomic
 
 __all__ = [
     "SPAN_SWEEP_PLAN",
@@ -564,9 +565,8 @@ class ProgressBoard:
         payload["sessions_per_s"] = round(rate, 2)
         remaining = max(total - completed - cached, 0.0)
         payload["eta_s"] = round(remaining / rate, 1) if rate > 0 else None
-        tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, self.path)
+        raw = json.dumps(payload, indent=2) + "\n"
+        write_atomic(str(self.path), raw.encode("utf-8"))
 
     def close(self, **fields) -> None:
         """Final forced write (phase defaults to ``done``)."""

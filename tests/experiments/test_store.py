@@ -8,24 +8,34 @@ cold computation it replaced, serial or pooled; and a damaged store
 degrades to a cold one — corrupt entries read as misses, never as data.
 """
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
+import shutil
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CavaConfig
 from repro.core.tuning import CavaFactory, grid_search
 from repro.experiments.parallel import ParallelSweepRunner, SweepSpec
 from repro.experiments.runner import run_comparison, run_scheme_on_traces
 from repro.experiments.store import (
+    ORPHAN_TEMP_AGE_S,
     SessionStore,
     UncacheableValueError,
     fingerprint,
+    session_key,
 )
 from repro.faults.plan import FaultPlan, OutageFault
 from repro.network.traces import NetworkTrace, synthesize_lte_traces
+from repro.player.metrics import SessionMetrics
 from repro.player.session import SessionConfig
 from repro.telemetry.exporters import registry_to_prometheus
 from repro.telemetry.metrics import (
@@ -222,29 +232,29 @@ def _short_spec():
 #: with STORE_SCHEMA_VERSION.
 GOLDEN_KEYS = {
     "default": (
-        "decdc8f80de5634115d2214e1e9d6853e3ad5da7",
-        "d2398666c69979957c8b1d41bd87a8f9b1539fec",
-        "b2d7ccf0f9b0f1fa1f1b8f7e7f369562c0b1ff7c",
+        "6c90afb57a279e82c73a34ea858a45f3628368dc",
+        "cfffa9415b2a585d1de0fc24c2cc1ce53dc04fb3",
+        "c6632de4f304e10119c5983c5a62c9951f183aa9",
     ),
     "fcc": (
-        "d59a449d9f20c0983970f586b114e1c366783126",
-        "de363719b59cbf8eefeecca5fa1930f9f9530e53",
-        "08a2378c8791457799bb89e196f5b34ed57d1343",
+        "d22ae7dcb00abc52319610cb7536c2aff4ee98a5",
+        "7bf1096912d8aa3416a26e9b9854ba4ad8a1f866",
+        "cf240ed0ae037ac26456fe98425e2787fc37740a",
     ),
     "cava-factory": (
-        "da62fe15751385a1285d30b28df2b90283f1ab38",
-        "c4f75372351e0dced8bf5d187c1335ee03606f5c",
-        "b99de42bfdaaaf2bb8fd9bd8caa573028fe14354",
+        "576d8da5f6d42d8aa6bdca6e8c6119f10a90234a",
+        "f50d4f5d34f8e160152e3f0ee97c98d031337a41",
+        "bdd20a54046cc93853b483b2ee21988e33467b4f",
     ),
     "fault-plan": (
-        "6ff118a15ed6de6b7e1db54e7da2ca642ca7ce01",
-        "6b73c1454a653ed1db54d3f1995252e29d33224d",
-        "bf4db8ecf16d216bfaa9cf9806b6a2204572d445",
+        "0d0f54765edbbc992606e28754e7d54228d2ef52",
+        "85e1ec158e491e28e72c47c6bc4f0cf799527fd0",
+        "fae0616a29bb8f2e74943789c43e678c1f6d0a22",
     ),
     "session-config": (
-        "fe7b4ea9a90df0306696d4401d35f69d7a2a2805",
-        "5978cabc6065b5610c75ee3d2f21cec37968b0cf",
-        "9c91581951450644c0a59c0adcf41466a24e00bf",
+        "4c8bf6f0253480c847580302e9259aef6f68d86c",
+        "105e077467d6906433e97aab0c10142d6796f9ca",
+        "e901b72532a9209597ebc251b536cf27b7ec4b37",
     ),
 }
 
@@ -314,54 +324,102 @@ class TestCrossProcessKeys:
 
 
 def _signed(payload):
-    """The entry checksum, computed independently of the store."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+    """The entry checksum of payload bytes, computed independently of the store."""
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-def _edit_entry(edit):
-    """A defect that edits the parsed entry and writes it back as ``put`` does."""
+def _split_entry(raw):
+    """(header dict, payload bytes) of one v3 entry."""
+    head, payload = raw.split(b"\n", 1)
+    return json.loads(head), payload
+
+
+def _join_entry(header, payload):
+    """Entry bytes as ``put`` writes them: compact header line, then payload."""
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + payload
+
+
+def _edit_header(edit):
+    """A defect that edits the parsed header and writes the entry back."""
 
     def damage(raw):
-        entry = json.loads(raw)
-        edit(entry)
-        return json.dumps(entry, sort_keys=True).encode("utf-8")
+        header, payload = _split_entry(raw)
+        edit(header)
+        return _join_entry(header, payload)
 
     return damage
 
 
 def _edit_payload(edit):
     """A payload defect re-signed with a valid checksum, so only the
-    field-set check can catch it."""
+    payload-length check can catch it."""
 
-    def apply(entry):
-        edit(entry["payload"])
-        entry["checksum"] = _signed(entry["payload"])
+    def damage(raw):
+        header, payload = _split_entry(raw)
+        values = json.loads(payload)
+        edit(values)
+        payload = json.dumps(values, separators=(",", ":")).encode("utf-8")
+        header["checksum"] = _signed(payload)
+        return _join_entry(header, payload)
 
-    return _edit_entry(apply)
+    return damage
 
 
-def _flip_checksum_digit(entry):
-    checksum = entry["checksum"]
-    entry["checksum"] = ("1" if checksum[0] == "0" else "0") + checksum[1:]
+def _flip_checksum_digit(header):
+    checksum = header["checksum"]
+    header["checksum"] = ("1" if checksum[0] == "0" else "0") + checksum[1:]
 
 
 #: One defect per check of the read path: (verify() report prefix,
-#: damage applied to the entry bytes).
+#: damage applied to the entry bytes). The payload is positional, so
+#: "missing-field" is a payload one value short and "extra-field" one
+#: value long.
 ENTRY_DEFECTS = {
     "key-not-filename": (
         "corrupt",
-        _edit_entry(lambda entry: entry.update(key="0" * len(entry["key"]))),
+        _edit_header(lambda header: header.update(key="0" * len(header["key"]))),
     ),
-    "missing-field": ("corrupt", _edit_payload(lambda p: p.pop("rebuffer_s"))),
-    "extra-field": ("corrupt", _edit_payload(lambda p: p.update(bogus=0.0))),
-    "flipped-checksum-digit": ("corrupt", _edit_entry(_flip_checksum_digit)),
+    "missing-field": ("corrupt", _edit_payload(lambda values: values.pop())),
+    "extra-field": ("corrupt", _edit_payload(lambda values: values.append(0.0))),
+    "flipped-checksum-digit": ("corrupt", _edit_header(_flip_checksum_digit)),
     "truncated": ("corrupt", lambda raw: raw[: len(raw) // 2]),
     "schema-bumped": (
         "stale",
-        _edit_entry(lambda entry: entry.update(schema=entry["schema"] + 1)),
+        _edit_header(lambda header: header.update(schema=header["schema"] + 1)),
     ),
 }
+
+#: A v2-format entry (one JSON line, named payload fields, checksum over
+#: the sorted-keys payload encoding) as the previous format wrote it.
+V2_ENTRY = Path(__file__).with_name("store_v2_entry.json")
+V2_KEY = "3e76e99b47f54f2b620ed167d1946a1ca5c005bd"
+
+#: One fixed result and its pinned v3 entry bytes under GOLDEN_ENTRY_KEY.
+GOLDEN_METRICS = SessionMetrics(
+    "RBA", "short-test", "lte-000", "vmaf_phone",
+    71.25, 72.5, 40.125, 68.0625, 0.1, 1.5, 3.25, 12.75, 2.0, 2.5, 7,
+)
+GOLDEN_ENTRY_KEY = "34910795a70a8a22c02e60427ba0c58bb165d3d9"
+GOLDEN_ENTRY = (
+    b'{"schema":3,"golden_schema":1,"key":"34910795a70a8a22c02e60427ba0c58bb165d3d9",'
+    b'"checksum":"49280bf9e87f41b08902112589223652"}\n'
+    b'["RBA","short-test","lte-000","vmaf_phone",'
+    b"71.25,72.5,40.125,68.0625,0.1,1.5,3.25,12.75,2.0,2.5,7]"
+)
+
+
+def _bits(metrics):
+    """Every field of ``metrics``, floats by their exact bits."""
+    return [
+        value.hex() if isinstance(value, float) else (type(value), value)
+        for value in dataclasses.astuple(metrics)
+    ]
+
+
+def _age(path, seconds):
+    """Backdate ``path``'s mtime by ``seconds``."""
+    stamp = time.time() - seconds
+    os.utime(path, (stamp, stamp))
 
 
 class TestEntryIO:
@@ -416,9 +474,10 @@ class TestEntryIO:
         )
         store.put(key, self._one_metric(short_video, one_lte_trace))
         (path,) = self._entry_paths(store)
-        entry = json.loads(path.read_text())
-        entry["golden_schema"] = entry["golden_schema"] + 1
-        path.write_text(json.dumps(entry))
+        bump = _edit_header(
+            lambda header: header.update(golden_schema=header["golden_schema"] + 1)
+        )
+        path.write_bytes(bump(path.read_bytes()))
         assert store.get(key) is None  # stale is a miss, never data
         problems = store.verify()
         assert len(problems) == 1 and "stale" in problems[0].problem
@@ -457,7 +516,7 @@ class TestEntryIO:
     ):
         """The defect table's rewrite and re-sign alone break nothing."""
         key, metric, path = self._put_one(tmp_path, short_video, one_lte_trace)
-        path.write_bytes(_edit_payload(lambda payload: None)(path.read_bytes()))
+        path.write_bytes(_edit_payload(lambda values: None)(path.read_bytes()))
         reader = SessionStore(tmp_path)
         assert reader.get(key) == metric
         assert reader.verify() == []
@@ -475,6 +534,164 @@ class TestEntryIO:
             store.put(key, metric)
         removed = store.gc(max_entries=2)
         assert removed["evicted"] == 3
+        assert store.describe()["entries"] == 2
+
+
+class TestEntryFormat:
+    """The v3 bytes: pinned, checked as read, and round-tripped by bits."""
+
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        store = SessionStore(tmp_path)
+        store.put(GOLDEN_ENTRY_KEY, GOLDEN_METRICS)
+        (path,) = (tmp_path / "objects").rglob("*.json")
+        assert path.name == f"{GOLDEN_ENTRY_KEY}.json"
+        assert path.read_bytes() == GOLDEN_ENTRY
+        header, payload = _split_entry(GOLDEN_ENTRY)
+        assert header["checksum"] == _signed(payload)
+        assert store.get(GOLDEN_ENTRY_KEY) == GOLDEN_METRICS
+
+    def test_every_torn_prefix_reads_as_miss(self, tmp_path):
+        store = SessionStore(tmp_path)
+        store.put(GOLDEN_ENTRY_KEY, GOLDEN_METRICS)
+        (path,) = (tmp_path / "objects").rglob("*.json")
+        for cut in range(len(GOLDEN_ENTRY)):
+            path.write_bytes(GOLDEN_ENTRY[:cut])
+            reader = SessionStore(tmp_path)
+            assert reader.get(GOLDEN_ENTRY_KEY) is None, cut
+            assert reader.stats.corrupt == 1, cut
+            (problem,) = reader.verify()
+            assert problem.problem.startswith("corrupt"), (cut, problem)
+        path.write_bytes(GOLDEN_ENTRY)
+        assert SessionStore(tmp_path).get(GOLDEN_ENTRY_KEY) == GOLDEN_METRICS
+
+    def test_non_utf8_payload_reads_as_miss(self, tmp_path):
+        """Bytes that are not UTF-8 are rejected even under a valid checksum."""
+        header, payload = _split_entry(GOLDEN_ENTRY)
+        payload = payload.replace(b'"RBA"', b'"RB\xff"')
+        header["checksum"] = _signed(payload)
+        store = SessionStore(tmp_path)
+        store.put(GOLDEN_ENTRY_KEY, GOLDEN_METRICS)
+        (path,) = (tmp_path / "objects").rglob("*.json")
+        path.write_bytes(_join_entry(header, payload))
+        assert store.get(GOLDEN_ENTRY_KEY) is None
+        (problem,) = store.verify()
+        assert problem.problem.startswith("corrupt")
+
+    def test_v2_entry_is_stale_miss_and_collected(self, tmp_path):
+        store = SessionStore(tmp_path)
+        path = tmp_path / "objects" / V2_KEY[:2] / f"{V2_KEY}.json"
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(V2_ENTRY, path)
+        assert store.get(V2_KEY) is None
+        assert (store.stats.hits, store.stats.misses, store.stats.corrupt) == (0, 1, 1)
+        (problem,) = store.verify()
+        assert problem.path == path
+        assert problem.problem.startswith("stale: schema 2/")
+        assert store.gc()["defective"] == 1
+        assert not path.exists()
+        assert store.verify() == []
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        names=st.tuples(st.text(), st.text(), st.text(min_size=1), st.text()),
+        floats=st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [-0.0, 0.0, 5e-324, -2.5e-310, float("inf"), float("-inf"), float("nan")]
+                ),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            ),
+            min_size=10,
+            max_size=10,
+        ),
+        switches=st.integers(min_value=0, max_value=2**63),
+    )
+    @pytest.mark.parametrize(
+        "trace_name",
+        # The long name makes an entry larger than one read of the store.
+        ["lte-000", "трасса-é-🙂", "é" * 3000],
+        ids=["ascii", "non-ascii", "long"],
+    )
+    def test_roundtrip_is_bit_exact(self, tmp_path, trace_name, names, floats, switches):
+        scheme, video_name, drawn_trace_name, metric = names
+        for name in (trace_name, drawn_trace_name):
+            metrics = SessionMetrics(scheme, video_name, name, metric, *floats, switches)
+            trace = NetworkTrace(
+                name=name, interval_s=1.0, throughputs_bps=np.array([1e6, 2e6])
+            )
+            key = session_key(
+                "RBA", "lte", None, None, None, "0" * 32, trace.digest(), SessionConfig()
+            )
+            SessionStore(tmp_path).put(key, metrics)
+            got = SessionStore(tmp_path).get(key)
+            assert got is not None
+            assert _bits(got) == _bits(metrics)
+
+
+class TestMaintenance:
+    """Temp files of interrupted writes, and gc's dry run."""
+
+    def _fill(self, root, count):
+        store = SessionStore(root)
+        keys = [hashlib.blake2b(bytes([i]), digest_size=20).hexdigest() for i in range(count)]
+        for key in keys:
+            store.put(key, GOLDEN_METRICS)
+        return store, [root / "objects" / key[:2] / f"{key}.json" for key in keys]
+
+    def test_orphaned_temp_files_counted_reported_and_pruned(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store, (entry,) = self._fill(tmp_path, 1)
+        old = entry.with_name(entry.name + ".tmp.0123456789abcdef")
+        fresh = entry.with_name(entry.stem + ".tmp.4242")  # the former pid-named form
+        old.write_bytes(GOLDEN_ENTRY[:40])
+        fresh.write_bytes(GOLDEN_ENTRY[:40])
+        _age(old, 2 * ORPHAN_TEMP_AGE_S)
+
+        assert store.describe()["temp_files"] == 2
+        assert store.describe()["entries"] == 1
+        problems = store.verify()
+        assert sorted(p.path for p in problems) == sorted([old, fresh])
+        assert all(p.problem.startswith("orphan") for p in problems)
+
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path), "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "would remove 0 defective" in out and "1 orphaned temp file" in out
+        assert store.gc(dry_run=True)["orphans"] == 1
+        assert old.exists() and fresh.exists()
+
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+        assert "1 orphaned temp file" in capsys.readouterr().out
+        assert not old.exists() and fresh.exists()
+        assert SessionStore(tmp_path).get(entry.stem) == GOLDEN_METRICS
+
+    def test_dry_run_reads_each_entry_once_and_matches_real_run(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.store as store_module
+
+        store, paths = self._fill(tmp_path, 6)
+        paths[0].write_bytes(GOLDEN_ENTRY[:-3])  # defective
+        for path in paths[1:3]:
+            _age(path, 3 * 86400.0)  # expired
+        reads = []
+        real_read = store_module._read_bytes
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(store_module, "_read_bytes", counting_read)
+        policy = dict(max_entries=2, max_age_s=86400.0)
+        preview = store.gc(dry_run=True, **policy)
+        assert len(reads) == len(paths)
+        assert all(path.exists() for path in paths)
+        assert preview == {"defective": 1, "orphans": 0, "expired": 2, "evicted": 1}
+        assert store.gc(**policy) == preview
         assert store.describe()["entries"] == 2
 
 

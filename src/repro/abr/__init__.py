@@ -7,9 +7,9 @@ from repro.abr.bba import BBA1Algorithm
 from repro.abr.bola import BOLA_VARIANTS, BolaEAlgorithm
 from repro.abr.dynamic import DynamicAlgorithm
 from repro.abr.festive import FestiveAlgorithm
-from repro.abr.horizon import horizon_sizes, level_sequences, simulate_buffer
+from repro.abr.horizon import horizon_sizes, level_sequences
 from repro.abr.mpc import MPCAlgorithm, RobustMPCAlgorithm
-from repro.abr.oboe import DEFAULT_STATE_CONFIGS, NetworkState, OboeTunedCava, build_config_table
+from repro.abr.oboe import DEFAULT_STATE_CONFIGS, NetworkState, OboeTunedCava
 from repro.abr.pandacq import PandaCQAlgorithm
 from repro.abr.pia import PIAAlgorithm
 from repro.abr.rba import RateBasedAlgorithm
@@ -30,10 +30,8 @@ __all__ = [
     "DEFAULT_STATE_CONFIGS",
     "NetworkState",
     "OboeTunedCava",
-    "build_config_table",
     "horizon_sizes",
     "level_sequences",
-    "simulate_buffer",
     "FestiveAlgorithm",
     "MPCAlgorithm",
     "RobustMPCAlgorithm",

@@ -14,9 +14,11 @@ per length-``k`` prefix (``L^k`` states), and expanding a prefix by one
 level costs a broadcasted ``(L^k, L)`` operation. Per decision that is
 ``L + L^2 + ... + L^h`` elements of arithmetic instead of ``L^h * h``,
 and — because every elementwise operation is applied to the same operand
-values in the same order as the flat :func:`simulate_buffer` rollout —
+values in the same order as the flat per-sequence rollout —
 the leaf results are **bit-identical** to simulating each sequence
-independently.
+independently. That flat rollout, ``simulate_buffer``, is kept in
+``tests/abr/reference.py``, where the trellis tests pin every lane row
+to it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.video.model import Manifest
 
 __all__ = [
     "level_sequences",
-    "simulate_buffer",
     "horizon_sizes",
     "HorizonPlanner",
     "planner_for",
@@ -270,52 +271,6 @@ def horizon_sizes(manifest: Manifest, start_index: int, horizon: int) -> np.ndar
     return manifest.chunk_sizes_bits[:, start_index:end]
 
 
-def simulate_buffer(
-    sequences: np.ndarray,
-    sizes_bits: np.ndarray,
-    bandwidth_bps: float,
-    start_buffer_s: float,
-    chunk_duration_s: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized buffer rollout for every candidate sequence.
-
-    Parameters
-    ----------
-    sequences:
-        ``(count, h)`` candidate level sequences.
-    sizes_bits:
-        ``(num_tracks, h)`` actual chunk sizes over the horizon.
-    bandwidth_bps:
-        Predicted bandwidth, assumed constant over the horizon (the
-        standard MPC simplification).
-    start_buffer_s:
-        Buffer level when the first chunk's download starts.
-    chunk_duration_s:
-        Playback seconds added per downloaded chunk.
-
-    Returns
-    -------
-    (total_rebuffer_s, final_buffer_s):
-        Both of shape ``(count,)``.
-    """
-    if bandwidth_bps <= 0:
-        raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
-    count, h = sequences.shape
-    if sizes_bits.shape[1] != h:
-        raise ValueError(
-            f"sizes cover {sizes_bits.shape[1]} chunks but sequences plan {h}"
-        )
-    buffer = np.full(count, float(start_buffer_s))
-    rebuffer = np.zeros(count)
-    for k in range(h):
-        download_s = sizes_bits[sequences[:, k], k] / bandwidth_bps
-        shortfall = download_s - buffer
-        stall = np.maximum(shortfall, 0.0)
-        rebuffer += stall
-        buffer = np.maximum(buffer - download_s, 0.0) + chunk_duration_s
-    return rebuffer, buffer
-
-
 class HorizonPlanner:
     """Shared-prefix (trellis) rollout engine for ``lanes`` sessions of one
     ``(L, horizon)`` shape.
@@ -326,7 +281,8 @@ class HorizonPlanner:
     lane slice; the scalar ``select_level`` paths roll on the shared
     one-lane instance of :func:`planner_for`.
 
-    Bit-identity with :func:`simulate_buffer`: the buffer/rebuffer
+    Bit-identity with the flat rollout (``simulate_buffer`` in
+    ``tests/abr/reference.py``): the buffer/rebuffer
     recurrence is elementwise per (lane, sequence), so a leaf's value
     depends only on its lane's bandwidth and start buffer and its own
     level path. The trellis applies the *same* IEEE double operations in
@@ -417,7 +373,7 @@ class HorizonPlanner:
             dst = 1 - cur
             new_buf = bufs[dst][:lanes, :nxt].reshape(lanes, count, num_levels)
             new_reb = rebs[dst][:lanes, :nxt].reshape(lanes, count, num_levels)
-            # Same op order as simulate_buffer's step k, broadcast over
+            # Same op order as the flat rollout's step k, broadcast over
             # (lanes, prefixes, levels); C-order reshape keeps child
             # p * L + l within each lane.
             np.subtract(dls, src_buf, out=new_reb)  # shortfall

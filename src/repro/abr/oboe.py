@@ -8,11 +8,10 @@ offline and switch between them online as the observed state changes.
 Applied to CAVA: the deflation/inflation factors and the proportional
 gain trade quality against stall risk differently on a stable 6 Mbps
 link than on a choppy 1 Mbps one. :class:`OboeTunedCava` carries a
-state-indexed configuration table (a sensible hand-calibrated default is
-included; :func:`build_config_table` recomputes one offline with the
-:mod:`repro.core.tuning` grid search), classifies the recent throughput
-samples into a state each decision, and delegates to a CAVA instance
-reconfigured for that state.
+state-indexed configuration table (a hand-calibrated default is
+included; pass ``state_configs`` to use another), classifies the recent
+throughput samples into a state each decision, and delegates to a CAVA
+instance reconfigured for that state.
 
 This is an *extension*, not part of the paper's evaluation; it exists to
 show the control-theoretic core composes with the auto-tuning line of
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from repro.core.cava import CavaAlgorithm
 from repro.core.config import CavaConfig
 from repro.video.model import Manifest
 
-__all__ = ["NetworkState", "OboeTunedCava", "DEFAULT_STATE_CONFIGS", "build_config_table"]
+__all__ = ["NetworkState", "OboeTunedCava", "DEFAULT_STATE_CONFIGS"]
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ def _states() -> List[NetworkState]:
     ]
 
 
-#: Hand-calibrated per-state overrides (regenerate offline with
-#: :func:`build_config_table`): choppy states get stronger deflation and
-#: a faster gain; stable-high states can afford gentler control.
+#: Hand-calibrated per-state overrides: choppy states get stronger
+#: deflation and a faster gain; stable-high states can afford gentler
+#: control.
 DEFAULT_STATE_CONFIGS: Dict[str, dict] = {
     "low-stable": {"alpha_simple": 0.85, "kp": 0.01},
     "low-choppy": {"alpha_simple": 0.7, "alpha_complex": 1.1, "kp": 0.02},
@@ -153,25 +152,3 @@ class OboeTunedCava(ABRAlgorithm):
             chunk_index, level, size_bits, download_s, buffer_s, now_s
         )
 
-
-def build_config_table(
-    video,
-    traces_by_state: Dict[str, Sequence],
-    grid: Dict[str, Sequence],
-    network: str = "lte",
-    base_config: CavaConfig = CavaConfig(),
-) -> Dict[str, dict]:
-    """Offline step: grid-search the best overrides per network state.
-
-    ``traces_by_state`` maps state labels to trace sets representative of
-    that state (e.g. produced by filtering a corpus with
-    :func:`repro.network.analysis.summarize_traces`). Returns a
-    state->overrides table usable as ``OboeTunedCava(state_configs=...)``.
-    """
-    from repro.core.tuning import grid_search
-
-    table: Dict[str, dict] = {}
-    for label, traces in traces_by_state.items():
-        ranked = grid_search(grid, video, traces, network, base_config)
-        table[label] = dict(ranked[0].overrides)
-    return table

@@ -9,12 +9,6 @@ from repro.analysis.characterization import (
     scene_quality_consistency,
     size_complexity_correlation,
 )
-from repro.analysis.tradeoff import (
-    ObjectivePoint,
-    dominates,
-    objective_points,
-    pareto_front,
-)
 
 __all__ = [
     "CharacterizationSummary",
@@ -24,8 +18,4 @@ __all__ = [
     "quartile_siti_separation",
     "size_complexity_correlation",
     "scene_quality_consistency",
-    "ObjectivePoint",
-    "dominates",
-    "objective_points",
-    "pareto_front",
 ]

@@ -582,6 +582,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     from repro.experiments.store import SessionStore
 
+    # Maintenance reads an existing store: opening one would create the
+    # directory tree and report a mistyped path as a clean, empty store.
+    if not Path(args.cache_dir).is_dir():
+        raise SystemExit(
+            f"cache {args.action}: no session store at {args.cache_dir}"
+        )
     store = SessionStore(args.cache_dir)
     if args.action == "stats":
         # Both forms are machine-readable; --json selects the compact

@@ -12,7 +12,6 @@ from repro.core.filters import (
 from repro.core.inner import InnerController
 from repro.core.outer import OuterController
 from repro.core.pid import PIDController
-from repro.core.tuning import TuningResult, default_objective, expand_grid, grid_search
 
 __all__ = [
     "CavaAlgorithm",
@@ -27,8 +26,4 @@ __all__ = [
     "InnerController",
     "OuterController",
     "PIDController",
-    "TuningResult",
-    "default_objective",
-    "expand_grid",
-    "grid_search",
 ]

@@ -134,11 +134,12 @@ class CavaAlgorithm(ABRAlgorithm):
         elif u < pid._u_min:
             u = pid._u_min
         # Inner controller: which track satisfies that, VBR-aware?
-        # InnerController.select is inlined branch-for-branch (the
-        # conditional floor keeps max(bandwidth, 1000.0)'s doubles) —
-        # the call frame itself was measurable at one CAVA decision per
-        # fleet chunk. Same validations, same float order, same
-        # tie-breaks; `inner.select` remains the reference body.
+        # The Eq. (4) argmin runs inline over the InnerController's
+        # per-chunk tables (the conditional floor keeps
+        # max(bandwidth, 1000.0)'s doubles) — the call frame itself was
+        # measurable at one CAVA decision per fleet chunk. The per-call
+        # reference body (alpha/eta/objective/select) lives in
+        # tests/core/reference.py, which pins this one to it.
         bandwidth_bps = ctx.bandwidth_bps
         if bandwidth_bps < 1_000.0:
             bandwidth_bps = 1_000.0

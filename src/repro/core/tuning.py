@@ -1,63 +1,31 @@
-"""Configuration search for CAVA — the §6.2 exploration as a tool.
+"""A picklable factory for tuned CAVA configurations.
 
 The paper tuned W, W', Kp/Ki, and the alpha factors by sweeping them
-over trace sets. This module packages that workflow: declare a grid of
-:class:`~repro.core.config.CavaConfig` variations, score each over a
-trace set with a pluggable objective, and get back the ranked results.
-
-The default objective mirrors how the paper reads Fig. 7: maximize Q4
-quality subject to rebuffering, expressed as a penalized scalar
-(Q4 quality − penalty · rebuffer seconds − penalty · low-quality %).
+over trace sets (§6.2). A sweep over configurations is a list of
+:class:`~repro.experiments.parallel.SweepSpec` entries whose
+``algorithm_factory`` builds CAVA with one candidate
+:class:`~repro.core.config.CavaConfig` each; :class:`CavaFactory` is that
+factory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
-
-if TYPE_CHECKING:  # annotation only; imported for real inside grid_search
-    from repro.experiments.store import SessionStore
+from dataclasses import dataclass
 
 from repro.core.cava import CavaAlgorithm
 from repro.core.config import CavaConfig
-from repro.network.traces import NetworkTrace
-from repro.video.model import VideoAsset
 
-__all__ = [
-    "TuningResult",
-    "CavaFactory",
-    "default_objective",
-    "grid_search",
-    "expand_grid",
-]
-
-# The sweep runner lives in repro.experiments, which (through the scheme
-# registry) imports repro.core — so the runner is imported lazily inside
-# grid_search to keep the package import graph acyclic.
-Objective = Callable[["SweepResult"], float]  # noqa: F821 - lazy import
-
-
-def default_objective(
-    sweep,
-    rebuffer_penalty: float = 3.0,
-    low_quality_penalty: float = 100.0,
-) -> float:
-    """The Fig. 7 trade-off as a scalar (higher is better)."""
-    return (
-        sweep.mean("q4_quality_mean")
-        - rebuffer_penalty * sweep.mean("rebuffer_s")
-        - low_quality_penalty * sweep.mean("low_quality_fraction")
-    )
+__all__ = ["CavaFactory"]
 
 
 @dataclass(frozen=True)
 class CavaFactory:
     """Picklable ``CavaAlgorithm`` factory.
 
-    The grid search ships one of these per candidate configuration to the
-    parallel sweep engine's workers — a lambda closing over the config
-    would not survive pickling.
+    The parallel sweep engine ships one of these per candidate
+    configuration to its workers — a lambda closing over the config
+    would not survive pickling — and the session store digests it by
+    value, since it is a frozen dataclass.
     """
 
     config: CavaConfig
@@ -65,100 +33,3 @@ class CavaFactory:
 
     def __call__(self) -> CavaAlgorithm:
         return CavaAlgorithm(self.config, name=self.name)
-
-
-@dataclass(frozen=True)
-class TuningResult:
-    """One evaluated configuration."""
-
-    overrides: Mapping[str, float]
-    score: float
-    q4_quality: float
-    rebuffer_s: float
-    low_quality_fraction: float
-
-    def describe(self) -> str:
-        """One-line summary for reports."""
-        knobs = ", ".join(f"{k}={v:g}" for k, v in self.overrides.items())
-        return (
-            f"{knobs or 'defaults'}: score {self.score:.2f} "
-            f"(Q4 {self.q4_quality:.1f}, stall {self.rebuffer_s:.2f}s, "
-            f"low {self.low_quality_fraction:.1%})"
-        )
-
-
-def expand_grid(grid: Mapping[str, Sequence]) -> List[Dict[str, float]]:
-    """Cartesian product of per-knob value lists into override dicts."""
-    if not grid:
-        return [{}]
-    names = list(grid)
-    return [dict(zip(names, values)) for values in product(*(grid[n] for n in names))]
-
-
-def grid_search(
-    grid: Mapping[str, Sequence],
-    video: VideoAsset,
-    traces: Sequence[NetworkTrace],
-    network: str = "lte",
-    base_config: CavaConfig = CavaConfig(),
-    objective: Objective = default_objective,
-    n_workers: Optional[int] = 1,
-    store: Optional["SessionStore"] = None,
-    cache_dir: Optional[str] = None,
-) -> List[TuningResult]:
-    """Evaluate every configuration in ``grid``; return ranked results.
-
-    ``grid`` maps :class:`CavaConfig` field names to candidate values,
-    e.g. ``{"inner_window_s": (20, 40, 80), "kp": (0.01, 0.02)}``.
-    Results are sorted best-first by the objective.
-
-    The whole (configuration x trace) grid goes through the sweep engine
-    as one batch: ``n_workers=1`` (the default) evaluates serially in
-    this process, ``None`` uses every core, any other value that many
-    workers. Scores are identical regardless of worker count.
-
-    ``store`` (or ``cache_dir``, which opens a
-    :class:`~repro.experiments.store.SessionStore` at that path) makes
-    the search **incremental**: every (configuration, trace) session the
-    store already holds is read back instead of re-run, so re-ranking
-    with a widened grid — or resuming an interrupted search — only pays
-    for the points not yet scored. :class:`CavaFactory` is a frozen
-    dataclass, so each candidate configuration digests by value.
-    """
-    from repro.experiments.parallel import ParallelSweepRunner, SweepSpec
-
-    if store is None and cache_dir is not None:
-        from repro.experiments.store import SessionStore
-
-        store = SessionStore(cache_dir)
-
-    override_list = expand_grid(grid)
-    specs = []
-    for overrides in override_list:
-        config = replace(base_config, **overrides)
-        knobs = ", ".join(f"{k}={v:g}" for k, v in overrides.items())
-        specs.append(
-            SweepSpec(
-                scheme="CAVA",
-                video_key=video.name,
-                network=network,
-                algorithm_factory=CavaFactory(config),
-                label=f"CAVA[{knobs}]" if knobs else "CAVA",
-            )
-        )
-    engine = ParallelSweepRunner(n_workers=n_workers, store=store)
-    sweeps = engine.run_specs(specs, {video.name: video}, traces)
-
-    results: List[TuningResult] = []
-    for overrides, sweep in zip(override_list, sweeps):
-        results.append(
-            TuningResult(
-                overrides=dict(overrides),
-                score=float(objective(sweep)),
-                q4_quality=sweep.mean("q4_quality_mean"),
-                rebuffer_s=sweep.mean("rebuffer_s"),
-                low_quality_fraction=sweep.mean("low_quality_fraction"),
-            )
-        )
-    results.sort(key=lambda r: r.score, reverse=True)
-    return results

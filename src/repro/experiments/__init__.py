@@ -25,12 +25,6 @@ from repro.experiments.report import (
     format_percent,
     render_table,
 )
-from repro.experiments.significance import (
-    PairedComparison,
-    compare_schemes,
-    paired_bootstrap,
-    sign_test_pvalue,
-)
 from repro.experiments.artifacts import ArtifactCache, CacheStats
 from repro.experiments.parallel import (
     ParallelSweepRunner,
@@ -73,10 +67,6 @@ __all__ = [
     "write_cdf_csv",
     "write_json",
     "write_series_csv",
-    "PairedComparison",
-    "compare_schemes",
-    "paired_bootstrap",
-    "sign_test_pvalue",
     "ArtifactCache",
     "CacheStats",
     "ParallelSweepRunner",

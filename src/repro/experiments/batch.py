@@ -44,7 +44,6 @@ from repro.player.metrics import SessionMetrics, metric_for_network, summarize_l
 from repro.player.session import (
     LockstepRecord,
     SessionConfig,
-    SessionResult,
     run_lockstep_sessions,
 )
 from repro.video.model import VideoAsset
@@ -56,7 +55,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BatchCapability",
     "batch_capability",
-    "run_batch_sessions",
     "run_batch_metrics",
     "DISABLE_BATCH_ENV",
 ]
@@ -118,7 +116,7 @@ def batch_capability(
 
     A supported probe still is not a guarantee: ``batch_decider`` may
     return ``None`` for subclassed algorithms (the deciders are
-    type-exact), in which case :func:`run_batch_sessions` returns
+    type-exact), in which case :func:`run_batch_metrics` returns
     ``None`` and the caller falls back.
     """
     if os.environ.get(DISABLE_BATCH_ENV):
@@ -214,43 +212,6 @@ def _lockstep_records(
     return records
 
 
-def run_batch_sessions(
-    scheme: str,
-    video: VideoAsset,
-    traces: Sequence[NetworkTrace],
-    network: str = "lte",
-    config: SessionConfig = SessionConfig(),
-    cache: Optional[ArtifactCache] = None,
-    algorithm_factory: Optional[Callable[[], ABRAlgorithm]] = None,
-    max_lanes: Optional[int] = None,
-    stage_timer: Optional[StageTimer] = None,
-) -> Optional[List[SessionResult]]:
-    """Run one (scheme, video) pair over ``traces`` on the batch engine.
-
-    Returns the per-trace :class:`SessionResult` list in trace order —
-    each entry bit-identical to the scalar session — or ``None`` when
-    the algorithm declines to build a batch decider (the caller must
-    then fall back to the scalar path). Traces are processed in lane
-    slices (:data:`PLANNER_LANE_CAP` / :data:`DEFAULT_LANE_CAP`) with a
-    fresh decider per slice, bounding trellis scratch memory; slicing
-    never changes results because lanes are independent.
-
-    ``stage_timer`` (optional) accumulates the engine's stage costs:
-    ``batch.prepare`` (manifest/decider/link construction here) plus the
-    lockstep loop's estimate/decide/advance stages. Zero overhead when
-    ``None``; results are identical either way.
-    """
-    if cache is None:
-        cache = ArtifactCache()
-    records = _lockstep_records(
-        scheme, video, traces, network, config, cache,
-        algorithm_factory, max_lanes, stage_timer,
-    )
-    if records is None:
-        return None
-    return [result for record in records for result in record.results()]
-
-
 def run_batch_metrics(
     scheme: str,
     video: VideoAsset,
@@ -262,14 +223,25 @@ def run_batch_metrics(
     max_lanes: Optional[int] = None,
     stage_timer: Optional[StageTimer] = None,
 ) -> Optional[List[SessionMetrics]]:
-    """:func:`run_batch_sessions` summarized to :class:`SessionMetrics`.
+    """Run one (scheme, video) pair over ``traces`` on the batch engine.
 
     The drop-in batched equivalent of mapping
-    :func:`repro.experiments.runner.run_one_session` over ``traces``;
-    ``None`` means "not batchable after all — run the scalar loop".
-    Metrics are reduced straight from each slice's record matrices
+    :func:`repro.experiments.runner.run_one_session` over ``traces``:
+    the per-trace :class:`SessionMetrics` list in trace order, each
+    bit-identical to the scalar session's, or ``None`` when the
+    algorithm declines to build a batch decider ("not batchable after
+    all — run the scalar loop"). Traces are processed in lane slices
+    (:data:`PLANNER_LANE_CAP` / :data:`DEFAULT_LANE_CAP`) with a fresh
+    decider per slice, bounding trellis scratch memory; slicing never
+    changes results because lanes are independent. Metrics are reduced
+    straight from each slice's record matrices
     (:func:`~repro.player.metrics.summarize_lockstep`); no per-lane
-    :class:`SessionResult` is built.
+    session record is built.
+
+    ``stage_timer`` (optional) accumulates the engine's stage costs:
+    ``batch.prepare`` (manifest/decider/link construction) plus the
+    lockstep loop's estimate/decide/advance stages. Zero overhead when
+    ``None``; results are identical either way.
     """
     if cache is None:
         cache = ArtifactCache()

@@ -19,9 +19,10 @@ instead of one heap:
   list walked by a cursor — no heap push/pop for the whole population;
 - *timers* (wake/xfer/depart) keep the binary heap, ordered by
   ``(time, seq)``;
-- the *link completion* comes from ``SharedLink.next_completion()``,
-  which caches its answer under an exact state key and resolves the
-  inverse-cumulative search through a memoized interval hint.
+- the *link completion* is the earliest flow on the
+  :class:`~repro.network.shared.SharedLink` heap, its finish time found
+  by the inverse-cumulative search through a memoized interval hint,
+  all inlined in :meth:`_EdgeSimulator._loop`.
 
 The deterministic merge preserves the original single-heap order
 exactly: completions beat timers at equal times, and arrivals beat
@@ -583,18 +584,22 @@ class _EdgeSimulator:
         among themselves by insertion seq via the heap tuple.
 
         **Fusion contract.** The per-event work — the completion query
-        (``SharedLink.next_completion`` + ``TraceLink.finish_time``),
-        the clock advance (``SharedLink.advance_to`` +
-        ``TraceLink._cumulative_at`` + the bucket partials), flow
-        admission/retirement (``SharedLink.start``/``complete``) and the
-        action dispatch — is inlined here with all state in loop locals,
-        expression-for-expression identical to the methods it replicates
-        (same operand order, same branch structure), so every float it
-        produces is the exact double the method path produces (the
-        fingerprint pins in ``tests/fleet`` hold it to the golden
-        bytes). Cold handlers (arrivals, latency-delayed
-        transfer starts, the per-bucket slow advance) stay out of line;
-        loop-local state is written back around those calls and on exit.
+        (``next_completion`` + ``finish_time``), the clock advance
+        (``SharedLink.advance_to`` + ``TraceLink._cumulative_at`` + the
+        bucket partials), flow admission (``SharedLink.start``) and
+        retirement (``complete``) and the action dispatch
+        (:meth:`_dispatch`) — is inlined here with all state in loop
+        locals, expression-for-expression identical to the methods it
+        replicates (same operand order, same branch structure), so every
+        float it produces is the exact double the method path produces.
+        The per-call completion query and retirement live in
+        ``tests/network/reference.py``; ``tests/fleet/reference.py``
+        builds the method-path edge loop from them, and
+        ``tests/fleet/test_method_path.py`` holds this loop to it, as
+        the fingerprint pins hold it to the golden bytes. Cold handlers
+        (arrivals, latency-delayed transfer starts, the per-bucket slow
+        advance) stay out of line; loop-local state is written back
+        around those calls and on exit.
 
         **Stage timing.** With a ``timer``, clock reads bracket the
         three regions of each iteration — the completion query, the
@@ -931,8 +936,6 @@ class _EdgeSimulator:
         link.now_s = now
         link._cum_now = cum_now
         link._seq = lseq
-        link._cache_key = None
-        link._cache_value = None
         tl._finish_hint = finish_hint
         self._seq = tseq
         self.in_system = in_system

@@ -2,18 +2,10 @@
 a trace-driven fluid download link, and the bandwidth estimators the
 evaluation uses (harmonic-mean and §6.7's controlled-error oracle)."""
 
-from repro.network.analysis import (
-    TraceSetSummary,
-    outage_fraction,
-    segment_stationary,
-    summarize_traces,
-)
 from repro.network.estimator import (
     BandwidthEstimator,
     ControlledErrorEstimator,
-    EwmaEstimator,
     HarmonicMeanEstimator,
-    LastSampleEstimator,
 )
 from repro.network.link import DownloadResult, TraceLink
 from repro.network.shared import SharedLink
@@ -28,15 +20,9 @@ from repro.network.traces import (
 )
 
 __all__ = [
-    "TraceSetSummary",
-    "outage_fraction",
-    "segment_stationary",
-    "summarize_traces",
     "BandwidthEstimator",
     "ControlledErrorEstimator",
-    "EwmaEstimator",
     "HarmonicMeanEstimator",
-    "LastSampleEstimator",
     "DownloadResult",
     "TraceLink",
     "SharedLink",

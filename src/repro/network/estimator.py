@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Callable, Deque
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "BandwidthEstimator",
     "HarmonicMeanEstimator",
     "BatchHarmonicMeanEstimator",
-    "EwmaEstimator",
-    "LastSampleEstimator",
     "ControlledErrorEstimator",
     "TracedEstimator",
 ]
@@ -238,54 +236,6 @@ class BatchHarmonicMeanEstimator:
         """Forget all history (start of a new batch)."""
         self._count = 0
         self._pos = 0
-
-
-class EwmaEstimator(BandwidthEstimator):
-    """Exponentially weighted moving average of per-chunk throughput."""
-
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        initial_estimate_bps: float = DEFAULT_INITIAL_ESTIMATE_BPS,
-    ) -> None:
-        super().__init__(initial_estimate_bps)
-        check_in_range(alpha, "alpha", 0.0, 1.0)
-        self.alpha = alpha
-        self._value: Optional[float] = None
-
-    def observe(self, size_bits: float, duration_s: float, now_s: float) -> None:
-        check_positive(size_bits, "size_bits")
-        check_positive(duration_s, "duration_s")
-        sample = size_bits / duration_s
-        if self._value is None:
-            self._value = sample
-        else:
-            self._value = self.alpha * sample + (1.0 - self.alpha) * self._value
-
-    def predict_bps(self, now_s: float) -> float:
-        return self._value if self._value is not None else self.initial_estimate_bps
-
-    def reset(self) -> None:
-        self._value = None
-
-
-class LastSampleEstimator(BandwidthEstimator):
-    """Throughput of the most recent download only (naive baseline)."""
-
-    def __init__(self, initial_estimate_bps: float = DEFAULT_INITIAL_ESTIMATE_BPS) -> None:
-        super().__init__(initial_estimate_bps)
-        self._value: Optional[float] = None
-
-    def observe(self, size_bits: float, duration_s: float, now_s: float) -> None:
-        check_positive(size_bits, "size_bits")
-        check_positive(duration_s, "duration_s")
-        self._value = size_bits / duration_s
-
-    def predict_bps(self, now_s: float) -> float:
-        return self._value if self._value is not None else self.initial_estimate_bps
-
-    def reset(self) -> None:
-        self._value = None
 
 
 class ControlledErrorEstimator(BandwidthEstimator):

@@ -123,11 +123,12 @@ class TraceLink:
         if self._bits_per_period <= 0:
             raise ValueError("trace delivers zero bits per period")
         self._num_intervals = int(trace.num_intervals)
-        # Memoized crossing-interval hint for finish_time(): consecutive
-        # queries from a fleet edge land in the same trace interval far
-        # more often than not, so the bisection is skipped whenever the
-        # cached index still brackets the new target. Pure cache — a miss
-        # falls back to the exact bisect_left.
+        # Memoized crossing-interval hint for the fleet edge loop's
+        # completion search (repro.fleet.sim): consecutive queries land
+        # in the same trace interval far more often than not, so the
+        # bisection is skipped whenever the cached index still brackets
+        # the new target. Pure cache — a miss falls back to the exact
+        # bisect_left.
         self._finish_hint = 0
 
     def _build_scalar_tables(self) -> list:
@@ -269,78 +270,6 @@ class TraceLink:
             if finish_s <= start_s:  # addition underflow at large start_s
                 finish_s = math.nextafter(start_s, _INF)
         return DownloadResult(start_s=start_s, finish_s=finish_s, size_bits=size_bits)
-
-    def finish_time(
-        self, size_bits: float, start_s: float, cum_start: Optional[float] = None
-    ) -> float:
-        """Bare-float twin of ``download(...).finish_s`` for hot loops.
-
-        Bit-identical to :meth:`download` — same expressions, same
-        operand order, same branch structure — but returns the finish
-        time as a plain float instead of allocating a
-        :class:`DownloadResult`, and accepts a precomputed
-        ``cum_start = _cumulative_at(start_s)`` so a caller that already
-        tracks the cumulative table (the fleet's
-        :class:`~repro.network.shared.SharedLink` caches it across its
-        clock advances) skips the second table lookup. The crossing
-        interval is located via a memoized hint validated against the
-        exact ``bisect_left`` predicate, so steady-state queries cost a
-        couple of comparisons instead of a binary search.
-        """
-        if not 0.0 < size_bits < _INF:
-            check_positive(size_bits, "size_bits")
-        if not 0.0 <= start_s < _INF:
-            check_non_negative(start_s, "start_s")
-        if cum_start is None:
-            cum_start = self._cumulative_at(start_s)
-        target = cum_start + size_bits
-
-        if target < self._bits_per_period:
-            # divmod fast path (see _cumulative_at): sub-period targets
-            # split as exactly (0.0, target).
-            periods = 0.0
-            within = target
-        else:
-            periods, within = divmod(target, self._bits_per_period)
-        try:
-            cum_list = self._cumulative_list
-        except AttributeError:  # cum_start given before any scalar query
-            cum_list = self._build_scalar_tables()
-        index = self._finish_hint
-        # Hint valid iff it satisfies the (clamped) bisect_left predicate:
-        # the table crosses `within` inside interval `index`. With the
-        # i == 0 case the predicate also covers the lower clamp; the
-        # upper clamp (all entries below `within`) only occurs at
-        # index == num_intervals - 1, where cum_list[index + 1] is the
-        # whole-period total and the divmod remainder can at most equal
-        # it (the documented float-divmod quirk), keeping the predicate
-        # satisfied.
-        if not (
-            (index == 0 or cum_list[index] < within)
-            and cum_list[index + 1] >= within
-        ):
-            index = bisect_left(cum_list, within) - 1
-            if index < 0:
-                index = 0
-            elif index >= self._num_intervals:
-                index = self._num_intervals - 1
-            self._finish_hint = index
-        already = cum_list[index]
-        rate = self._rates_list[index]
-        if within <= already:
-            offset = index * self._interval
-        elif rate <= 0:
-            offset = (index + 1) * self._interval
-        else:
-            offset = index * self._interval + (within - already) / rate
-        finish_s = periods * self._period_s + offset
-        if finish_s <= start_s:
-            finish_s = start_s + max(
-                size_bits / max(rate, 1.0), MIN_DOWNLOAD_DURATION_S
-            )
-            if finish_s <= start_s:
-                finish_s = math.nextafter(start_s, _INF)
-        return finish_s
 
     def average_bandwidth(self, start_s: float, window_s: float) -> float:
         """Mean available bandwidth over ``[start_s, start_s + window_s)``.

@@ -24,35 +24,31 @@ pass:
   ``V(t)`` reaches the *target* ``V + size``; targets are totally
   ordered, so a heap of ``(target, seq)`` yields completions in order;
 - inverting ``V`` back to wall-clock time reuses TraceLink's
-  inverse-cumulative search verbatim (via the bare-float
-  :meth:`TraceLink.finish_time` twin of :meth:`TraceLink.download`):
-  the earliest completion needs ``(target - V) * n`` more *edge* bits,
-  and the search (periodic wraparound, zero-rate runs, duration floor
-  and all) finds when the trace delivers them. With a single active
-  flow the expression degenerates to ``link.download(size, now)`` —
-  bit-identical to a private link, which the tests pin.
+  inverse-cumulative search verbatim: the earliest completion needs
+  ``(target - V) * n`` more *edge* bits, and the search (periodic
+  wraparound, zero-rate runs, duration floor and all) finds when the
+  trace delivers them. With a single active flow the expression
+  degenerates to ``link.download(size, now)`` — bit-identical to a
+  private link, which the tests pin.
 
-Hot-path design (the fleet's per-edge loop calls
-:meth:`next_completion` once per event, ~5M times on the default
-fleet):
+This class holds the link *state* — clock, ``V``, flow table and
+completion heap — plus admission (:meth:`SharedLink.start`) and the
+clock advance (:meth:`SharedLink.advance_to`). The completion query and
+flow retirement run inlined over that state in the one loop that drives
+a shared link, the fleet's per-edge event loop
+(``repro.fleet.sim._EdgeSimulator._loop``, ~5M events on the default
+fleet). Their per-call form — ``next_completion``/``complete``/
+``cancel`` and ``TraceLink.finish_time`` — lives in
+``tests/network/reference.py``, and ``tests/fleet`` pins the fused loop
+to an edge loop built from it.
+
+State kept for the hot path:
 
 - the cumulative-bits value at the current clock is cached
-  (:attr:`_cum_now`) and carried forward by :meth:`advance_to` —
+  (``_cum_now``) and carried forward by :meth:`SharedLink.advance_to` —
   ``_cumulative_at`` is a pure function of time, so reusing the value
-  is exactly the double the old recompute produced, and each advance
-  performs a single fresh table lookup instead of three;
-- the completion answer itself is cached under an **exact** key
-  ``(now_s, virtual_bits, membership epoch)``. The key deliberately
-  includes the clock: recomputing the remaining-bits expression after
-  an intervening ``advance_to`` drifts by ulps (``V`` accumulates
-  ``bits/n`` per window, so ``(target - V') * n + cum(now')`` is *not*
-  the same double as ``(target - V) * n + cum(now)``), and the fleet's
-  bit-identity contract pins the per-event recompute's exact floats.
-  The cache therefore only short-circuits queries at an unchanged
-  clock — every other query re-runs the recompute arithmetic, but
-  against the cached ``_cum_now`` and through the memoized
-  crossing-interval hint inside :meth:`TraceLink.finish_time`, which
-  removes the per-event binary search without moving a single bit;
+  is exactly the double a recompute produces, and each advance
+  performs a single fresh table lookup;
 - each heap entry carries the flow's mutable admission record, whose
   ``alive`` flag is flipped in place when the flow retires — the
   per-event staleness check is one list index instead of a dict probe
@@ -64,19 +60,18 @@ fleet):
   re-starts the same flow id — keeps the heap O(live) instead of
   O(history).
 
-The caller (the fleet's per-edge event loop) owns the clock: it must
-``advance_to`` an event time before mutating flow membership there, and
-it interleaves :meth:`next_completion` with its own timer events. The
-class is deliberately scheduler-agnostic — it knows nothing about
-sessions, arrivals, or faults (trace faults are applied to the capacity
-trace before the inner :class:`TraceLink` is built; latency faults delay
-the *enqueue* of a flow, outside this class).
+The caller owns the clock: it must ``advance_to`` an event time before
+mutating flow membership there, and it must not advance past the next
+completion. The class is deliberately scheduler-agnostic — it knows
+nothing about sessions, arrivals, or faults (trace faults are applied to
+the capacity trace before the inner :class:`TraceLink` is built;
+latency faults delay the *enqueue* of a flow, outside this class).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Tuple
 
 from repro.network.link import TraceLink
 
@@ -99,9 +94,6 @@ class SharedLink:
         "_heap",
         "_seq",
         "_cum_now",
-        "_epoch",
-        "_cache_key",
-        "_cache_value",
     )
 
     def __init__(self, link: TraceLink, start_s: float = 0.0) -> None:
@@ -126,11 +118,6 @@ class SharedLink:
         # Cumulative trace bits at now_s (pure function of the clock,
         # carried forward by advance_to).
         self._cum_now = link._cumulative_at(self.now_s)
-        # Membership epoch + exact-state completion cache (see module
-        # docs for why the key must include the clock).
-        self._epoch = 0
-        self._cache_key: Optional[Tuple[float, float, int]] = None
-        self._cache_value: Optional[Tuple[float, Hashable]] = None
 
     @property
     def n_active(self) -> int:
@@ -150,7 +137,6 @@ class SharedLink:
         if flow_id in self._flows:
             raise ValueError(f"flow {flow_id!r} already active")
         self._seq += 1
-        self._epoch += 1
         admit_virtual = self.virtual_bits
         entry = [admit_virtual, size_bits, self._seq, True]
         self._flows[flow_id] = entry
@@ -159,60 +145,11 @@ class SharedLink:
         if len(heap) > _MIN_COMPACT_SIZE and len(heap) > 2 * len(self._flows):
             self._compact_heap()
 
-    def next_completion(self) -> Optional[Tuple[float, Hashable]]:
-        """``(finish_s, flow_id)`` of the earliest completion, else None.
-
-        Pure query — nothing advances. The returned time is only valid
-        until flow membership changes (any join/leave reshapes every
-        in-flight completion time). Repeated queries at an unchanged
-        clock are served from the exact-state cache.
-        """
-        virtual = self.virtual_bits
-        key = (self.now_s, virtual, self._epoch)
-        if key == self._cache_key:
-            return self._cache_value
-        heap = self._heap
-        flows = self._flows
-        value: Optional[Tuple[float, Hashable]] = None
-        while heap:
-            top = heap[0]
-            entry = top[3]
-            if not entry[3]:
-                heapq.heappop(heap)  # stale: completed or re-enqueued
-                continue
-            flow_id = top[2]
-            admit_virtual = entry[0]
-            size_bits = entry[1]
-            if virtual == admit_virtual:
-                # No service credited since admission: the flow needs its
-                # full size. Computed directly (not via the target) so an
-                # uncontended flow's completion reuses the exact
-                # ``download(size, now)`` expression of a private link —
-                # ``(v + size) - v`` would not round-trip in floats.
-                per_flow = size_bits
-            else:
-                per_flow = (admit_virtual + size_bits) - virtual
-            remaining = per_flow * len(flows)
-            if remaining <= 0.0:
-                # Float snap: the last advance landed a hair past the
-                # target; the flow is due immediately.
-                value = (self.now_s, flow_id)
-            else:
-                value = (
-                    self.link.finish_time(remaining, self.now_s, self._cum_now),
-                    flow_id,
-                )
-            break
-        self._cache_key = key
-        self._cache_value = value
-        return value
-
     def advance_to(self, t: float) -> float:
         """Move the clock to ``t``, crediting every active flow.
 
         Returns the edge bits delivered over the window (0.0 when the
-        link sat idle). The caller must not skip past a completion time
-        — query :meth:`next_completion` first.
+        link sat idle). The caller must not skip past a completion time.
         """
         if t < self.now_s:
             raise ValueError(f"cannot advance backwards: {t} < {self.now_s}")
@@ -229,18 +166,3 @@ class SharedLink:
             self.now_s = t
             self._cum_now = cum_t
         return 0.0
-
-    def complete(self, flow_id: Hashable) -> None:
-        """Retire one finished download (after advancing to its time)."""
-        self._flows.pop(flow_id)[3] = False
-        self._epoch += 1
-
-    def cancel(self, flow_id: Hashable) -> None:
-        """Drop an in-flight download (session abandoned mid-chunk)."""
-        entry = self._flows.pop(flow_id, None)
-        if entry is not None:
-            entry[3] = False
-            self._epoch += 1
-            heap = self._heap
-            if len(heap) > _MIN_COMPACT_SIZE and len(heap) > 2 * len(self._flows):
-                self._compact_heap()

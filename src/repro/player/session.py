@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -136,8 +136,9 @@ class LockstepRecord:
     :class:`SessionResult` of lane ``j`` holds in the field of the same
     name; ``startup_delay_s`` is the ``(lanes,)`` vector of startup
     delays. The sweep reduces metrics straight from the matrices
-    (:func:`repro.player.metrics.summarize_lockstep`); :meth:`results`
-    builds the per-lane session records for callers that need them.
+    (:func:`repro.player.metrics.summarize_lockstep`); no per-lane
+    :class:`SessionResult` is built (``tests/experiments/reference.py``
+    expands a record into them for the batch/scalar equality tests).
     Batchable schemes never request idle time, so the only idle is the
     buffer cap's.
     """
@@ -158,31 +159,6 @@ class LockstepRecord:
     def num_chunks(self) -> int:
         """Chunks streamed by every lane."""
         return int(self.levels.shape[0])
-
-    def results(self) -> List[SessionResult]:
-        """One :class:`SessionResult` per lane, in lane order."""
-        n = self.num_chunks
-        results: List[SessionResult] = []
-        for j, trace_name in enumerate(self.trace_names):
-            cap_col = self.cap_idle_s[:, j]
-            results.append(
-                SessionResult(
-                    scheme=self.scheme,
-                    video_name=self.video_name,
-                    trace_name=trace_name,
-                    levels=self.levels[:, j].copy(),
-                    sizes_bits=self.sizes_bits[:, j].copy(),
-                    download_start_s=self.download_start_s[:, j].copy(),
-                    download_finish_s=self.download_finish_s[:, j].copy(),
-                    stall_s=self.stall_s[:, j].copy(),
-                    buffer_after_s=self.buffer_after_s[:, j].copy(),
-                    idle_s=cap_col.copy(),
-                    startup_delay_s=float(self.startup_delay_s[j]),
-                    requested_idle_s=np.zeros(n),
-                    cap_idle_s=cap_col.copy(),
-                )
-            )
-        return results
 
 
 def run_lockstep_sessions(

@@ -38,12 +38,6 @@ from repro.video.scene import (
     SceneTimeline,
     synthesize_scene_timeline,
 )
-from repro.video.storage import (
-    load_dataset,
-    load_video,
-    save_dataset,
-    save_video,
-)
 from repro.video.synthesis import (
     CODEC_EFFICIENCY,
     DEFAULT_LADDER,
@@ -73,10 +67,6 @@ __all__ = [
     "manifest_from_mpd",
     "manifest_to_hls",
     "manifest_to_mpd",
-    "load_dataset",
-    "load_video",
-    "save_dataset",
-    "save_video",
     "QUALITY_METRICS",
     "Manifest",
     "Track",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import re
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,9 +36,7 @@ __all__ = [
     "manifest_from_mpd",
     "manifest_to_hls",
     "manifest_from_hls",
-    "manifest_digest",
     "video_digest",
-    "manifest_from_tables",
 ]
 
 _MPD_NS = "urn:mpeg:dash:schema:mpd:2011"
@@ -288,25 +286,6 @@ def _hash_text(hasher: "hashlib._Hash", *parts: object) -> None:
         hasher.update(b"\x00")
 
 
-def manifest_digest(manifest: Manifest) -> str:
-    """Stable content digest (hex) of the client-visible manifest."""
-    hasher = hashlib.blake2b(digest_size=16)
-    _hash_text(
-        hasher,
-        manifest.video_name,
-        float(manifest.chunk_duration_s).hex(),
-        manifest.resolutions,
-    )
-    _hash_array(hasher, manifest.chunk_sizes_bits)
-    _hash_array(hasher, manifest.declared_avg_bitrates_bps)
-    _hash_array(hasher, manifest.declared_peak_bitrates_bps)
-    if manifest.quality is not None:
-        for metric in sorted(manifest.quality):
-            _hash_text(hasher, metric)
-            _hash_array(hasher, manifest.quality[metric])
-    return hasher.hexdigest()
-
-
 def video_digest(video: VideoAsset) -> str:
     """Stable content digest (hex) of a full video asset.
 
@@ -340,31 +319,3 @@ def video_digest(video: VideoAsset) -> str:
     _hash_array(hasher, video.si)
     _hash_array(hasher, video.ti)
     return hasher.hexdigest()
-
-
-def manifest_from_tables(
-    video_name: str,
-    chunk_duration_s: float,
-    chunk_sizes_bits: np.ndarray,
-    declared_avg_bitrates_bps: np.ndarray,
-    declared_peak_bitrates_bps: np.ndarray,
-    resolutions: Tuple[int, ...],
-    quality: Optional[Dict[str, np.ndarray]] = None,
-) -> Manifest:
-    """Build a manifest around existing size/quality tables without copying.
-
-    ``Manifest.__post_init__`` runs ``np.asarray(..., dtype=float)``, which
-    is a no-op for float64 inputs — so passing views into a shared-memory
-    block (the sweep engine's zero-copy data plane) yields a manifest whose
-    tables alias the shared buffer. Callers own the buffer lifetime: the
-    views must stay mapped for as long as the manifest is used.
-    """
-    return Manifest(
-        video_name=video_name,
-        chunk_duration_s=chunk_duration_s,
-        chunk_sizes_bits=chunk_sizes_bits,
-        declared_avg_bitrates_bps=declared_avg_bitrates_bps,
-        declared_peak_bitrates_bps=declared_peak_bitrates_bps,
-        resolutions=resolutions,
-        quality=quality,
-    )

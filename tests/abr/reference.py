@@ -6,16 +6,22 @@ scores recomputed from the chunk sizes at every call, ``np.argmax`` for
 the best level, ``np.flatnonzero`` for the throughput scans — so
 ``tests/abr/test_decision_tables.py`` can pin the shipped decisions to
 them with exact equality.
+
+:func:`simulate_buffer` is the flat per-sequence MPC buffer rollout the
+shared-prefix ``HorizonPlanner`` trellis reproduces bit for bit
+(``tests/abr/test_trellis.py``).
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, DecisionContext
 from repro.video.model import Manifest
 
-__all__ = ["ReferenceBolaE", "ReferenceDynamic", "ReferenceBBA1"]
+__all__ = ["ReferenceBolaE", "ReferenceDynamic", "ReferenceBBA1", "simulate_buffer"]
 
 
 class ReferenceBolaE(ABRAlgorithm):
@@ -167,3 +173,49 @@ class ReferenceBBA1(ABRAlgorithm):
             if self.manifest.chunk_size_bits(level, ctx.chunk_index) <= allowed:
                 return level
         return 0
+
+
+def simulate_buffer(
+    sequences: np.ndarray,
+    sizes_bits: np.ndarray,
+    bandwidth_bps: float,
+    start_buffer_s: float,
+    chunk_duration_s: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized buffer rollout for every candidate sequence.
+
+    Parameters
+    ----------
+    sequences:
+        ``(count, h)`` candidate level sequences.
+    sizes_bits:
+        ``(num_tracks, h)`` actual chunk sizes over the horizon.
+    bandwidth_bps:
+        Predicted bandwidth, assumed constant over the horizon (the
+        standard MPC simplification).
+    start_buffer_s:
+        Buffer level when the first chunk's download starts.
+    chunk_duration_s:
+        Playback seconds added per downloaded chunk.
+
+    Returns
+    -------
+    (total_rebuffer_s, final_buffer_s):
+        Both of shape ``(count,)``.
+    """
+    if bandwidth_bps <= 0:
+        raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
+    count, h = sequences.shape
+    if sizes_bits.shape[1] != h:
+        raise ValueError(
+            f"sizes cover {sizes_bits.shape[1]} chunks but sequences plan {h}"
+        )
+    buffer = np.full(count, float(start_buffer_s))
+    rebuffer = np.zeros(count)
+    for k in range(h):
+        download_s = sizes_bits[sequences[:, k], k] / bandwidth_bps
+        shortfall = download_s - buffer
+        stall = np.maximum(shortfall, 0.0)
+        rebuffer += stall
+        buffer = np.maximum(buffer - download_s, 0.0) + chunk_duration_s
+    return rebuffer, buffer

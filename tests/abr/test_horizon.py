@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abr.horizon import horizon_sizes, level_sequences, simulate_buffer
+from repro.abr.horizon import horizon_sizes, level_sequences
+from tests.abr.reference import simulate_buffer
 
 
 class TestLevelSequences:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abr.horizon import level_sequences, simulate_buffer
+from repro.abr.horizon import level_sequences
+from tests.abr.reference import simulate_buffer
 
 
 def reference_rollout(sequence, sizes_bits, bandwidth, buffer0, delta):

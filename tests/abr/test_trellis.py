@@ -21,12 +21,12 @@ from repro.abr.horizon import (
     HorizonPlanner,
     level_sequences,
     planner_for,
-    simulate_buffer,
 )
 from repro.abr.base import DecisionContext
 from repro.abr.mpc import MPCAlgorithm
 from repro.abr.pandacq import PandaCQAlgorithm, _window_objective
 from repro.video.dataset import build_video, standard_dataset_specs
+from tests.abr.reference import simulate_buffer
 
 
 #: Chunk whose level-1 and level-4 sizes :func:`_bench_manifest` swaps,

@@ -8,8 +8,10 @@ from repro.analysis.characterization import (
     characterize,
     quartile_quality_profile,
     quartile_siti_separation,
+    scene_quality_consistency,
     size_complexity_correlation,
 )
+from repro.video.dataset import build_cbr_counterpart, build_video, standard_dataset_specs
 
 
 class TestProfiles:
@@ -51,3 +53,13 @@ class TestCharacterize:
         phone = characterize(ed_ffmpeg_video, metric="vmaf_phone")
         tv = characterize(ed_ffmpeg_video, metric="vmaf_tv")
         assert phone.quality_medians[1] != tv.quality_medians[1]
+
+
+class TestSceneConsistency:
+    def test_vbr_more_consistent_than_cbr(self):
+        """§1's premise: at equal average bitrate, VBR holds quality more
+        constant across scenes than CBR."""
+        spec = next(s for s in standard_dataset_specs() if s.name == "ED-ffmpeg-h264")
+        vbr = build_video(spec, seed=0)
+        cbr = build_cbr_counterpart(spec, seed=0)
+        assert scene_quality_consistency(vbr) < scene_quality_consistency(cbr)

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.config import CavaConfig
 from repro.core.filters import short_term_bitrates, window_chunks
-from repro.core.inner import InnerController
 from repro.video.classify import ChunkClassifier
+from tests.core.reference import ReferenceInnerController
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ def parts(request):
     manifest = video.manifest()
     classifier = ChunkClassifier.from_manifest(manifest)
     config = CavaConfig()
-    inner = InnerController(config, manifest, classifier)
+    inner = ReferenceInnerController(config, manifest, classifier)
     return config, manifest, classifier, inner
 
 

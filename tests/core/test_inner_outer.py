@@ -7,6 +7,7 @@ from repro.core.config import CavaConfig
 from repro.core.inner import InnerController
 from repro.core.outer import OuterController
 from repro.video.classify import ChunkClassifier
+from tests.core.reference import ReferenceInnerController
 
 
 @pytest.fixture(scope="module")
@@ -20,26 +21,26 @@ def setup(request):
 class TestAlpha:
     def test_q4_inflated(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(), manifest, classifier)
         q4 = int(classifier.complex_positions()[0])
         assert inner.alpha(q4, buffer_s=30.0) == CavaConfig().alpha_complex
 
     def test_simple_deflated(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(), manifest, classifier)
         q1 = int(np.flatnonzero(classifier.categories == 1)[0])
         assert inner.alpha(q1, buffer_s=30.0) == CavaConfig().alpha_simple
 
     def test_ablation_disables_alpha(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(use_differential=False), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(use_differential=False), manifest, classifier)
         q4 = int(classifier.complex_positions()[0])
         assert inner.alpha(q4, buffer_s=30.0) == 1.0
 
     def test_q4_relief_heuristic(self, setup):
         video, manifest, classifier = setup
         config = CavaConfig(enable_q4_relief_heuristic=True, q4_relief_buffer_s=8.0)
-        inner = InnerController(config, manifest, classifier)
+        inner = ReferenceInnerController(config, manifest, classifier)
         q4 = int(classifier.complex_positions()[0])
         assert inner.alpha(q4, buffer_s=4.0) == 1.0  # buffer low: no inflation
         assert inner.alpha(q4, buffer_s=30.0) == config.alpha_complex
@@ -48,12 +49,12 @@ class TestAlpha:
 class TestEta:
     def test_zero_on_first_chunk(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(), manifest, classifier)
         assert inner.eta(0) == 0.0
 
     def test_zero_across_category_boundary(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(), manifest, classifier)
         for index in range(1, classifier.num_chunks):
             boundary = classifier.is_complex(index) != classifier.is_complex(index - 1)
             if boundary:
@@ -63,7 +64,7 @@ class TestEta:
 
     def test_ablation_keeps_eta_constant(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(use_differential=False), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(use_differential=False), manifest, classifier)
         assert all(inner.eta(i) == 1.0 for i in range(1, 20))
 
 
@@ -71,14 +72,14 @@ class TestSelect:
     def test_u_splits_bandwidth(self, setup):
         """Higher u (buffer-filling mode) must never pick a higher track."""
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(), manifest, classifier)
         lo_u = inner.select(10, u=0.5, bandwidth_bps=2e6, buffer_s=50.0, last_level=None)
         hi_u = inner.select(10, u=3.0, bandwidth_bps=2e6, buffer_s=50.0, last_level=None)
         assert hi_u <= lo_u
 
     def test_bandwidth_monotonicity(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(), manifest, classifier)
         poor = inner.select(10, u=1.0, bandwidth_bps=2e5, buffer_s=50.0, last_level=None)
         rich = inner.select(10, u=1.0, bandwidth_bps=2e7, buffer_s=50.0, last_level=None)
         assert rich >= poor
@@ -86,7 +87,7 @@ class TestSelect:
     def test_track_change_penalty_pulls_toward_last(self, setup):
         video, manifest, classifier = setup
         config = CavaConfig(track_change_weight=1e9)
-        inner = InnerController(config, manifest, classifier)
+        inner = ReferenceInnerController(config, manifest, classifier)
         # Find a non-boundary chunk so eta applies.
         index = next(
             i for i in range(1, classifier.num_chunks)
@@ -100,7 +101,7 @@ class TestSelect:
         healthy buffer is re-solved with alpha = 1 (same or higher level)."""
         video, manifest, classifier = setup
         config = CavaConfig()
-        inner = InnerController(config, manifest, classifier)
+        inner = ReferenceInnerController(config, manifest, classifier)
         q1 = int(np.flatnonzero(classifier.categories == 1)[0])
         # Bandwidth tuned so deflated selection is very low.
         with_heuristic = inner.select(q1, u=1.0, bandwidth_bps=2.2e5, buffer_s=30.0, last_level=None)
@@ -110,7 +111,7 @@ class TestSelect:
 
     def test_invalid_u_rejected(self, setup):
         video, manifest, classifier = setup
-        inner = InnerController(CavaConfig(), manifest, classifier)
+        inner = ReferenceInnerController(CavaConfig(), manifest, classifier)
         with pytest.raises(ValueError):
             inner.select(0, u=0.0, bandwidth_bps=1e6, buffer_s=0.0, last_level=None)
 

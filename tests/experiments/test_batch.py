@@ -41,7 +41,6 @@ from repro.experiments.batch import (
     DISABLE_BATCH_ENV,
     batch_capability,
     run_batch_metrics,
-    run_batch_sessions,
 )
 from repro.experiments.golden import (
     GOLDEN_METRIC,
@@ -70,6 +69,7 @@ from repro.player.metrics import summarize_session
 from repro.player.session import SessionConfig, StreamingSession
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import SpanTracer
+from tests.experiments.reference import run_batch_sessions
 
 #: CI exports this to exercise the dispatch under both fork and spawn.
 MP_CONTEXT = os.environ.get("REPRO_MP_START_METHOD") or None

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tuning import CavaFactory, grid_search
+from repro.core.config import CavaConfig
+from repro.core.tuning import CavaFactory
 from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.parallel import (
     BATCHES_METRIC,
@@ -195,18 +196,34 @@ class TestEngineConfig:
 
 
 class TestTuningIntegration:
-    def test_grid_search_parallel_matches_serial(self, short_video, engine_traces):
+    def test_tuned_factory_sweep_parallel_matches_serial(
+        self, short_video, engine_traces
+    ):
         # Break-even-wide units: tuned factories run on the lockstep engine.
-        grid = {"inner_window_s": (20.0, 40.0)}
-        serial = grid_search(grid, short_video, engine_traces)
-        parallel = grid_search(grid, short_video, engine_traces, n_workers=2)
-        assert [r.overrides for r in serial] == [r.overrides for r in parallel]
-        assert [r.score for r in serial] == [r.score for r in parallel]
+        specs = [
+            SweepSpec(
+                scheme="CAVA",
+                video_key=short_video.name,
+                algorithm_factory=CavaFactory(CavaConfig(inner_window_s=w)),
+                label=f"CAVA[inner_window_s={w:g}]",
+            )
+            for w in (20.0, 40.0)
+        ]
+        videos = {short_video.name: short_video}
+        serial = ParallelSweepRunner(n_workers=1).run_specs(
+            specs, videos, engine_traces
+        )
+        parallel = ParallelSweepRunner(n_workers=2).run_specs(
+            specs, videos, engine_traces
+        )
+        assert [s.scheme for s in serial] == [s.scheme for s in parallel]
+        for a, b in zip(serial, parallel):
+            assert a.metrics == b.metrics
+        # The factories reach the sessions: the two windows differ.
+        assert serial[0].metrics != serial[1].metrics
 
     def test_cava_factory_is_picklable(self):
         import pickle
-
-        from repro.core.config import CavaConfig
 
         factory = CavaFactory(CavaConfig(inner_window_s=20.0))
         clone = pickle.loads(pickle.dumps(factory))

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CavaConfig
-from repro.core.tuning import CavaFactory, grid_search
+from repro.core.tuning import CavaFactory
 from repro.experiments.parallel import ParallelSweepRunner, SweepSpec
 from repro.experiments.runner import run_comparison, run_scheme_on_traces
 from repro.experiments.store import (
@@ -843,24 +843,35 @@ class TestWarmColdIdentity:
         assert_sweeps_identical(baseline, warm)
         assert warm_store.stats.hits == len(traces)
 
-    def test_grid_search_resumes_from_cache_dir(
+    def test_tuned_factory_sweep_resumes_from_cache_dir(
         self, tmp_path, short_video, lte_traces
     ):
+        """A widened configuration sweep over one store reads the points
+        it already scored and simulates only the new configuration."""
         traces = lte_traces[:3]
-        cache_dir = str(tmp_path / "tuning")
-        first = grid_search(
-            {"inner_window_s": (20.0, 40.0)}, short_video, traces,
-            cache_dir=cache_dir,
-        )
+        videos = {short_video.name: short_video}
+
+        def window_specs(windows):
+            return [
+                _base_spec(
+                    short_video,
+                    algorithm_factory=CavaFactory(CavaConfig(inner_window_s=w)),
+                    label=f"CAVA[inner_window_s={w:g}]",
+                )
+                for w in windows
+            ]
+
+        cache_dir = tmp_path / "tuning"
+        first = ParallelSweepRunner(
+            n_workers=1, store=SessionStore(cache_dir)
+        ).run_specs(window_specs((20.0, 40.0)), videos, traces)
 
         resume_store = SessionStore(cache_dir)
-        second = grid_search(
-            {"inner_window_s": (20.0, 40.0, 80.0)}, short_video, traces,
-            store=resume_store,
+        second = ParallelSweepRunner(n_workers=1, store=resume_store).run_specs(
+            window_specs((20.0, 40.0, 80.0)), videos, traces
         )
         # Only the new configuration's sessions were computed.
         assert resume_store.stats.hits == 2 * len(traces)
         assert resume_store.stats.puts == 1 * len(traces)
-        by_window = {r.overrides["inner_window_s"]: r.score for r in second}
-        for result in first:
-            assert by_window[result.overrides["inner_window_s"]] == result.score
+        for cold, warm in zip(first, second):
+            assert warm.metrics == cold.metrics

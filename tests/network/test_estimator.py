@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from repro.network.estimator import (
     BatchHarmonicMeanEstimator,
     ControlledErrorEstimator,
-    EwmaEstimator,
     HarmonicMeanEstimator,
-    LastSampleEstimator,
 )
 from repro.util.rng import derive_rng
 
@@ -207,31 +205,6 @@ class TestBatchMatchesScalarLanes:
         assert predicted == [scalar.predict_bps(0.0) for scalar in scalars]
         assert predicted[0] == batch.initial_estimate_bps
         assert predicted[1] == pytest.approx(2e6)
-
-
-class TestEwma:
-    def test_converges_to_constant_rate(self):
-        estimator = EwmaEstimator(alpha=0.5)
-        for _ in range(20):
-            estimator.observe(3e6, 1.0, 0.0)
-        assert estimator.predict_bps(0.0) == pytest.approx(3e6)
-
-    def test_first_sample_taken_whole(self):
-        estimator = EwmaEstimator(alpha=0.1)
-        estimator.observe(5e6, 1.0, 0.0)
-        assert estimator.predict_bps(0.0) == pytest.approx(5e6)
-
-    def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
-            EwmaEstimator(alpha=1.5)
-
-
-class TestLastSample:
-    def test_tracks_latest(self):
-        estimator = LastSampleEstimator()
-        estimator.observe(1e6, 1.0, 0.0)
-        estimator.observe(9e6, 1.0, 0.0)
-        assert estimator.predict_bps(0.0) == pytest.approx(9e6)
 
 
 class TestControlledError:

@@ -16,6 +16,7 @@ from repro.network.estimator import HarmonicMeanEstimator
 from repro.network.link import TraceLink
 from repro.network.traces import NetworkTrace, synthesize_lte_traces
 from repro.util.stats import harmonic_mean
+from tests.network.reference import finish_time
 
 
 def _trace_with_outage(seed=0):
@@ -102,7 +103,7 @@ class TestDownloadBisectMatchesSearchsorted:
         cum_start = TraceLink(trace)._cumulative_at(start)
         fresh = TraceLink(trace)
         assert not hasattr(fresh, "_cumulative_list")
-        finish = fresh.finish_time(size, start, cum_start)
+        finish = finish_time(fresh, size, start, cum_start)
         assert hasattr(fresh, "_cumulative_list") and hasattr(fresh, "_rates_list")
         assert finish == TraceLink(trace).download(size, start).finish_s
 

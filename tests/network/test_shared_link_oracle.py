@@ -1,15 +1,14 @@
-"""Property test: cached ``next_completion()`` vs. a naive oracle.
+"""Property test: a warm completion query vs. a cold-replay oracle.
 
-:meth:`SharedLink.next_completion` memoizes its answer under an
-exact-state key and the surrounding machinery (carried ``_cum_now``,
-crossing-interval hint, stale-heap compaction) all exist to make the
-steady-state query cheap *without moving a single bit*. The oracle here
-is a **shadow link** that replays the identical operation schedule but
-is only ever queried cold — a fresh link has no cache, no warmed hint,
-and no compacted heap, so its answer is the naive recompute-every-call
-result. Whatever join/leave/advance/cancel schedule hypothesis draws
-(including zero-rate trace runs and float-snap completions), the two
-answers must be identical doubles.
+The shared link's hot-path state (the carried ``_cum_now``, the
+crossing-interval hint on the trace link, stale-heap compaction) exists
+to make the steady-state completion query cheap *without moving a
+single bit*. The oracle here is a **shadow link** that replays the
+identical operation schedule but is only ever queried cold — a fresh
+link has no warmed hint and no compacted heap, so its answer is the
+naive recompute. Whatever join/leave/advance/cancel schedule hypothesis
+draws (including zero-rate trace runs and float-snap completions), the
+two answers must be identical doubles.
 """
 
 import numpy as np
@@ -17,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.link import TraceLink
-from repro.network.shared import SharedLink
 from repro.network.traces import NetworkTrace
+from tests.network.reference import ReferenceSharedLink
 
 # Per-interval rates in bps; zeros exercise the zero-rate runs of the
 # inverse-cumulative search (completions land past dead air).
@@ -53,7 +52,7 @@ _ops = st.lists(
 def _fresh_query(blueprint, replay):
     """Cold-recompute oracle: rebuild the link, replay the schedule with
     no intermediate queries, query exactly once."""
-    shadow = SharedLink(TraceLink(blueprint))
+    shadow = ReferenceSharedLink(TraceLink(blueprint))
     for op in replay:
         getattr(shadow, op[0])(*op[1:])
     return shadow.next_completion()
@@ -65,7 +64,7 @@ def test_cached_completion_matches_cold_recompute(rates, ops):
     # TraceLink rejects traces that deliver zero bits per period; pin a
     # positive closing interval so zero-rate *runs* remain reachable.
     trace = NetworkTrace("oracle", 1.0, np.asarray(rates + [4e6]))
-    link = SharedLink(TraceLink(trace))
+    link = ReferenceSharedLink(TraceLink(trace))
     replay = []  # the exact (method, *args) schedule applied so far
 
     def apply(method, *args):
@@ -97,9 +96,9 @@ def test_cached_completion_matches_cold_recompute(rates, ops):
             if nxt is not None:
                 apply("advance_to", nxt[0])
                 apply("complete", nxt[1])
-        # Query twice: the first may compute, the second must come from
-        # the exact-state cache. Both must equal the cold oracle — same
-        # flow id, same finish double, bit for bit.
+        # Query twice: the second runs on the hint the first warmed (a
+        # pure query moves nothing else). Both must equal the cold
+        # oracle — same flow id, same finish double, bit for bit.
         first = link.next_completion()
         second = link.next_completion()
         assert second == first

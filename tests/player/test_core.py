@@ -19,10 +19,10 @@ from repro.abr.registry import make_scheme, needs_quality_manifest, scheme_names
 from repro.core.cava import cava_live
 from repro.faults.plan import FaultedLink, LatencyFault
 from repro.network.link import TraceLink
-from repro.network.shared import SharedLink
 from repro.player.core import DONE, FETCH, WAIT, LiveSessionCore, VodSessionCore
 from repro.player.live import LiveSessionConfig, LiveStreamingSession
 from repro.player.session import SessionConfig, StreamingSession
+from tests.network.reference import ReferenceSharedLink
 from tests.player.reference import reference_live_session, reference_vod_session
 
 SCHEMES = scheme_names()
@@ -116,7 +116,7 @@ class TestVodEquivalence:
             make_scheme(scheme), manifest, TraceLink(one_lte_trace)
         )
         core = VodSessionCore(make_scheme(scheme), manifest, record_arrays=True)
-        drive_shared(core, SharedLink(TraceLink(one_lte_trace)))
+        drive_shared(core, ReferenceSharedLink(TraceLink(one_lte_trace)))
         assert core.finished
         assert_results_equal(core.result(), expected)
 
@@ -272,7 +272,7 @@ class TestLiveEquivalence:
         core = LiveSessionCore(
             make_scheme(scheme), manifest, config=LIVE_CONFIG, record_arrays=True
         )
-        drive_shared(core, SharedLink(TraceLink(one_lte_trace)))
+        drive_shared(core, ReferenceSharedLink(TraceLink(one_lte_trace)))
         assert core.finished
         assert_results_equal(core.result(), expected)
 

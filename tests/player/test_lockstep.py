@@ -21,13 +21,13 @@ from repro.abr.registry import make_scheme, needs_quality_manifest, scheme_names
 from repro.experiments.batch import (
     batch_capability,
     run_batch_metrics,
-    run_batch_sessions,
 )
 from repro.network.link import TraceLink
 from repro.network.traces import NetworkTrace
 from repro.player.metrics import metric_for_network, summarize_session
 from repro.player.session import SessionConfig
 from repro.video.dataset import VideoSpec, build_video
+from tests.experiments.reference import run_batch_sessions
 from tests.experiments.test_batch import BATCHABLE_SCHEMES
 from tests.player.reference import reference_vod_session
 

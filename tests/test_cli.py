@@ -209,3 +209,19 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "CAVA" in proc.stdout
+
+
+class TestCacheMaintenance:
+    @pytest.mark.parametrize("action", ["stats", "verify", "gc", "leases"])
+    def test_missing_store_fails_and_creates_nothing(self, tmp_path, capsys, action):
+        missing = tmp_path / "no-such-store"
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", action, "--cache-dir", str(missing)])
+        assert exc.value.code not in (0, None)
+        assert str(missing) in str(exc.value.code)
+        assert not missing.exists()
+        assert "entries" not in capsys.readouterr().out
+
+    def test_existing_empty_store_is_clean(self, tmp_path, capsys):
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        assert "all entries verified clean" in capsys.readouterr().out

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Repo-local unused-import checker (pyflakes F401 subset, zero deps).
+"""Repo-local import checker: unused imports (pyflakes F401 subset) and
+test-only imports in the library, zero deps.
 
-The container this repo grows in has no ``ruff``/``pyflakes``; CI uses
-ruff when available and falls back to this script, so both environments
-enforce the same floor. Usage::
+CI runs ruff's F401 and this script; the script also runs where ruff is
+not installed, so both environments enforce the same floor. Usage::
 
     python tools/check_imports.py src tests benchmarks examples tools
 
-Rules:
+Unused-import rules:
 
 - an import is *used* if its bound name appears anywhere in the module
   outside the import statements themselves (including inside strings is
@@ -18,6 +18,12 @@ Rules:
   ``from __future__ import ...`` are always allowed;
 - a trailing ``# noqa`` comment on the import line suppresses the check.
 
+Library rule: a file under a ``src`` directory must not import
+``tests`` or ``hypothesis`` (any submodule, at any nesting level, with
+or without ``# noqa``). The reference implementations and oracles in
+``tests/*/reference.py`` pin the library's inlined hot paths; they stay
+on the test side of that line.
+
 Exit status is the number of offending imports (0 = clean).
 """
 
@@ -27,6 +33,9 @@ import ast
 import sys
 from pathlib import Path
 from typing import Iterable, List, Set, Tuple
+
+#: Top-level packages a file under ``src/`` must not import.
+TEST_ONLY_PACKAGES = frozenset({"tests", "hypothesis"})
 
 
 def _bound_name(alias: ast.alias) -> str:
@@ -74,8 +83,17 @@ def _exported_names(tree: ast.Module) -> Set[str]:
     return exported
 
 
+def _imported_modules(node: ast.AST) -> List[str]:
+    """Absolute module names an import statement reads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return [node.module]
+    return []
+
+
 def check_file(path: Path) -> List[Tuple[int, str]]:
-    """Return (line, name) for every unused import in ``path``."""
+    """Return (line, problem) for every offending import in ``path``."""
     source = path.read_text()
     try:
         tree = ast.parse(source, filename=str(path))
@@ -86,12 +104,19 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
     collector = _UsageCollector()
     collector.visit(tree)
     used = collector.used | _exported_names(tree)
+    in_library = "src" in path.parts
 
     problems: List[Tuple[int, str]] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if in_library:
+            for module in _imported_modules(node):
+                if module.split(".")[0] in TEST_ONLY_PACKAGES:
+                    problems.append(
+                        (node.lineno, f"library imports test-only module {module!r}")
+                    )
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         line_text = lines[node.lineno - 1] if node.lineno - 1 < len(lines) else ""
         if "# noqa" in line_text:
@@ -103,7 +128,7 @@ def check_file(path: Path) -> List[Tuple[int, str]]:
                 continue  # explicit re-export
             name = _bound_name(alias)
             if name not in used:
-                problems.append((node.lineno, name))
+                problems.append((node.lineno, f"unused import {name!r}"))
     return problems
 
 
@@ -113,11 +138,11 @@ def main(argv: Iterable[str]) -> int:
     for root in roots:
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for path in files:
-            for lineno, name in check_file(path):
-                print(f"{path}:{lineno}: unused import {name!r}")
+            for lineno, problem in check_file(path):
+                print(f"{path}:{lineno}: {problem}")
                 count += 1
     if count:
-        print(f"\n{count} unused import(s) found", file=sys.stderr)
+        print(f"\n{count} offending import(s) found", file=sys.stderr)
     return count
 
 

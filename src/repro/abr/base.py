@@ -62,7 +62,6 @@ class DecisionContext:
     playing: bool
 
 
-@dataclass(frozen=True)
 class BatchDecisionContext:
     """:class:`DecisionContext` for N lockstep sessions at one chunk.
 
@@ -70,14 +69,38 @@ class BatchDecisionContext:
     same chunk); the player state is per-lane ``(lanes,)`` arrays.
     ``last_levels`` is None only at chunk 0 — every lane has streamed the
     same number of chunks, so "no previous level" is uniform too.
+
+    Like the scalar cores' context, the lockstep engine builds one per
+    slice and rewrites its fields before every
+    :meth:`BatchDecider.select_levels` call, so a context is valid only
+    during that call: deciders keep the arrays they need, never the
+    object, and never write into them.
     """
 
-    chunk_index: int
-    now_s: np.ndarray
-    buffer_s: np.ndarray
-    last_levels: Optional[np.ndarray]
-    bandwidth_bps: np.ndarray
-    playing: np.ndarray
+    __slots__ = (
+        "chunk_index",
+        "now_s",
+        "buffer_s",
+        "last_levels",
+        "bandwidth_bps",
+        "playing",
+    )
+
+    def __init__(
+        self,
+        chunk_index: int,
+        now_s: np.ndarray,
+        buffer_s: np.ndarray,
+        last_levels: Optional[np.ndarray],
+        bandwidth_bps: np.ndarray,
+        playing: np.ndarray,
+    ) -> None:
+        self.chunk_index = chunk_index
+        self.now_s = now_s
+        self.buffer_s = buffer_s
+        self.last_levels = last_levels
+        self.bandwidth_bps = bandwidth_bps
+        self.playing = playing
 
 
 class BatchDecider:

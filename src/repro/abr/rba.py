@@ -64,24 +64,35 @@ class RateBasedAlgorithm(ABRAlgorithm):
     ) -> Optional[BatchDecider]:
         if type(self) is not RateBasedAlgorithm:
             return None
-        return _BatchRbaDecider(self, manifest)
+        return _BatchRbaDecider(self, manifest, lanes)
 
 
 class _BatchRbaDecider(BatchDecider):
-    """Vectorized RBA: the descending feasibility scan becomes a reversed
-    row-wise argmax over the ``buffer - size / bandwidth >= reserve``
-    mask (first True from the top = highest feasible level)."""
+    """Vectorized RBA: the descending feasibility scan becomes a row-wise
+    ``argmax`` over the ``buffer - size / bandwidth >= reserve`` mask,
+    laid out from the top level down (first True = highest feasible
+    level). The mask's last column, level 0, is always True: the scan
+    returns 0 whether or not level 0 is feasible, so it never needs the
+    test."""
 
-    def __init__(self, algorithm: RateBasedAlgorithm, manifest: Manifest) -> None:
+    def __init__(
+        self, algorithm: RateBasedAlgorithm, manifest: Manifest, lanes: int
+    ) -> None:
         algorithm.prepare(manifest)
-        self._sizes = manifest.chunk_sizes_bits  # (levels, chunks)
+        top = manifest.num_tracks - 1
+        # Per chunk, the sizes of levels top..1 as one contiguous row.
+        self._sizes_desc = np.ascontiguousarray(
+            manifest.chunk_sizes_bits[:0:-1].T
+        )
         self._reserve_s = algorithm._reserve_s
-        self._top = manifest.num_tracks - 1
+        self._top = top
+        self._feasible = np.ones((lanes, top + 1), dtype=bool)
+        self._tested = self._feasible[:, :top]
 
     def select_levels(self, ctx: BatchDecisionContext) -> np.ndarray:
-        row = self._sizes[:, ctx.chunk_index]  # (levels,)
-        download_s = row[None, :] / ctx.bandwidth_bps[:, None]
-        feasible = (ctx.buffer_s[:, None] - download_s) >= self._reserve_s
-        any_feasible = feasible.any(axis=1)
-        highest = self._top - np.argmax(feasible[:, ::-1], axis=1)
-        return np.where(any_feasible, highest, 0)
+        margin = np.divide(
+            self._sizes_desc[ctx.chunk_index], ctx.bandwidth_bps[:, None]
+        )
+        np.subtract(ctx.buffer_s[:, None], margin, out=margin)
+        np.greater_equal(margin, self._reserve_s, out=self._tested)
+        return self._top - self._feasible.argmax(axis=1)

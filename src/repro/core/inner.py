@@ -119,6 +119,15 @@ class InnerController:
         self._eta_step2 = [
             weight_rows if eta else zero_rows for eta in self._eta_list
         ]
+        # The lockstep path's copies of the same doubles: one contiguous
+        # R-bar row per chunk, and the [last][level] penalty table as an
+        # array that ``take`` gathers per lane. A zero-eta chunk has no
+        # table (None): it adds exactly 0.0 to every nonnegative cost.
+        self._rbar_by_chunk = np.ascontiguousarray(self._rbar_mbps.T)
+        weight_table = np.array(weight_rows)
+        self._penalty_by_chunk = [
+            weight_table if eta else None for eta in self._eta_list
+        ]
         # Per-decision config scalars, hoisted (CavaConfig is frozen).
         self._n_horizon = config.horizon_chunks
         self._use_differential = config.use_differential
@@ -139,27 +148,29 @@ class InnerController:
     ) -> np.ndarray:
         """Per-lane argmin of Eq. (4) over the levels, (lanes,) ints.
 
-        The cost expression mirrors the scalar argmin of
-        ``CavaAlgorithm.select_level`` term for term
-        (``n * (dev * dev) + eta * (step * step)``), broadcast over
-        ``(lanes, levels)``; ``np.argmin``'s first-occurrence tie-break
-        matches the scalar loop's strict ``<`` comparison. ``alpha`` is
-        a float when uniform across lanes, or a (lanes,) array when the
-        Q4-relief heuristic splits them.
+        The cost is the scalar argmin's ``n * (dev * dev) + es_row[level]``
+        term for term, over ``(lanes, levels)``: ``dev`` is
+        ``u * rbar - (alpha * bw) / 1e6`` and ``es_row`` is the lane's row
+        of the exact ``eta * (step * step)`` table the scalar path
+        precomputes. ``argmin``'s first-occurrence tie-break matches the
+        scalar loop's strict ``<`` comparison. ``alpha`` is a float when
+        uniform across lanes, or a (lanes,) array when the Q4-relief
+        heuristic splits them; a uniform 1.0 skips its multiply, which
+        returns every double unchanged.
         """
-        rbar = self._rbar_mbps[:, chunk_index]  # (levels,)
-        # alpha broadcasts whether scalar or (lanes,); the per-lane
-        # expression (alpha * bw) / 1e6 keeps the scalar operand order.
-        assumed_mbps = (alpha * bandwidth_bps / 1e6)[:, None]
-        deviation = u[:, None] * rbar[None, :] - assumed_mbps
-        n = self.config.horizon_chunks
-        cost = n * (deviation * deviation)
-        if last_levels is not None:
-            eta = self._eta_list[chunk_index]
-            avg = self._track_avg_mbps
-            step = avg[None, :] - avg[last_levels][:, None]
-            cost = cost + eta * (step * step)
-        return np.argmin(cost, axis=1)
+        if isinstance(alpha, float) and alpha == 1.0:
+            assumed_mbps = bandwidth_bps / 1e6
+        else:
+            assumed_mbps = alpha * bandwidth_bps
+            np.divide(assumed_mbps, 1e6, out=assumed_mbps)
+        cost = np.multiply(u[:, None], self._rbar_by_chunk[chunk_index])
+        np.subtract(cost, assumed_mbps[:, None], out=cost)
+        np.multiply(cost, cost, out=cost)
+        np.multiply(self._n_horizon, cost, out=cost)
+        penalty = self._penalty_by_chunk[chunk_index]
+        if last_levels is not None and penalty is not None:
+            np.add(cost, penalty.take(last_levels, axis=0), out=cost)
+        return cost.argmin(axis=1)
 
     def select_batch(
         self,
@@ -170,25 +181,24 @@ class InnerController:
         last_levels: Optional[np.ndarray],
     ) -> np.ndarray:
         """Vectorized Eq. (4) decision, heuristics included, (lanes,) ints."""
-        config = self.config
-        alpha_value = self._alpha_list[chunk_index]
+        alpha = self._alpha_list[chunk_index]
         if self._relief_enabled and self._complex_list[chunk_index]:
-            alpha = np.where(buffer_s < config.q4_relief_buffer_s, 1.0, alpha_value)
-        else:
-            alpha = alpha_value
+            alpha = np.where(buffer_s < self._q4_relief_buffer_s, 1.0, alpha)
         levels = self._argmin_batch(chunk_index, u, bandwidth_bps, last_levels, alpha)
 
-        if not config.use_differential:
-            return levels
         # Q1–Q3 no-deflation heuristic (§5.3), lane-masked: re-solve the
-        # affected lanes with alpha = 1 and splice the results back.
-        low = (levels < config.low_level_threshold) & (buffer_s > config.safe_buffer_s)
-        if isinstance(alpha, np.ndarray):
-            redo = (alpha < 1.0) & low
-        elif alpha < 1.0:
-            redo = low
-        else:
+        # affected lanes with alpha = 1 and splice the results back. No
+        # lane qualifies unless alpha deflates and the lowest chosen
+        # level is under the threshold, which two scalar tests rule out
+        # on most chunks.
+        if not self._use_differential:
             return levels
+        deflates = isinstance(alpha, np.ndarray) or alpha < 1.0
+        if not deflates or levels[levels.argmin()] >= self._low_level_threshold:
+            return levels
+        redo = (levels < self._low_level_threshold) & (buffer_s > self._safe_buffer_s)
+        if isinstance(alpha, np.ndarray):
+            redo &= alpha < 1.0
         if np.count_nonzero(redo):
             resolved = self._argmin_batch(
                 chunk_index, u, bandwidth_bps, last_levels, 1.0

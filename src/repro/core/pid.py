@@ -18,7 +18,6 @@ past any useful value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,37 +29,55 @@ __all__ = ["PIDController", "BatchPIDController"]
 _INF = math.inf
 
 
-@dataclass(slots=True)
 class PIDController:
     """Stateful PID block; one instance per streaming session."""
 
-    config: CavaConfig
-    chunk_duration_s: float
-    # Controller state + hoisted gains (slots need declared fields;
-    # __post_init__ initializes them).
-    _integral: float = field(init=False, repr=False, default=0.0)
-    _last_time_s: float = field(init=False, repr=False, default=0.0)
-    _last_error_s: float = field(init=False, repr=False, default=0.0)
-    _kp: float = field(init=False, repr=False, default=0.0)
-    _ki: float = field(init=False, repr=False, default=0.0)
-    _integral_limit: float = field(init=False, repr=False, default=0.0)
-    _u_min: float = field(init=False, repr=False, default=0.0)
-    _u_max: float = field(init=False, repr=False, default=0.0)
+    # A plain slotted class, not ``@dataclass(slots=True)`` (a Python
+    # 3.10 keyword): the controller state and the gains hoisted from the
+    # frozen config are read once per chunk on the scalar hot path.
+    __slots__ = (
+        "config",
+        "chunk_duration_s",
+        "_integral",
+        "_last_time_s",
+        "_last_error_s",
+        "_kp",
+        "_ki",
+        "_integral_limit",
+        "_u_min",
+        "_u_max",
+    )
 
-    def __post_init__(self) -> None:
-        if self.chunk_duration_s <= 0:
+    def __init__(self, config: CavaConfig, chunk_duration_s: float) -> None:
+        if chunk_duration_s <= 0:
             raise ValueError("chunk_duration_s must be positive")
+        self.config = config
+        self.chunk_duration_s = chunk_duration_s
         self._integral = 0.0
         self._last_time_s = 0.0
         self._last_error_s = 0.0
         # Gains and limits hoisted out of the per-decision update();
         # CavaConfig is frozen, so the copies cannot go stale.
-        config = self.config
         self._kp = config.kp
         self._ki = config.ki
         self._integral_limit = config.integral_limit
         self._u_min = config.u_min
         self._u_max = config.u_max
+
+    def __repr__(self) -> str:
+        return (
+            f"PIDController(config={self.config!r}, "
+            f"chunk_duration_s={self.chunk_duration_s!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PIDController:
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    __hash__ = None  # mutable state: compares by value, like a dataclass
 
     def reset(self) -> None:
         """Clear the integral and the clock (new session)."""
@@ -128,10 +145,12 @@ class BatchPIDController:
     """N lockstep :class:`PIDController` lanes advanced one array per op.
 
     Lane ``j`` of every update is the exact sequence of IEEE doubles the
-    scalar controller would produce for session ``j``: Python's
-    ``max``/``min`` guards become ``np.maximum``/``np.minimum`` (same
-    result for non-NaN operands), the indicator branch becomes a mask,
-    and the state arrays replace the scalar integral/clock.
+    scalar controller would produce for session ``j``: the conditional
+    clamps become ``np.maximum``/``np.minimum`` (same result for the
+    non-NaN operands the engine passes), the indicator branch becomes a
+    0/1 mask added as ``1.0``/``0.0``, and the state arrays replace the
+    scalar integral/clock. The float ufuncs write into buffers owned by
+    the controller.
     """
 
     def __init__(self, config: CavaConfig, chunk_duration_s: float, lanes: int) -> None:
@@ -149,6 +168,9 @@ class BatchPIDController:
         self._integral_limit = config.integral_limit
         self._u_min = config.u_min
         self._u_max = config.u_max
+        self._error = np.empty(lanes)
+        self._scratch = np.empty(lanes)
+        self._u = np.empty(lanes)
 
     def update(
         self, now_s: np.ndarray, buffer_s: np.ndarray, target_s: float
@@ -156,17 +178,28 @@ class BatchPIDController:
         """Advance every lane to its ``now_s`` and return u_t, (lanes,).
 
         ``target_s`` is scalar: the outer controller's target depends
-        only on the chunk index, which lockstep lanes share.
+        only on the chunk index, which lockstep lanes share. The result
+        is the controller's own buffer, valid until the next update.
         """
-        dt = np.maximum(0.0, now_s - self._last_time_s)
-        self._last_time_s = now_s.copy()
+        scratch = self._scratch
+        # dt = max(0, now - last), then the clock advances.
+        np.subtract(now_s, self._last_time_s, out=scratch)
+        np.maximum(0.0, scratch, out=scratch)
+        self._last_time_s[:] = now_s
 
-        error = target_s - buffer_s
+        error = np.subtract(target_s, buffer_s, out=self._error)
         limit = self._integral_limit
-        integral = self._integral + error * dt
-        integral = np.maximum(-limit, np.minimum(limit, integral))
-        self._integral = integral
+        integral = self._integral
+        np.multiply(error, scratch, out=scratch)
+        np.add(integral, scratch, out=integral)
+        np.minimum(limit, integral, out=integral)
+        np.maximum(-limit, integral, out=integral)
 
-        indicator = np.where(buffer_s >= self.chunk_duration_s, 1.0, 0.0)
-        u = self._kp * error + self._ki * integral + indicator
-        return np.maximum(self._u_min, np.minimum(self._u_max, u))
+        # kp * error + ki * integral + indicator, left to right; the
+        # boolean indicator adds exactly 1.0 or 0.0.
+        u = np.multiply(self._kp, error, out=self._u)
+        np.add(u, np.multiply(self._ki, integral, out=scratch), out=u)
+        np.add(u, buffer_s >= self.chunk_duration_s, out=u)
+        np.minimum(self._u_max, u, out=u)
+        np.maximum(self._u_min, u, out=u)
+        return u

@@ -139,16 +139,18 @@ class WorkUnit:
 # Cost model: unit sizing and engine routing
 # ----------------------------------------------------------------------
 #
-# Every cost below is in scalar-CAVA-session equivalents (~1.1-1.6 ms on
-# ED-youtube-h264 over LTE). All of them were measured together on
-# 2026-10-19 on a 2-core shared x86-64 host, in one process: each of 25
-# repetitions timed every configuration once, round-robin, so host noise
-# hit them alike; each time was divided by the same repetition's scalar
-# CAVA session, and the median over repetitions kept. Sessions ran on
+# Every cost below is in scalar-CAVA-session equivalents (~0.8-1.6 ms on
+# ED-youtube-h264 over LTE). All of them were measured together on a
+# 2-core shared x86-64 host, in one process: each of 25 repetitions
+# timed every configuration once, round-robin, so host noise hit them
+# alike; each time was divided by the same repetition's scalar CAVA
+# session, and the median over repetitions kept. Sessions ran on
 # ED-youtube-h264 over seeded LTE traces with the video's artifacts warm
 # and the links fresh, as every unit of a sweep after its first sees
-# them. Results are bit-identical however units are sized or routed, so
-# these numbers only move time around.
+# them. The scalar costs were measured on 2026-10-19 and the engine
+# costs in a later run of the same method. Results are bit-identical
+# however units are sized or routed, so these numbers only move time
+# around.
 
 #: Scalar-loop cost per session (``run_one_session``, mean over 16
 #: sessions, 4 for the planners). Unit sizing reads it for specs the
@@ -175,37 +177,41 @@ SCHEME_COSTS: Dict[str, float] = {
 #: costs batchable specs with it, so units stay wide enough to feed the
 #: engine's vector width instead of being cut to a few traces each.
 BATCH_SCHEME_COSTS: Dict[str, float] = {
-    "MPC": 2.1,
-    "RobustMPC": 2.1,
-    "PANDA/CQ max-sum": 3.9,
-    "PANDA/CQ max-min": 0.15,
-    "RBA": 0.06,
+    "MPC": 2.8,
+    "RobustMPC": 2.9,
+    "PANDA/CQ max-sum": 5.4,
+    "PANDA/CQ max-min": 0.20,
+    "RBA": 0.08,
 }
 
 #: Per-lane engine cost of the CAVA family (CAVA, its P1/P12 ablations
-#: and tuned grid-search factories) and of any other batchable scheme.
-BATCH_DEFAULT_COST = 0.11
+#: and tuned grid-search factories) and of any other batchable scheme:
+#: the mean of the three CAVA variants' slopes (0.120, 0.079, 0.099).
+BATCH_DEFAULT_COST = 0.10
 
 #: Fixed lockstep-engine cost per unit, whatever its width: the
 #: intercept of the same line, averaged over each decider family's
 #: schemes. It is most of a narrow unit's engine time (numpy dispatch
-#: per chunk step).
+#: per chunk step, plus building the unit's decider and stacked links).
+#: With these tables the CAVA family breaks even at 8 lanes, RBA at 7
+#: and the planner schemes at 2.
 BATCH_UNIT_COSTS: Dict[str, float] = {
-    "RBA": 10.3,
-    "MPC": 24.2,
-    "RobustMPC": 24.2,
-    "PANDA/CQ max-sum": 18.2,
-    "PANDA/CQ max-min": 18.2,
+    "RBA": 4.5,
+    "MPC": 15.8,
+    "RobustMPC": 15.8,
+    "PANDA/CQ max-sum": 13.0,
+    "PANDA/CQ max-min": 13.0,
 }
 
 #: Fixed engine cost per unit of the CAVA family and of any other
-#: batchable scheme.
-BATCH_DEFAULT_UNIT_COST = 12.6
+#: batchable scheme (CAVA 6.34, CAVA-p1 6.16, CAVA-p12 6.41).
+BATCH_DEFAULT_UNIT_COST = 6.3
 
 #: Fewest lanes the engine ever runs: a one-trace unit stays on the
 #: scalar loop, the reference path. The model alone would keep it there
-#: for every family but PANDA/CQ max-min, whose one-lane engine run
-#: measured 22.3 ms against 31.2 ms for one scalar session.
+#: for the CAVA family, RBA, MPC and RobustMPC but not for PANDA/CQ:
+#: one max-min lane measured 8.6 ms on the engine against 17.3 ms for
+#: one scalar session, one max-sum lane 24.3 against 17.3 ms.
 MIN_ENGINE_LANES = 2
 
 #: Target estimated cost per work unit, in CAVA-session equivalents:

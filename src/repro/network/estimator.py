@@ -142,6 +142,15 @@ class HarmonicMeanEstimator(BandwidthEstimator):
         self._inverses.clear()
 
 
+#: Largest max/min ratio of one batch observation's sizes and durations
+#: that keeps every derived double normal and finite: its samples lie in
+#: about [1e-300, 1e300], so do their reciprocals, and a fold of up to 7
+#: of them and ``n / fold`` stay far inside the normal range. Such
+#: samples pass the clamp unchanged and the fold never needs the
+#: cold-start fallback, so neither is evaluated for them.
+_TAME_RATIO = 1e300
+
+
 class BatchHarmonicMeanEstimator:
     """N lockstep :class:`HarmonicMeanEstimator` lanes, one array per op.
 
@@ -159,6 +168,13 @@ class BatchHarmonicMeanEstimator:
     Windows of 8+ samples take numpy's pairwise-summation path in the
     scalar estimator, which this fold does not reproduce — construction
     rejects them (the §5.5 window is 5).
+
+    An observation whose inputs span at most :data:`_TAME_RATIO` (every
+    real download) skips the clamp and, while the whole window holds
+    such samples, ``predict_bps`` skips the cold-start fallback: both
+    would return every double unchanged. Other observations take the
+    clamped path under ``np.errstate``, and the window they occupy
+    takes the guarded fold, so no call emits a floating-point warning.
     """
 
     def __init__(
@@ -180,6 +196,10 @@ class BatchHarmonicMeanEstimator:
         self.initial_estimate_bps = initial_estimate_bps
         # One contiguous row of reciprocals per ring slot.
         self._inverses = np.empty((window, lanes))
+        self._samples = np.empty(lanes)
+        self._fold = np.empty(lanes)
+        # Observations left until no clamped-path sample is in the window.
+        self._wild_left = 0
         self._count = 0
         self._pos = 0
 
@@ -189,40 +209,59 @@ class BatchHarmonicMeanEstimator:
         # must contribute strictly positive finite inputs. A zero/negative
         # duration or size would otherwise plant an inf/NaN in the ring
         # and quietly poison the next ``window`` predictions for the lane.
-        # NaN propagates through minimum/maximum and fails both tests.
-        ok = (np.minimum(size_bits, duration_s) > 0.0) & (
-            np.maximum(size_bits, duration_s) < np.inf
-        )
-        if np.count_nonzero(ok) != ok.size:
+        # NaN propagates through minimum/maximum and is where argmin/
+        # argmax stop, so it fails both tests.
+        low = np.minimum(size_bits, duration_s)
+        high = np.maximum(size_bits, duration_s)
+        lo = float(low[low.argmin()])
+        hi = float(high[high.argmax()])
+        if not (lo > 0.0 and hi < math.inf):
             raise ValueError(
                 "batch estimator observations must be strictly positive "
                 "finite sizes and durations"
             )
-        with np.errstate(over="ignore", under="ignore"):
-            samples = size_bits / duration_s
-            # Same clamp as the scalar path: valid inputs can still
-            # produce a quotient outside the normal float range.
-            np.maximum(samples, _MIN_SAMPLE_BPS, out=samples)
-            np.minimum(samples, _MAX_SAMPLE_BPS, out=samples)
-            np.divide(1.0, samples, out=self._inverses[self._pos])
+        samples = self._samples
+        slot = self._inverses[self._pos]
+        if hi <= lo * _TAME_RATIO:
+            np.divide(size_bits, duration_s, out=samples)
+            np.divide(1.0, samples, out=slot)
+            if self._wild_left:
+                self._wild_left -= 1
+        else:
+            with np.errstate(over="ignore", under="ignore"):
+                np.divide(size_bits, duration_s, out=samples)
+                # Same clamp as the scalar path: valid inputs can still
+                # produce a quotient outside the normal float range.
+                np.maximum(samples, _MIN_SAMPLE_BPS, out=samples)
+                np.minimum(samples, _MAX_SAMPLE_BPS, out=samples)
+                np.divide(1.0, samples, out=slot)
+            self._wild_left = self.window
         self._pos = (self._pos + 1) % self.window
         if self._count < self.window:
             self._count += 1
+
+    def _harmonic_mean(self, n: int) -> np.ndarray:
+        """``n / (left fold of the n newest reciprocals)``, per lane."""
+        inverses = self._inverses
+        # Slots oldest to newest are pos - n .. pos - 1; negative indices
+        # wrap to the ring's tail exactly as ``% window`` would.
+        start = self._pos - n
+        if n == 1:
+            return n / inverses[start]
+        fold = np.add(inverses[start], inverses[start + 1], out=self._fold)
+        for k in range(start + 2, self._pos):
+            np.add(fold, inverses[k], out=fold)
+        return n / fold
 
     def predict_bps(self) -> np.ndarray:
         """Per-lane predicted bandwidth, shape ``(lanes,)``."""
         n = self._count
         if n == 0:
             return np.full(self.lanes, self.initial_estimate_bps)
-        inverses = self._inverses
-        # Slots oldest to newest are pos - n .. pos - 1; negative indices
-        # wrap to the ring's tail exactly as ``% window`` would.
-        start = self._pos - n
+        if not self._wild_left:
+            return self._harmonic_mean(n)
         with np.errstate(over="ignore", under="ignore"):
-            inverse_sum = inverses[start]
-            for k in range(start + 1, self._pos):
-                inverse_sum = inverse_sum + inverses[k]
-            predicted = n / inverse_sum
+            predicted = self._harmonic_mean(n)
         # Same warm-up guard as the scalar path: the fold can overflow for
         # lanes holding clamped near-extreme samples — substitute the
         # cold-start estimate for such lanes only; healthy lanes keep
@@ -234,6 +273,7 @@ class BatchHarmonicMeanEstimator:
 
     def reset(self) -> None:
         """Forget all history (start of a new batch)."""
+        self._wild_left = 0
         self._count = 0
         self._pos = 0
 

@@ -299,10 +299,10 @@ class StackedLinks:
     - the wrap fold and interval split mirror ``_cumulative_at_array``
       (the scalar method's proven numpy twin);
     - ``bisect_left(cum_row, within)`` is the index of the first table
-      entry not below ``within`` (left insertion point), found by a
-      two-level blocked search (see :meth:`_bisect_left`) — ``+inf``
-      padding is never below a finite target, so it never moves the
-      result;
+      entry not below ``within`` (left insertion point), found by one
+      ``searchsorted`` over every lane's table at once (see
+      :meth:`_bisect_left`) — ``+inf`` padding is never below a finite
+      target, so it never moves the result;
     - the three offset branches (already-crossed / zero-rate / fractional
       interval) select between expressions evaluated with the scalar
       path's operand order, with a guarded divisor so the masked-out
@@ -310,15 +310,21 @@ class StackedLinks:
     - the positive-duration floor and the ``nextafter`` underflow guard
       apply elementwise.
 
+    Branches no lane takes cost no array op: a scalar pre-test on the
+    extreme lane (``x[x.argmax()]``) rules them out first. No lane can
+    wrap its period while the latest lane is short of the shortest
+    period, and the fractional branch alone applies while every lane's
+    target lies above its interval start and every crossing interval's
+    rate is positive.
+
     Callers must uphold the engine's invariants: ``size_bits`` strictly
     positive and ``start_s`` finite and non-negative per lane (the
     session loop guarantees both), so the scalar path's fast-accept
     validation has no batch counterpart.
     """
 
-    #: Entries per block of the two-level crossing search. A 1081-entry
-    #: LTE table pads to 34 blocks, so each level compares a few dozen
-    #: entries per lane.
+    #: Row width granularity: every padded row is a whole number of
+    #: BLOCK-entry blocks with at least one ``+inf`` entry at its end.
     BLOCK = 32
 
     def __init__(self, links: Sequence[TraceLink]) -> None:
@@ -333,13 +339,14 @@ class StackedLinks:
         self._bits_per_period = np.array(
             [link._bits_per_period for link in self.links]
         )
+        self._min_period_s = float(self._period_s.min())
+        self._min_bits_per_period = float(self._bits_per_period.min())
         self._last_interval = np.array(
             [link._num_intervals - 1 for link in self.links], dtype=np.int64
         )
         block = self.BLOCK
         # Row width: the longest table (num_intervals + 1 entries) plus
-        # at least one +inf entry, rounded up to whole blocks. The last
-        # block therefore always ends in +inf, above any finite target.
+        # at least one +inf entry, rounded up to whole blocks.
         longest = max(link._num_intervals for link in self.links) + 1
         width = (longest // block + 1) * block
         cum = np.full((lanes, width), _INF)
@@ -353,31 +360,32 @@ class StackedLinks:
         self._cum_flat = cum.ravel()
         self._rates_flat = rates.ravel()
         self._row_offset = np.arange(lanes) * width
-        # The crossing search's two levels: every block's last entry per
-        # lane, and the table as one row per (lane, block).
-        blocks = width // block
-        self._block_last = np.ascontiguousarray(cum[:, block - 1 :: block])
-        self._blocks = self._cum_flat.reshape(lanes * blocks, block)
-        self._lane_block = np.arange(lanes) * blocks
+        # The crossing search's keys: entry k of lane j is the complex
+        # number j + 1j * cum[j, k]. numpy orders complex numbers by real
+        # part, then imaginary part, so the flat table is sorted (rows
+        # ascend, each row is non-decreasing) and the query j + 1j * x
+        # lands inside row j; no arithmetic touches the table values.
+        lane_ids = np.arange(lanes, dtype=float)
+        self._keys = np.empty(lanes * width, dtype=complex)
+        self._keys.real = np.repeat(lane_ids, width)
+        self._keys.imag = self._cum_flat
+        self._queries = np.empty(lanes, dtype=complex)
+        self._queries.real = lane_ids
 
     def _bisect_left(self, within: np.ndarray) -> np.ndarray:
         """Per-lane ``bisect_left(cum_row, within)`` (left insertion point).
 
         ``bisect_left`` is the index of the first entry not below
-        ``within``; a sorted row puts it in the first block whose last
-        entry is not below ``within``. Level one finds that block among
-        the block-last entries, level two finds the entry inside the
-        block. Both levels take the first index where ``entry >= within``
-        (``argmax`` of a boolean row returns its first ``True``), and one
-        always exists: every row's last block ends in ``+inf``, and the
-        chosen block's last entry is not below ``within`` by choice. The
-        result is the same exact integer the scalar ``bisect_left``
-        returns.
+        ``within``. ``searchsorted`` (left side) over the lexicographic
+        keys returns the flat position of the first key not below
+        ``j + 1j * within[j]``: the first entry of row ``j`` not below
+        ``within[j]``, and one always exists because every row ends in
+        ``+inf``. The row offset turns it into the same exact integer
+        the scalar ``bisect_left`` returns.
         """
-        target = within[:, None]
-        block = (self._block_last >= target).argmax(axis=1)
-        entries = self._blocks.take(self._lane_block + block, axis=0)
-        return block * self.BLOCK + (entries >= target).argmax(axis=1)
+        queries = self._queries
+        queries.imag = within
+        return self._keys.searchsorted(queries) - self._row_offset
 
     def cumulative_at(self, t_s: np.ndarray) -> np.ndarray:
         """Per-lane bits deliverable in ``[0, t_s)``; mirrors the scalar
@@ -394,7 +402,9 @@ class StackedLinks:
         """
         periods = None
         remainder = t_s
-        if np.count_nonzero(t_s >= self._period_s):
+        if t_s[t_s.argmax()] >= self._min_period_s and np.count_nonzero(
+            t_s >= self._period_s
+        ):
             periods, remainder = np.divmod(t_s, self._period_s)
             wrap = remainder >= self._period_s
             if np.count_nonzero(wrap):
@@ -418,7 +428,9 @@ class StackedLinks:
         # target reaches a whole period.
         periods = None
         within = target
-        if np.count_nonzero(target >= self._bits_per_period):
+        if target[target.argmax()] >= self._min_bits_per_period and np.count_nonzero(
+            target >= self._bits_per_period
+        ):
             periods, within = np.divmod(target, self._bits_per_period)
         # The scalar path clamps the interval index into [0, n - 1]. Only
         # the lower clamp can bind: ``within`` never exceeds the row's
@@ -428,17 +440,24 @@ class StackedLinks:
         flat_idx = self._row_offset + index
         already = self._cum_flat.take(flat_idx)
         rate = self._rates_flat.take(flat_idx)
-        rate_safe = np.where(rate > 0, rate, 1.0)
         interval_start = index * self._interval
-        offset = np.where(
-            within <= already,
-            interval_start,
-            np.where(
-                rate <= 0,
-                (index + 1) * self._interval,
-                interval_start + (within - already) / rate_safe,
-            ),
-        )
+        gap = within - already
+        # For finite doubles a - b > 0 exactly when a > b, so a positive
+        # smallest gap and a positive smallest rate leave every lane in
+        # the fractional branch, with ``rate`` itself as the safe divisor.
+        if gap[gap.argmin()] > 0.0 and rate[rate.argmin()] > 0.0:
+            offset = interval_start + gap / rate
+        else:
+            rate_safe = np.where(rate > 0, rate, 1.0)
+            offset = np.where(
+                within <= already,
+                interval_start,
+                np.where(
+                    rate <= 0,
+                    (index + 1) * self._interval,
+                    interval_start + gap / rate_safe,
+                ),
+            )
         finish_s = offset if periods is None else periods * self._period_s + offset
         floored = finish_s <= start_s
         if np.count_nonzero(floored):

@@ -9,7 +9,6 @@ the stall arithmetic unit-testable (and property-testable) in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.util.validation import check_non_negative, check_positive
 
@@ -18,7 +17,6 @@ __all__ = ["PlaybackBuffer"]
 _INF = math.inf
 
 
-@dataclass(slots=True)
 class PlaybackBuffer:
     """Seconds-denominated playback buffer with stall accounting.
 
@@ -30,8 +28,29 @@ class PlaybackBuffer:
         Accumulated rebuffering time across the session.
     """
 
-    level_s: float = 0.0
-    total_stall_s: float = 0.0
+    # A plain slotted class, not ``@dataclass(slots=True)`` (a Python
+    # 3.10 keyword): the scalar session loops touch it once per chunk.
+    __slots__ = ("level_s", "total_stall_s")
+
+    def __init__(self, level_s: float = 0.0, total_stall_s: float = 0.0) -> None:
+        self.level_s = level_s
+        self.total_stall_s = total_stall_s
+
+    def __repr__(self) -> str:
+        return (
+            f"PlaybackBuffer(level_s={self.level_s!r}, "
+            f"total_stall_s={self.total_stall_s!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PlaybackBuffer:
+            return NotImplemented
+        return (self.level_s, self.total_stall_s) == (
+            other.level_s,
+            other.total_stall_s,
+        )
+
+    __hash__ = None  # mutable state: compares by value, like a dataclass
 
     def fill(self, duration_s: float) -> None:
         """Add one downloaded chunk's worth of playback time."""

@@ -174,8 +174,9 @@ def run_lockstep_sessions(
 
     Every lane streams the same manifest over its own trace, so all
     lanes share the chunk index, chunk duration, and decision schedule;
-    per-lane divergence (clock, buffer, playback state, level history)
-    lives in ``(lanes,)`` arrays updated with masked numpy ops. This is
+    per-lane divergence (clock, buffer, level history) lives in
+    ``(lanes,)`` arrays updated with masked numpy ops; playback starts
+    after the same chunk on every lane, so its state is one flag. This is
     an accelerator, not a second player model: the arithmetic replays
     :class:`~repro.player.core.VodSessionCore` branch for branch, so
     each lane of the returned :class:`LockstepRecord` is bit-identical
@@ -211,17 +212,27 @@ def run_lockstep_sessions(
 
     now = np.zeros(lanes)
     buffer = np.zeros(lanes)
-    playing = np.zeros(lanes, dtype=bool)
-    startup = np.zeros(lanes)
+    # No lane drains its buffer before playback starts, so until then
+    # every lane's buffer is the same sum 0.0 + delta + delta + ...: all
+    # lanes reach the startup target at the same chunk, and one flag
+    # holds the slice's playback state. The cap and the drain below
+    # apply to playing lanes only, so they wait for it too.
+    playing = False
+    startup = now
     last_levels: Optional[np.ndarray] = None
+    # One context per slice, rewritten before every decision.
+    ctx = BatchDecisionContext(
+        0, now, buffer, None, None, np.zeros(lanes, dtype=bool)
+    )
 
     rec_levels = np.empty((n, lanes), dtype=int)
     rec_sizes = np.empty((n, lanes))
     rec_starts = np.empty((n, lanes))
     rec_finishes = np.empty((n, lanes))
-    rec_stalls = np.empty((n, lanes))
     rec_buffers = np.empty((n, lanes))
-    # Rows stay zero unless the buffer cap binds for some lane.
+    # Rows stay zero before playback starts (no lane stalls) and unless
+    # the buffer cap binds for some lane.
+    rec_stalls = np.zeros((n, lanes))
     rec_cap_idles = np.zeros((n, lanes))
 
     timed = stage_timer is not None
@@ -231,22 +242,20 @@ def run_lockstep_sessions(
             c0 = time.process_time()
         # 1. decision. Batchable schemes never request idle time, so the
         #    core's pre-decision idle branch contributes exactly 0.0.
-        ctx = BatchDecisionContext(
-            chunk_index=i,
-            now_s=now,
-            buffer_s=buffer,
-            last_levels=last_levels,
-            bandwidth_bps=estimator.predict_bps(),
-            playing=playing,
-        )
+        ctx.chunk_index = i
+        ctx.now_s = now
+        ctx.buffer_s = buffer
+        ctx.last_levels = last_levels
+        ctx.bandwidth_bps = estimator.predict_bps()
         if timed:
             w1 = time.perf_counter()
             c1 = time.process_time()
             stage_timer.add("batch.estimate", w1 - w0, c1 - c0)
         levels = decider.select_levels(ctx)
-        if np.count_nonzero((levels < 0) | (levels >= num_tracks)):
-            lo = int(levels.min())
-            bad = lo if lo < 0 else int(levels.max())
+        lo = int(levels[levels.argmin()])
+        hi = int(levels[levels.argmax()])
+        if lo < 0 or hi >= num_tracks:
+            bad = lo if lo < 0 else hi
             raise ValueError(
                 f"{scheme} selected invalid level {bad} "
                 f"for chunk {i} (valid: 0..{num_tracks - 1})"
@@ -261,29 +270,31 @@ def run_lockstep_sessions(
         #    buffers are non-negative doubles). A cap below one chunk
         #    asks for more idle than the buffer holds; like the core's
         #    PlaybackBuffer.drain, the buffer then empties to zero.
-        filled = buffer + delta
-        cap_mask = playing & (filled > max_buffer_s)
-        if np.count_nonzero(cap_mask):
-            cap_idle = np.where(cap_mask, filled - max_buffer_s, 0.0)
+        #    Rounding is monotone, so some lane binds exactly when the
+        #    fullest buffer plus one chunk exceeds the cap.
+        if playing and float(buffer[buffer.argmax()]) + delta > max_buffer_s:
+            filled = buffer + delta
+            cap_idle = np.where(filled > max_buffer_s, filled - max_buffer_s, 0.0)
             buffer = np.maximum(buffer - cap_idle, 0.0)
             now = now + cap_idle
             rec_cap_idles[i] = cap_idle
 
-        # 3. download; the buffer drains (and may stall) meanwhile
-        size = sizes_by_chunk[i].take(levels)
+        # 3. download; a playing buffer drains (and may stall) meanwhile
+        size = sizes_by_chunk[i].take(levels, out=rec_sizes[i])
         start = now
-        finish = links.download_finish(size, start)
-        download_s = finish - start
-        # A playing lane stalls for the download time the buffer does not
-        # cover and drains to zero; otherwise it drains by the download
-        # time. Clamping the signed difference at zero selects exactly
-        # those doubles (a - b < 0 iff a < b), and multiplying by the
-        # 0/1 playing mask zeroes the stall of lanes not yet playing.
-        stall = np.maximum(download_s - buffer, 0.0) * playing
-        drained = np.maximum(buffer - download_s, 0.0)
-        buffer = np.where(playing, drained, buffer)
-        now = finish
-        buffer = buffer + delta
+        now = links.download_finish(size, start)
+        download_s = now - start
+        if playing:
+            # The stall is the download time the buffer does not cover,
+            # and the buffer drains to max(buffer - d, 0). Clamping the
+            # signed difference d - buffer at zero gives the stall (a - b
+            # < 0 iff a < b), and stall - (d - buffer) gives the drained
+            # buffer exactly: +0.0 when the stall is positive or zero,
+            # the exact negation buffer - d otherwise.
+            short = download_s - buffer
+            stall = np.maximum(short, 0.0, out=rec_stalls[i])
+            buffer = np.subtract(stall, short, out=short)
+        buffer = np.add(buffer, delta, out=rec_buffers[i])
 
         # 4. learn from the observation (duration floored exactly like
         #    the core, although StackedLinks never returns zero)
@@ -291,18 +302,16 @@ def run_lockstep_sessions(
         decider.notify_downloads(i, levels, size, download_s, buffer, now)
 
         rec_levels[i] = levels
-        rec_sizes[i] = size
         rec_starts[i] = start
         rec_finishes[i] = now
-        rec_stalls[i] = stall
-        rec_buffers[i] = buffer
         last_levels = levels
 
         # 5. startup: playback begins once the initial target is met
-        started = (~playing) & (buffer >= startup_latency_s)
-        if np.count_nonzero(started):
-            startup = np.where(started, now, startup)
-            playing = playing | started
+        #    (every lane holds the same buffer until then)
+        if not playing and buffer[0] >= startup_latency_s:
+            playing = True
+            startup = now
+            ctx.playing = np.ones(lanes, dtype=bool)
         if timed:
             stage_timer.add(
                 "batch.advance",
@@ -312,7 +321,8 @@ def run_lockstep_sessions(
 
     # Very short video: lanes that never reached the startup target
     # begin playback when the final download completes.
-    startup = np.where(playing, startup, now)
+    if not playing:
+        startup = now
 
     return LockstepRecord(
         scheme=scheme,

@@ -190,6 +190,23 @@ class TestBatchMatchesScalarLanes:
                 scalar.predict_bps(0.0) for scalar in scalars
             ]
 
+    def test_subnormal_quotient_is_clamped(self):
+        # 1e-300 / 1e8 is a subnormal 1e-308 that the clamp lifts to the
+        # smallest normal double: the inputs span 1e308, past the ratio
+        # below which the batch path skips the clamp, so the clamped path
+        # must run. Every step equals the scalar lanes.
+        batch = BatchHarmonicMeanEstimator(3)
+        scalars = [HarmonicMeanEstimator() for _ in range(3)]
+        for step in range(7):
+            sizes = [1e-300, 3e-300 * (step + 1), 2e6]
+            durations = [1e8, 1e8, 1.0 + step]
+            batch.observe(np.asarray(sizes), np.asarray(durations))
+            for scalar, size, duration in zip(scalars, sizes, durations):
+                scalar.observe(size, duration, 0.0)
+            assert batch.predict_bps().tolist() == [
+                scalar.predict_bps(0.0) for scalar in scalars
+            ]
+
     def test_overflowing_fold_falls_back_per_lane(self):
         # Five minimum-normal samples: their reciprocals sum past the
         # largest double, so both paths fall back to the cold-start

@@ -128,7 +128,7 @@ def test_ragged_lane_widths_padding_inert():
 
 
 # ---------------------------------------------------------------------------
-# Multi-block rows. The crossing search splits each padded row into
+# Multi-block rows. Each padded row is a whole number of
 # StackedLinks.BLOCK-entry blocks, so these cases use traces long enough
 # to span many blocks, lanes of different lengths whose rows end
 # mid-block, and targets pinned to block edges.

@@ -16,7 +16,6 @@ support that scheme assumes (§6.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.video.model import Manifest
@@ -29,14 +28,13 @@ if TYPE_CHECKING:  # annotation-only imports; no runtime dependency
 __all__ = ["DecisionContext", "BatchDecisionContext", "ABRAlgorithm", "BatchDecider"]
 
 
-@dataclass(frozen=True)
 class DecisionContext:
     """Everything the player knows when it must pick the next chunk's track.
 
-    The session cores pass an attribute-compatible object that they
-    rewrite for every decision, so a context is valid only during the
-    ``select_level`` / ``requested_idle_s`` call that receives it:
-    algorithms copy the fields they keep, never the object.
+    The session cores build one context each and rewrite its fields for
+    every decision (a fleet run makes millions), so a context is valid
+    only during the ``select_level`` / ``requested_idle_s`` call that
+    receives it: algorithms copy the fields they keep, never the object.
 
     Attributes
     ----------
@@ -54,12 +52,30 @@ class DecisionContext:
         False during startup (before the initial buffering target is met).
     """
 
-    chunk_index: int
-    now_s: float
-    buffer_s: float
-    last_level: Optional[int]
-    bandwidth_bps: float
-    playing: bool
+    __slots__ = (
+        "chunk_index",
+        "now_s",
+        "buffer_s",
+        "last_level",
+        "bandwidth_bps",
+        "playing",
+    )
+
+    def __init__(
+        self,
+        chunk_index: int,
+        now_s: float,
+        buffer_s: float,
+        last_level: Optional[int],
+        bandwidth_bps: float,
+        playing: bool,
+    ) -> None:
+        self.chunk_index = chunk_index
+        self.now_s = now_s
+        self.buffer_s = buffer_s
+        self.last_level = last_level
+        self.bandwidth_bps = bandwidth_bps
+        self.playing = playing
 
 
 class BatchDecisionContext:
@@ -70,8 +86,8 @@ class BatchDecisionContext:
     ``last_levels`` is None only at chunk 0 — every lane has streamed the
     same number of chunks, so "no previous level" is uniform too.
 
-    Like the scalar cores' context, the lockstep engine builds one per
-    slice and rewrites its fields before every
+    Like a scalar :class:`DecisionContext`, it is built once (per
+    lockstep slice) and its fields are rewritten before every
     :meth:`BatchDecider.select_levels` call, so a context is valid only
     during that call: deciders keep the arrays they need, never the
     object, and never write into them.

@@ -323,10 +323,6 @@ class StackedLinks:
     validation has no batch counterpart.
     """
 
-    #: Row width granularity: every padded row is a whole number of
-    #: BLOCK-entry blocks with at least one ``+inf`` entry at its end.
-    BLOCK = 32
-
     def __init__(self, links: Sequence[TraceLink]) -> None:
         if not links:
             raise ValueError("need at least one link")
@@ -344,11 +340,9 @@ class StackedLinks:
         self._last_interval = np.array(
             [link._num_intervals - 1 for link in self.links], dtype=np.int64
         )
-        block = self.BLOCK
         # Row width: the longest table (num_intervals + 1 entries) plus
-        # at least one +inf entry, rounded up to whole blocks.
-        longest = max(link._num_intervals for link in self.links) + 1
-        width = (longest // block + 1) * block
+        # one +inf entry, so every row ends in +inf (see _bisect_left).
+        width = max(link._num_intervals for link in self.links) + 2
         cum = np.full((lanes, width), _INF)
         rates = np.zeros((lanes, width))
         for j, link in enumerate(self.links):

@@ -21,10 +21,22 @@ The live variant (§8 future work, :mod:`repro.player.live`) replaces the
 buffer cap with chunk availability at the live edge and a latency
 budget, and tracks how far playback trails the live edge.
 
-:class:`VodSessionCore` and :class:`LiveSessionCore` are the only
-per-chunk implementations of these steps. A core never owns the clock:
-it emits one action at a time and resumes when its driver calls back
-with the time the action completed:
+Each step is written once. :class:`VodSessionCore` and
+:class:`LiveSessionCore` are thin mode classes over one base that owns
+the shared steps: landing a chunk (steps 3-5: drain/stall, fill,
+observe, notify, the summary fold, the startup check), the decision
+(steps 1-2: context, bandwidth prediction, the algorithm-requested
+idle, level choice, the buffer-cap idle, the fetch), and the action
+protocol below. What differs between the modes is data where it can
+be: the startup threshold, the floor on the observed download duration
+(VoD floors it at ``MIN_DOWNLOAD_DURATION_S``; live observes it raw),
+the buffer cap (unbounded live) and whether the algorithm may request
+an idle (never live). Between chunks the VoD core only decides; the
+live core first waits for availability at the live edge and drains to
+its latency budget, and it adds the live latency accounting.
+
+A core never owns the clock: it emits one action at a time and resumes
+when its driver calls back with the time the action completed:
 
 - ``("fetch", size_bits)`` — download a chunk; the driver calls
   :meth:`on_fetch_done` with the finish time (and the time the transfer
@@ -37,8 +49,9 @@ with the time the action completed:
   limit); read the summary attributes.
 
 Two kinds of driver step the cores. ``StreamingSession.run`` and
-``LiveStreamingSession.run`` replay one session against a private link,
-and the fleet simulator (:mod:`repro.fleet.sim`) interleaves thousands
+``LiveStreamingSession.run`` replay one session against a private link
+through one loop (:func:`repro.player.session.drive_over_link`), and
+the fleet simulator (:mod:`repro.fleet.sim`) interleaves thousands
 of cores on shared bottlenecks. Cores speak session-relative time to the
 ABR logic (the estimator and the decision context see a clock that
 starts at 0) while drivers pass absolute time into every callback; the
@@ -58,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -299,47 +312,21 @@ class LiveSessionResult:
         return float(np.sum(self.sizes_bits))
 
 
-class _ReusableContext:
-    """Mutable stand-in for :class:`~repro.abr.base.DecisionContext`.
-
-    A fleet run makes one ABR decision per chunk across millions of
-    chunks; constructing a frozen dataclass per decision is pure
-    allocation churn. Algorithms read the context's attributes during
-    ``select_level`` / ``requested_idle_s`` and never retain the object
-    (the :class:`~repro.abr.base.DecisionContext` contract), so each
-    core reuses one instance and rewrites the six fields in place.
-    """
-
-    __slots__ = (
-        "chunk_index",
-        "now_s",
-        "buffer_s",
-        "last_level",
-        "bandwidth_bps",
-        "playing",
-    )
-
-    def __init__(self) -> None:
-        self.chunk_index = 0
-        self.now_s = 0.0
-        self.buffer_s = 0.0
-        self.last_level: Optional[int] = None
-        self.bandwidth_bps = 0.0
-        self.playing = False
-
-
-# Wait phases: what the core resumes into when its timer fires.
-_RESUME_DECIDE = 1  # after an algorithm-requested idle: rebuild context
-_RESUME_FETCH = 2  # after a cap/budget drain: emit the pending fetch
-_RESUME_AVAIL = 3  # live: chunk became available at the live edge
-
-
 class _CoreBase:
-    """State and accounting shared by the VoD and live steppers."""
+    """The §6.1 steps both modes share: landing a chunk, deciding, the
+    action protocol and the scalar summary.
+
+    A mode class supplies its config, its startup threshold, buffer cap
+    and floor on the observed download duration, and
+    ``_next(rel_now, resumed)``: its steps from a landed chunk (or the
+    session start) to the next fetch, re-entered with ``resumed=True``
+    when the first wait of those steps fires.
+    """
 
     __slots__ = (
         "algorithm",
         "manifest",
+        "config",
         "estimator",
         "origin_s",
         "buffer",
@@ -351,7 +338,6 @@ class _CoreBase:
         "finished",
         "total_stall_s",
         "total_bits",
-        "sum_level",
         "level_switches",
         "sum_quality",
         "sum_abs_quality_delta",
@@ -360,6 +346,8 @@ class _CoreBase:
         "_quality_rows",
         "_last_quality",
         "_ctx",
+        "_startup_s",
+        "_cap_s",
         "_chunk_duration_s",
         "_num_tracks",
         "_num_chunks",
@@ -368,11 +356,12 @@ class _CoreBase:
         "_notify",
         "_has_idle",
         "_fast_rba",
-        "_phase",
+        "_fetch_on_wake",
         "_pending_level",
         "_pending_size",
-        "_pending_requested_idle",
-        "_pending_cap_idle",
+        "_pending_wait_s",
+        "_pending_cap_s",
+        "_pending_stall_s",
         "_fetch_emit_s",
         "_record",
         "_levels",
@@ -381,29 +370,46 @@ class _CoreBase:
         "_finishes",
         "_stalls",
         "_buffers",
-        "_requested_idles",
-        "_cap_idles",
+        "_waits",
+        "_cap_waits",
     )
+
+    #: Floor on the download duration the estimator observes: the VoD
+    #: player floors it, the live player observes the raw duration (so a
+    #: non-positive one is rejected by the estimator's validation).
+    _duration_floor_s = -math.inf
+
+    #: Mode hook run after a chunk lands, ``(chunk, rel_now, buffer_s)``:
+    #: the live latency accounting. None skips the call (VoD).
+    _after_landing = None
 
     def __init__(
         self,
         algorithm: ABRAlgorithm,
         manifest: Manifest,
+        config: Union[SessionConfig, LiveSessionConfig],
+        startup_s: float,
+        cap_s: float,
         estimator: Optional[BandwidthEstimator],
         watch_chunks: Optional[int],
         quality_rows: Optional[np.ndarray],
         record_arrays: bool,
     ) -> None:
         self.manifest = manifest
+        self.config = config
+        self._startup_s = startup_s
+        self._cap_s = cap_s
         self.estimator = estimator if estimator is not None else HarmonicMeanEstimator()
         self._quality_rows = quality_rows
         self._record = record_arrays
-        self._ctx = _ReusableContext()
+        # One context per core, rewritten for every decision (algorithms
+        # never keep the object; see DecisionContext).
+        self._ctx = DecisionContext(0, 0.0, 0.0, None, 0.0, False)
         self._chunk_duration_s = manifest.chunk_duration_s
         self._num_tracks = manifest.num_tracks
         self._num_chunks = manifest.num_chunks
         self._size_rows = manifest.size_rows
-        # Hot-path gate (see the fused on_fetch_done): the default
+        # Hot-path gate (see on_fetch_done and _decide): the default
         # harmonic estimator's observe/predict arithmetic is inlined.
         est = self.estimator
         self._fast_est = (
@@ -418,8 +424,8 @@ class _CoreBase:
             self._finishes: list = []
             self._stalls: list = []
             self._buffers: list = []
-            self._requested_idles: list = []
-            self._cap_idles: list = []
+            self._waits: list = []
+            self._cap_waits: list = []
 
     def reset_for(self, algorithm: ABRAlgorithm, watch_chunks: Optional[int]) -> None:
         """Re-arm a pooled core for a new session.
@@ -453,8 +459,8 @@ class _CoreBase:
         idle = getattr(cls, "requested_idle_s", None)
         self._has_idle = idle is not ABRAlgorithm.requested_idle_s
         # Exact-class gate (a subclass may override select_level): the
-        # fused per-chunk paths inline RBA's descending feasibility scan
-        # to skip the call frame on the fleet's hottest dispatch.
+        # decision step inlines RBA's descending feasibility scan to skip
+        # the call frame on the fleet's hottest dispatch.
         self._fast_rba = algorithm if cls is RateBasedAlgorithm else None
         n = self._num_chunks
         self.watch_chunks = n if watch_chunks is None else min(int(watch_chunks), n)
@@ -471,90 +477,23 @@ class _CoreBase:
         self.finished = False
         self.total_stall_s = 0.0
         self.total_bits = 0.0
-        self.sum_level = 0.0
         self.level_switches = 0
         self.sum_quality = 0.0
         self.sum_abs_quality_delta = 0.0
         self.low_quality_chunks = 0
         self.end_s = 0.0
         self._last_quality = 0.0
-        self._phase = 0
+        self._fetch_on_wake = False
         self._pending_level = 0
         self._pending_size = 0.0
-        self._pending_requested_idle = 0.0
-        self._pending_cap_idle = 0.0
+        # The pending chunk's first wait (VoD requested idle, live
+        # availability wait), its cap wait (VoD buffer cap, live latency
+        # budget) and the stall they caused (only a live availability
+        # wait can stall); read and cleared only when recording.
+        self._pending_wait_s = 0.0
+        self._pending_cap_s = 0.0
+        self._pending_stall_s = 0.0
         self._fetch_emit_s = 0.0
-
-    # -- shared helpers -------------------------------------------------
-
-    def _context(self, rel_now: float) -> DecisionContext:
-        # One mutable context per core, rewritten per decision (see
-        # _ReusableContext): attribute-compatible with DecisionContext.
-        ctx = self._ctx
-        ctx.chunk_index = self.chunk
-        ctx.now_s = rel_now
-        ctx.buffer_s = self.buffer.level_s
-        ctx.last_level = self.last_level
-        ctx.bandwidth_bps = self.estimator.predict_bps(rel_now)
-        ctx.playing = self.playing
-        return ctx
-
-    def _validate_level(self, level: int) -> None:
-        if not 0 <= level < self.manifest.num_tracks:
-            raise ValueError(
-                f"{self.algorithm.name} selected invalid level {level} "
-                f"for chunk {self.chunk} "
-                f"(valid: 0..{self.manifest.num_tracks - 1})"
-            )
-
-    @property
-    def mean_level(self) -> float:
-        """Mean selected level over the streamed chunks (0 if none)."""
-        return self.sum_level / self.chunk if self.chunk else 0.0
-
-    @property
-    def mean_quality(self) -> float:
-        """Mean per-chunk quality (0 if no chunks or no quality table)."""
-        return self.sum_quality / self.chunk if self.chunk else 0.0
-
-    @property
-    def quality_change_per_chunk(self) -> float:
-        """Mean |Δquality| between consecutive chunks (0 if < 2 chunks)."""
-        if self.chunk < 2:
-            return 0.0
-        return self.sum_abs_quality_delta / (self.chunk - 1)
-
-    @property
-    def played_s(self) -> float:
-        """Content seconds actually consumed by playback so far."""
-        return self.chunk * self.manifest.chunk_duration_s - self.buffer.level_s
-
-
-class VodSessionCore(_CoreBase):
-    """Resumable stepper for one VoD session (the §6.1 steps above).
-
-    Per chunk: decision context (with an optional algorithm-requested
-    idle capped at one buffered chunk, after which the context is
-    rebuilt), buffer-cap idle, download with stall accounting, estimator
-    observation + download notification, startup check.
-    """
-
-    __slots__ = ("config",)
-
-    def __init__(
-        self,
-        algorithm: ABRAlgorithm,
-        manifest: Manifest,
-        config: Optional[SessionConfig] = None,
-        estimator: Optional[BandwidthEstimator] = None,
-        watch_chunks: Optional[int] = None,
-        quality_rows: Optional[np.ndarray] = None,
-        record_arrays: bool = False,
-    ) -> None:
-        super().__init__(
-            algorithm, manifest, estimator, watch_chunks, quality_rows, record_arrays
-        )
-        self.config = SessionConfig() if config is None else config
 
     # -- scheduler-facing API -------------------------------------------
 
@@ -565,17 +504,13 @@ class VodSessionCore(_CoreBase):
         self.algorithm.prepare(self.manifest)
         if self.watch_chunks == 0:
             return self._finish(0.0)
-        return self._decide(0.0)
+        return self._next(0.0)
 
     def on_wait_done(self, now_s: float):
         """A ``("wait", ...)`` timer fired; resume the interrupted phase."""
-        rel_now = now_s - self.origin_s
-        if self._phase == _RESUME_DECIDE:
-            # The clock moved during the requested idle, so the context
-            # (and its bandwidth estimate) is rebuilt before the
-            # algorithm is queried again.
-            return self._choose(self._context(rel_now), rel_now)
-        return self._emit_fetch(now_s)
+        if self._fetch_on_wake:
+            return self._emit_fetch(now_s)
+        return self._next(now_s - self.origin_s, True)
 
     def on_fetch_done(self, now_s: float, transfer_start_s: Optional[float] = None):
         """The pending chunk finished downloading at absolute ``now_s``.
@@ -585,27 +520,28 @@ class VodSessionCore(_CoreBase):
         delayed it); the download duration the player measures — and
         drains/observes against — excludes that delay.
         """
-        # The whole per-chunk tail — buffer drain/fill, estimator
-        # observe/predict, summary accounting, and the next decision —
-        # is fused into one frame with the collaborators' arithmetic
+        # Landing a chunk — buffer drain/fill, estimator observe, summary
+        # accounting — is one frame with the collaborators' arithmetic
         # inlined branch-for-branch (PlaybackBuffer.drain/fill,
-        # HarmonicMeanEstimator.observe/predict_bps, _decide/_choose).
-        # A fleet run enters here once per chunk, ~10M times on the
-        # default spec, and the call/dispatch overhead of the method
-        # chain dominated the fleet profile. Every float operation keeps
-        # the collaborators' operand order, so the results are
-        # bit-identical — pinned by the reference-loop tests and the
-        # fleet golden fingerprints.
+        # HarmonicMeanEstimator.observe). A fleet run enters here once
+        # per chunk, ~10M times on the default spec, and the call/dispatch
+        # overhead of the method chain dominated the fleet profile. Every
+        # float operation keeps the collaborators' operand order, so the
+        # results are bit-identical — pinned by the reference-loop tests
+        # and the fleet golden fingerprints.
         rel_now = now_s - self.origin_s
         start_abs = self._fetch_emit_s if transfer_start_s is None else transfer_start_s
         download_s = now_s - start_abs
+        i = self.chunk
         level = self._pending_level
         size = self._pending_size
         buffer = self.buffer
         delta = self._chunk_duration_s
         playing = self.playing
         buf_level = buffer.level_s
-        # PlaybackBuffer.drain(download_s) if playing, then fill(delta).
+        # PlaybackBuffer.drain(download_s) if playing, then fill(delta)
+        # (delta is the manifest's chunk duration, validated positive
+        # and finite when the manifest was built).
         if playing:
             if not 0.0 <= download_s < _INF:
                 check_non_negative(download_s, "wall_clock_s")
@@ -618,16 +554,17 @@ class VodSessionCore(_CoreBase):
                 buffer.total_stall_s += stall
         else:
             stall = 0.0
-        if not 0.0 < delta < _INF:
-            check_positive(delta, "duration_s")
         buf_level += delta
         buffer.level_s = buf_level
         # HarmonicMeanEstimator.observe(size, max(download_s, floor)).
-        dur = download_s if download_s >= MIN_DOWNLOAD_DURATION_S else MIN_DOWNLOAD_DURATION_S
+        floor = self._duration_floor_s
+        dur = floor if download_s < floor else download_s
         est = self._fast_est
         if est is not None:
             if not 0.0 < size < _INF:
                 check_positive(size, "size_bits")
+            if not 0.0 < dur < _INF:
+                check_positive(dur, "duration_s")
             sample = size / dur
             if not _MIN_SAMPLE_BPS <= sample <= _MAX_SAMPLE_BPS:
                 sample = min(max(sample, _MIN_SAMPLE_BPS), _MAX_SAMPLE_BPS)
@@ -637,12 +574,10 @@ class VodSessionCore(_CoreBase):
             self.estimator.observe(size, dur, rel_now)
         notify = self._notify
         if notify is not None:
-            notify(self.chunk, level, size, download_s, buf_level, rel_now)
+            notify(i, level, size, download_s, buf_level, rel_now)
         # Fold the chunk into the scalar summary.
-        i = self.chunk
         self.total_stall_s += stall
         self.total_bits += size
-        self.sum_level += level
         last = self.last_level
         if last is not None and level != last:
             self.level_switches += 1
@@ -661,30 +596,55 @@ class VodSessionCore(_CoreBase):
                 d = quality - self._last_quality
                 self.sum_abs_quality_delta += d if d >= 0.0 else -d
             self._last_quality = quality
+        self.last_level = level
+        if not playing and buf_level >= self._startup_s:
+            self.playing = True
+            self.startup_delay_s = rel_now
+        after_landing = self._after_landing
+        if after_landing is not None:
+            after_landing(i, rel_now, buf_level)
         if self._record:
             self._levels.append(level)
             self._sizes.append(size)
             self._starts.append(start_abs - self.origin_s)
             self._finishes.append(rel_now)
-            self._stalls.append(stall)
+            self._stalls.append(self._pending_stall_s + stall)
             self._buffers.append(buf_level)
-            self._requested_idles.append(self._pending_requested_idle)
-            self._cap_idles.append(self._pending_cap_idle)
-        self.last_level = level
-        if not playing and buf_level >= self.config.startup_latency_s:
-            playing = self.playing = True
-            self.startup_delay_s = rel_now
+            self._waits.append(self._pending_wait_s)
+            self._cap_waits.append(self._pending_cap_s)
+            self._pending_wait_s = self._pending_cap_s = self._pending_stall_s = 0.0
         i += 1
         self.chunk = i
         if i >= self.watch_chunks:
             return self._finish(rel_now)
-        # _decide(rel_now): context rebuild with the bandwidth predict
-        # inlined (HarmonicMeanEstimator.predict_bps scalar fast path).
+        return self._next(rel_now)
+
+    # -- shared steps ---------------------------------------------------
+
+    def _decide(self, rel_now: float, resumed: bool = False):
+        """Decide the pending chunk at ``rel_now`` and emit its fetch.
+
+        Rewrites the decision context; lets a playing player's algorithm
+        request a pause, capped so it never drains the buffer below one
+        chunk (not when ``resumed`` from that pause, and never live:
+        live cores clear ``_has_idle``); chooses the level; and idles
+        until the chunk fits under the buffer cap ``_cap_s`` (VoD's
+        ``max_buffer_s``; unbounded live). A pause or a cap idle is
+        returned as a wait; the pause re-enters here, the cap idle ends
+        in the fetch.
+        """
+        i = self.chunk
+        playing = self.playing
+        buffer = self.buffer
+        buf_level = buffer.level_s
+        delta = self._chunk_duration_s
         ctx = self._ctx
         ctx.chunk_index = i
         ctx.now_s = rel_now
         ctx.buffer_s = buf_level
-        ctx.last_level = level
+        ctx.last_level = self.last_level
+        # HarmonicMeanEstimator.predict_bps inlined (scalar fast path).
+        est = self._fast_est
         if est is not None:
             n = len(est._samples)
             if n == 0:
@@ -700,17 +660,16 @@ class VodSessionCore(_CoreBase):
             bw = self.estimator.predict_bps(rel_now)
         ctx.bandwidth_bps = bw
         ctx.playing = playing
-        self._pending_requested_idle = 0.0
-        self._pending_cap_idle = 0.0
-        if playing and self._has_idle:
+        # _has_idle gates a pure no-op: the base requested_idle_s returns
+        # 0.0, so skipping the query leaves identical state.
+        if playing and self._has_idle and not resumed:
             requested = max(0.0, float(self.algorithm.requested_idle_s(ctx)))
             requested = min(requested, buffer.time_until_level(delta))
-            if requested > 0:
+            if requested > 0.0:
                 buffer.drain(requested)
-                self._pending_requested_idle = requested
-                self._phase = _RESUME_DECIDE
+                self._pending_wait_s = requested
+                self._fetch_on_wake = False
                 return (WAIT, requested)
-        # _choose(ctx, rel_now).
         rba = self._fast_rba
         if rba is not None:
             # RateBasedAlgorithm.select_level inlined: same descending
@@ -728,54 +687,18 @@ class VodSessionCore(_CoreBase):
         if level < 0 or level >= self._num_tracks:
             self._validate_level(level)  # cold: raises the standard message
         self._pending_level = level
+        # size_rows[level][chunk] equals chunk_size_bits(level, chunk)
+        # bit for bit, without the 2-D ndarray index + float() per call.
         self._pending_size = size = self._size_rows[level][i]
-        if playing and buf_level + delta > self.config.max_buffer_s:
-            cap_idle = buf_level + delta - self.config.max_buffer_s
+        cap_s = self._cap_s
+        if playing and buf_level + delta > cap_s:
+            cap_idle = buf_level + delta - cap_s
             buffer.drain(cap_idle)  # cannot stall: draining from above cap
-            self._pending_cap_idle = cap_idle
-            self._phase = _RESUME_FETCH
+            self._pending_cap_s = cap_idle
+            self._fetch_on_wake = True
             return (WAIT, cap_idle)
         self._fetch_emit_s = self.origin_s + rel_now
         return (FETCH, size)
-
-    # -- internal phases ------------------------------------------------
-
-    def _decide(self, rel_now: float):
-        ctx = self._context(rel_now)
-        self._pending_requested_idle = 0.0
-        self._pending_cap_idle = 0.0
-        # _has_idle gates a pure no-op: the base requested_idle_s returns
-        # 0.0, so skipping the branch leaves identical state (no drain,
-        # no wait).
-        if self.playing and self._has_idle:
-            requested = max(0.0, float(self.algorithm.requested_idle_s(ctx)))
-            # Never idle into a stall: stop at one chunk of buffer.
-            requested = min(
-                requested,
-                self.buffer.time_until_level(self._chunk_duration_s),
-            )
-            if requested > 0:
-                self.buffer.drain(requested)
-                self._pending_requested_idle = requested
-                self._phase = _RESUME_DECIDE
-                return (WAIT, requested)
-        return self._choose(ctx, rel_now)
-
-    def _choose(self, ctx: DecisionContext, rel_now: float):
-        level = int(self.algorithm.select_level(ctx))
-        if level < 0 or level >= self._num_tracks:
-            self._validate_level(level)  # cold: raises the standard message
-        self._pending_level = level
-        self._pending_size = self._size_rows[level][self.chunk]
-        buffer = self.buffer
-        delta = self._chunk_duration_s
-        if self.playing and buffer.level_s + delta > self.config.max_buffer_s:
-            cap_idle = buffer.level_s + delta - self.config.max_buffer_s
-            buffer.drain(cap_idle)  # cannot stall: draining from above cap
-            self._pending_cap_idle = cap_idle
-            self._phase = _RESUME_FETCH
-            return (WAIT, cap_idle)
-        return self._emit_fetch(self.origin_s + rel_now)
 
     def _emit_fetch(self, now_s: float):
         self._fetch_emit_s = now_s
@@ -791,28 +714,96 @@ class VodSessionCore(_CoreBase):
         self.finished = True
         return (DONE,)
 
-    # -- debugging / equivalence ----------------------------------------
+    def _validate_level(self, level: int) -> None:
+        if not 0 <= level < self.manifest.num_tracks:
+            raise ValueError(
+                f"{self.algorithm.name} selected invalid level {level} "
+                f"for chunk {self.chunk} "
+                f"(valid: 0..{self.manifest.num_tracks - 1})"
+            )
+
+    # -- summary ----------------------------------------------------------
+
+    @property
+    def mean_quality(self) -> float:
+        """Mean per-chunk quality (0 if no chunks or no quality table)."""
+        return self.sum_quality / self.chunk if self.chunk else 0.0
+
+    @property
+    def quality_change_per_chunk(self) -> float:
+        """Mean |Δquality| between consecutive chunks (0 if < 2 chunks)."""
+        if self.chunk < 2:
+            return 0.0
+        return self.sum_abs_quality_delta / (self.chunk - 1)
+
+    def _recorded(self, trace_name: str) -> Dict[str, Any]:
+        """The result fields both modes record, as constructor keywords."""
+        if not self._record:
+            raise ValueError("construct the core with record_arrays=True")
+        return {
+            "scheme": self.algorithm.name,
+            "video_name": self.manifest.video_name,
+            "trace_name": trace_name,
+            "levels": np.asarray(self._levels, dtype=int),
+            "sizes_bits": np.asarray(self._sizes, dtype=float),
+            "download_start_s": np.asarray(self._starts, dtype=float),
+            "download_finish_s": np.asarray(self._finishes, dtype=float),
+            "stall_s": np.asarray(self._stalls, dtype=float),
+            "buffer_after_s": np.asarray(self._buffers, dtype=float),
+            "startup_delay_s": self.startup_delay_s,
+        }
+
+
+class VodSessionCore(_CoreBase):
+    """Resumable stepper for one VoD session (the §6.1 steps above).
+
+    Between chunks: an optional algorithm-requested idle capped at one
+    buffered chunk (after which the context is rebuilt), the decision,
+    then the buffer-cap idle at ``max_buffer_s`` — all three the shared
+    decision step. Waits never stall.
+    """
+
+    __slots__ = ()
+
+    _duration_floor_s = MIN_DOWNLOAD_DURATION_S
+
+    def __init__(
+        self,
+        algorithm: ABRAlgorithm,
+        manifest: Manifest,
+        config: Optional[SessionConfig] = None,
+        estimator: Optional[BandwidthEstimator] = None,
+        watch_chunks: Optional[int] = None,
+        quality_rows: Optional[np.ndarray] = None,
+        record_arrays: bool = False,
+    ) -> None:
+        config = SessionConfig() if config is None else config
+        super().__init__(
+            algorithm,
+            manifest,
+            config,
+            config.startup_latency_s,
+            config.max_buffer_s,
+            estimator,
+            watch_chunks,
+            quality_rows,
+            record_arrays,
+        )
+
+    #: Between chunks the VoD player only decides: its algorithm-requested
+    #: pause and its buffer-cap idle are the decision step's two waits.
+    _next = _CoreBase._decide
 
     def result(self, trace_name: str = "") -> SessionResult:
         """Per-chunk :class:`SessionResult` (requires ``record_arrays``)."""
-        if not self._record:
-            raise ValueError("construct the core with record_arrays=True")
-        requested_idle_s = np.asarray(self._requested_idles, dtype=float)
-        cap_idle_s = np.asarray(self._cap_idles, dtype=float)
+        fields = self._recorded(trace_name)
+        requested_idle_s = np.asarray(self._waits, dtype=float)
+        cap_idle_s = np.asarray(self._cap_waits, dtype=float)
         return SessionResult(
-            scheme=self.algorithm.name,
-            video_name=self.manifest.video_name,
-            trace_name=trace_name,
-            levels=np.asarray(self._levels, dtype=int),
-            sizes_bits=np.asarray(self._sizes, dtype=float),
-            download_start_s=np.asarray(self._starts, dtype=float),
-            download_finish_s=np.asarray(self._finishes, dtype=float),
-            stall_s=np.asarray(self._stalls, dtype=float),
-            buffer_after_s=np.asarray(self._buffers, dtype=float),
             idle_s=requested_idle_s + cap_idle_s,
-            startup_delay_s=self.startup_delay_s,
             requested_idle_s=requested_idle_s,
             cap_idle_s=cap_idle_s,
+            **fields,
         )
 
 
@@ -821,22 +812,14 @@ class LiveSessionCore(_CoreBase):
 
     The broadcast's chunk ``i`` becomes available ``i * delta`` seconds
     after the session joins (each fleet session watches its own program
-    from its own live edge). Availability waits and latency-budget
-    drains become ``("wait", ...)`` actions; live latency accumulates
+    from its own live edge). Between chunks: the availability wait at
+    the live edge (which stalls a playing buffer that runs dry), the
+    latency-budget drain, then the decision. Live latency accumulates
     into :attr:`sum_latency_s` / :attr:`peak_latency_s` (and, with
     ``record_arrays``, into the per-chunk ``latency_s`` array).
     """
 
-    __slots__ = (
-        "config",
-        "sum_latency_s",
-        "peak_latency_s",
-        "total_wait_s",
-        "_pending_wait",
-        "_pending_wait_stall",
-        "_waits",
-        "_latencies",
-    )
+    __slots__ = ("sum_latency_s", "peak_latency_s", "_latencies")
 
     def __init__(
         self,
@@ -848,242 +831,72 @@ class LiveSessionCore(_CoreBase):
         quality_rows: Optional[np.ndarray] = None,
         record_arrays: bool = False,
     ) -> None:
+        config = LiveSessionConfig() if config is None else config
         super().__init__(
-            algorithm, manifest, estimator, watch_chunks, quality_rows, record_arrays
+            algorithm,
+            manifest,
+            config,
+            config.startup_chunks * manifest.chunk_duration_s,
+            _INF,  # no buffer cap: the latency budget bounds the backlog
+            estimator,
+            watch_chunks,
+            quality_rows,
+            record_arrays,
         )
-        self.config = LiveSessionConfig() if config is None else config
         if record_arrays:
-            self._waits: list = []
             self._latencies: list = []
 
     def _arm(self, algorithm: ABRAlgorithm, watch_chunks: Optional[int]) -> None:
         super()._arm(algorithm, watch_chunks)
+        self._has_idle = False  # a live player never pauses on request
         self.sum_latency_s = 0.0
         self.peak_latency_s = 0.0
-        self.total_wait_s = 0.0
-        # The pending chunk's availability wait and the stall it caused;
-        # read (and cleared) only when recording per-chunk arrays.
-        self._pending_wait = 0.0
-        self._pending_wait_stall = 0.0
 
-    def begin(self, now_s: float):
-        self.origin_s = now_s
-        self.estimator.reset()
-        self.algorithm.prepare(self.manifest)
-        if self.watch_chunks == 0:
-            return self._finish(0.0)
-        # Chunk 0 exists the moment the session joins the live edge.
-        return self._budget_then_choose(0.0)
-
-    def on_wait_done(self, now_s: float):
-        rel_now = now_s - self.origin_s
-        if self._phase == _RESUME_AVAIL:
-            return self._budget_then_choose(rel_now)
-        return self._emit_fetch(now_s)
-
-    def on_fetch_done(self, now_s: float, transfer_start_s: Optional[float] = None):
-        # Fused per-chunk tail, mirroring VodSessionCore.on_fetch_done:
-        # the buffer / estimator / accounting arithmetic is inlined
-        # branch-for-branch, bit-identical to the method chain.
-        rel_now = now_s - self.origin_s
-        start_abs = self._fetch_emit_s if transfer_start_s is None else transfer_start_s
-        download_s = now_s - start_abs
-        i = self.chunk
-        level = self._pending_level
-        size = self._pending_size
+    def _next(self, rel_now: float, resumed: bool = False):
         buffer = self.buffer
         delta = self._chunk_duration_s
-        playing = self.playing
-        buf_level = buffer.level_s
-        # PlaybackBuffer.drain(download_s) if playing, then fill(delta).
-        if playing:
-            if not 0.0 <= download_s < _INF:
-                check_non_negative(download_s, "wall_clock_s")
-            if download_s <= buf_level:
-                buf_level -= download_s
-                stall = 0.0
-            else:
-                stall = download_s - buf_level
-                buf_level = 0.0
-                buffer.total_stall_s += stall
-        else:
-            stall = 0.0
-        if not 0.0 < delta < _INF:
-            check_positive(delta, "duration_s")
-        buf_level += delta
-        buffer.level_s = buf_level
-        # HarmonicMeanEstimator.observe(size, download_s) — live observes
-        # the raw duration, no floor.
-        est = self._fast_est
-        if est is not None:
-            if not 0.0 < size < _INF:
-                check_positive(size, "size_bits")
-            if not 0.0 < download_s < _INF:
-                check_positive(download_s, "duration_s")
-            sample = size / download_s
-            if not _MIN_SAMPLE_BPS <= sample <= _MAX_SAMPLE_BPS:
-                sample = min(max(sample, _MIN_SAMPLE_BPS), _MAX_SAMPLE_BPS)
-            est._samples.append(sample)
-            est._inverses.append(1.0 / sample)
-        else:
-            self.estimator.observe(size, download_s, rel_now)
-        notify = self._notify
-        if notify is not None:
-            notify(i, level, size, download_s, buf_level, rel_now)
-        # Fold the chunk into the scalar summary (see the VoD path).
-        self.total_stall_s += stall
-        self.total_bits += size
-        self.sum_level += level
-        last = self.last_level
-        if last is not None and level != last:
-            self.level_switches += 1
-        rows = self._quality_rows
-        if rows is not None:
-            quality = rows[level][i]
-            self.sum_quality += quality
-            if quality < _LOW_QUALITY_VMAF:
-                self.low_quality_chunks += 1
-            if i > 0:
-                # abs() without the builtin call: -d flips the sign bit,
-                # exactly abs for the finite deltas quality rows produce.
-                d = quality - self._last_quality
-                self.sum_abs_quality_delta += d if d >= 0.0 else -d
-            self._last_quality = quality
-        self.last_level = level
-        if not playing and buf_level >= self.config.startup_chunks * delta:
-            self.playing = True
-            self.startup_delay_s = rel_now
+        if not resumed:
+            # Wait for the chunk to exist at the live edge.
+            wait = self.chunk * delta - rel_now
+            if wait > 0:
+                if self.playing:
+                    stall = buffer.drain(wait)
+                    self.total_stall_s += stall
+                    self._pending_stall_s = stall
+                self._pending_wait_s = wait
+                self._fetch_on_wake = False
+                return (WAIT, wait)
+        # Keep the backlog inside the latency budget: if the buffer is
+        # at the budget, let it drain first; the decision sees the
+        # drained buffer at the time the drain ends.
+        budget_s = self.config.latency_budget_s
+        if self.playing and buffer.level_s + delta > budget_s:
+            drain_for = buffer.level_s + delta - budget_s
+            buffer.drain(drain_for)  # cannot stall: draining from above
+            self._pending_cap_s = drain_for
+            self._decide(rel_now + drain_for)  # fetched when the drain ends
+            self._fetch_on_wake = True
+            return (WAIT, drain_for)
+        return self._decide(rel_now)
+
+    def _after_landing(self, i: int, rel_now: float, buf_level: float) -> None:
         # Live latency: content time at the live edge minus the player's
         # playback position (downloaded minus buffered).
-        played_s = (i + 1) * delta - buf_level
-        live_edge_s = min(rel_now, self.manifest.num_chunks * delta)
-        latency = max(0.0, live_edge_s - played_s)
+        delta = self._chunk_duration_s
+        position_s = (i + 1) * delta - buf_level
+        live_edge_s = min(rel_now, self._num_chunks * delta)
+        latency = max(0.0, live_edge_s - position_s)
         self.sum_latency_s += latency
         if latency > self.peak_latency_s:
             self.peak_latency_s = latency
         if self._record:
-            self._levels.append(level)
-            self._sizes.append(size)
-            self._starts.append(start_abs - self.origin_s)
-            self._finishes.append(rel_now)
-            self._stalls.append(self._pending_wait_stall + stall)
-            self._buffers.append(buf_level)
-            self._waits.append(self._pending_wait)
             self._latencies.append(latency)
-            self._pending_wait = 0.0
-            self._pending_wait_stall = 0.0
-        i += 1
-        self.chunk = i
-        if i >= self.watch_chunks:
-            return self._finish(rel_now)
-        # Wait for the chunk to exist at the live edge, else fall
-        # through to the budget check + choice.
-        wait = i * delta - rel_now
-        if wait > 0:
-            if self.playing:
-                stall = buffer.drain(wait)
-                self.total_stall_s += stall
-                self._pending_wait_stall = stall
-            self.total_wait_s += wait
-            self._pending_wait = wait
-            self._phase = _RESUME_AVAIL
-            return (WAIT, wait)
-        return self._budget_then_choose(rel_now)
-
-    # -- internal phases ------------------------------------------------
-
-    def _budget_then_choose(self, rel_now: float):
-        # Keep the backlog inside the latency budget: if the buffer is
-        # at the budget, let it drain one chunk first.
-        buffer = self.buffer
-        delta = self._chunk_duration_s
-        if self.playing and buffer.level_s + delta > self.config.latency_budget_s:
-            drain_for = buffer.level_s + delta - self.config.latency_budget_s
-            buffer.drain(drain_for)  # cannot stall: draining from above
-            self._phase = _RESUME_FETCH
-            self._prepare_choice(rel_now + drain_for)
-            return (WAIT, drain_for)
-        self._prepare_choice(rel_now)
-        return self._emit_fetch(self.origin_s + rel_now)
-
-    def _prepare_choice(self, rel_now: float) -> None:
-        # _context + the harmonic predict fast path inlined (one live
-        # decision per chunk; same doubles as the method chain).
-        ctx = self._ctx
-        ctx.chunk_index = self.chunk
-        ctx.now_s = rel_now
-        ctx.buffer_s = self.buffer.level_s
-        ctx.last_level = self.last_level
-        est = self._fast_est
-        if est is not None:
-            n = len(est._samples)
-            if n == 0:
-                bw = est.initial_estimate_bps
-            else:
-                # sum() over the precomputed inverses is the same
-                # sequential left fold of the same doubles (see
-                # HarmonicMeanEstimator).
-                bw = n / sum(est._inverses)
-                if not 0.0 < bw < _INF:
-                    bw = est.initial_estimate_bps
-        else:
-            bw = self.estimator.predict_bps(rel_now)
-        ctx.bandwidth_bps = bw
-        ctx.playing = self.playing
-        rba = self._fast_rba
-        if rba is not None:
-            # RateBasedAlgorithm.select_level inlined (see the VoD
-            # fused path): same scan, same doubles, no call frame.
-            chunk = ctx.chunk_index
-            buf_s = ctx.buffer_s
-            srows = rba._size_rows
-            reserve_s = rba._reserve_s
-            level = 0
-            for lv in range(rba._top, -1, -1):
-                if buf_s - srows[lv][chunk] / bw >= reserve_s:
-                    level = lv
-                    break
-        else:
-            level = int(self.algorithm.select_level(ctx))
-        if level < 0 or level >= self._num_tracks:
-            self._validate_level(level)  # cold: raises the standard message
-        self._pending_level = level
-        # size_rows[level][chunk] equals chunk_size_bits(level, chunk)
-        # bit for bit, without the 2-D ndarray index + float() per call.
-        self._pending_size = self._size_rows[level][self.chunk]
-
-    def _emit_fetch(self, now_s: float):
-        self._fetch_emit_s = now_s
-        return (FETCH, self._pending_size)
-
-    def _finish(self, rel_now: float):
-        if not self.playing:
-            self.startup_delay_s = rel_now
-            self.playing = True
-        self.end_s = rel_now
-        self.finished = True
-        return (DONE,)
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean live latency over the streamed chunks (0 if none)."""
-        return self.sum_latency_s / self.chunk if self.chunk else 0.0
 
     def result(self, trace_name: str = "") -> LiveSessionResult:
         """Per-chunk :class:`LiveSessionResult` (requires ``record_arrays``)."""
-        if not self._record:
-            raise ValueError("construct the core with record_arrays=True")
+        fields = self._recorded(trace_name)
         return LiveSessionResult(
-            scheme=self.algorithm.name,
-            video_name=self.manifest.video_name,
-            trace_name=trace_name,
-            levels=np.asarray(self._levels, dtype=int),
-            sizes_bits=np.asarray(self._sizes, dtype=float),
-            download_start_s=np.asarray(self._starts, dtype=float),
-            download_finish_s=np.asarray(self._finishes, dtype=float),
-            stall_s=np.asarray(self._stalls, dtype=float),
-            buffer_after_s=np.asarray(self._buffers, dtype=float),
             availability_wait_s=np.asarray(self._waits, dtype=float),
             latency_s=np.asarray(self._latencies, dtype=float),
-            startup_delay_s=self.startup_delay_s,
+            **fields,
         )

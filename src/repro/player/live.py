@@ -12,6 +12,13 @@ downloadable immediately. Live streaming changes two things:
    any scheme's planning) must clamp their windows to what is announced
    (:func:`repro.core.cava.cava_live` builds such a clamped CAVA).
 
+In the player, only the steps between chunks and the latency
+accounting differ from VoD: the :class:`~repro.player.core.LiveSessionCore`
+waits for availability and drains to the latency budget where the VoD
+core idles on request and at its buffer cap; it shares every other
+step, and the driver loop (:func:`repro.player.session.drive_over_link`),
+with the VoD player.
+
 The live loop also surfaces the metric that matters in live systems:
 **end-to-end latency** — how far playback trails the live edge. Latency
 grows with every stall and with conservative buffering, which is exactly
@@ -27,13 +34,8 @@ from typing import Optional
 from repro.abr.base import ABRAlgorithm
 from repro.network.estimator import BandwidthEstimator
 from repro.network.link import TraceLink
-from repro.player.core import (
-    DONE,
-    WAIT,
-    LiveSessionConfig,
-    LiveSessionCore,
-    LiveSessionResult,
-)
+from repro.player.core import LiveSessionConfig, LiveSessionCore, LiveSessionResult
+from repro.player.session import drive_over_link
 from repro.video.model import Manifest, VideoAsset
 
 __all__ = ["LiveSessionConfig", "LiveSessionResult", "LiveStreamingSession", "run_live_session"]
@@ -67,17 +69,7 @@ class LiveStreamingSession:
         core = LiveSessionCore(
             algorithm, manifest, self.config, estimator, record_arrays=True
         )
-        now = 0.0
-        action = core.begin(now)
-        while action[0] != DONE:
-            if action[0] == WAIT:
-                now += action[1]
-                action = core.on_wait_done(now)
-            else:
-                download = link.download(action[1], now)
-                now = download.finish_s
-                action = core.on_fetch_done(now, download.start_s)
-        return core.result(link.trace.name)
+        return drive_over_link(core, link)
 
 
 def run_live_session(

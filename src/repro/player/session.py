@@ -3,8 +3,10 @@
 One session = one (video, ABR scheme, network trace) triple replayed
 under identical, repeatable conditions. :class:`StreamingSession` drives
 a :class:`~repro.player.core.VodSessionCore` — the one implementation of
-the §6.1 player steps — against the caller's private link: it advances
-the clock through the core's waits and downloads each requested chunk.
+the §6.1 player steps — against the caller's private link through
+:func:`drive_over_link`, the driver loop it shares with
+:class:`~repro.player.live.LiveStreamingSession`: it advances the clock
+through the core's waits and downloads each requested chunk.
 :func:`run_lockstep_sessions` is the batch accelerator: it replays the
 same core arithmetic for N sessions of one (scheme, video) pair with
 numpy lanes and returns its per-chunk record as one
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +27,8 @@ from repro.network.link import MIN_DOWNLOAD_DURATION_S, StackedLinks, TraceLink
 from repro.player.core import DONE, WAIT, SessionConfig, SessionResult, VodSessionCore
 from repro.video.model import Manifest, VideoAsset
 
-if TYPE_CHECKING:  # telemetry is an optional layer; no runtime import here
+if TYPE_CHECKING:  # annotation-only imports (telemetry is an optional layer)
+    from repro.player.core import LiveSessionCore, LiveSessionResult
     from repro.telemetry.spans import StageTimer
     from repro.telemetry.tracer import Tracer
 
@@ -34,6 +37,7 @@ __all__ = [
     "SessionResult",
     "LockstepRecord",
     "StreamingSession",
+    "drive_over_link",
     "run_session",
     "run_lockstep_sessions",
 ]
@@ -77,30 +81,47 @@ class StreamingSession:
         core = VodSessionCore(
             algorithm, manifest, self.config, estimator, record_arrays=True
         )
-        # The core rewrites this one context object for every decision;
-        # while a fetch is pending it holds that chunk's decision inputs.
-        decision = core._ctx
-        now = 0.0
-        action = core.begin(now)
-        while action[0] != DONE:
-            if action[0] == WAIT:
-                now += action[1]
-                action = core.on_wait_done(now)
-                continue
-            download = link.download(action[1], now)
-            now = download.finish_s
-            if tracer is None:
-                action = core.on_fetch_done(now, download.start_s)
-            else:
-                buffer_before_s = decision.buffer_s
-                estimate_bps = decision.bandwidth_bps
-                action = core.on_fetch_done(now, download.start_s)
-                tracer.on_chunk(
-                    _chunk_record(core, download, buffer_before_s, estimate_bps)
-                )
+        result = drive_over_link(core, link, tracer)
         if tracer is not None:
             tracer.on_session_end(core.startup_delay_s)
-        return core.result(link.trace.name)
+        return result
+
+
+def drive_over_link(
+    core: Union[VodSessionCore, LiveSessionCore],
+    link: TraceLink,
+    tracer: Optional[Tracer] = None,
+) -> Union[SessionResult, LiveSessionResult]:
+    """Step a recording session core to its end over the private ``link``.
+
+    The one driver loop of both private-link sessions: it advances the
+    clock through the core's waits, downloads each requested chunk, and
+    returns ``core.result``. ``tracer`` (VoD only) receives one
+    :class:`~repro.telemetry.tracer.ChunkRecord` per chunk; ``None``
+    costs one pointer comparison per chunk.
+    """
+    # The core rewrites this one context object for every decision;
+    # while a fetch is pending it holds that chunk's decision inputs.
+    decision = core._ctx
+    now = 0.0
+    action = core.begin(now)
+    while action[0] != DONE:
+        if action[0] == WAIT:
+            now += action[1]
+            action = core.on_wait_done(now)
+            continue
+        download = link.download(action[1], now)
+        now = download.finish_s
+        if tracer is None:
+            action = core.on_fetch_done(now, download.start_s)
+        else:
+            buffer_before_s = decision.buffer_s
+            estimate_bps = decision.bandwidth_bps
+            action = core.on_fetch_done(now, download.start_s)
+            tracer.on_chunk(
+                _chunk_record(core, download, buffer_before_s, estimate_bps)
+            )
+    return core.result(link.trace.name)
 
 
 def _chunk_record(core: VodSessionCore, download, buffer_before_s, estimate_bps):
@@ -118,8 +139,8 @@ def _chunk_record(core: VodSessionCore, download, buffer_before_s, estimate_bps)
         size_bits=float(size),
         buffer_before_s=float(buffer_before_s),
         buffer_after_s=float(core._buffers[-1]),
-        requested_idle_s=float(core._requested_idles[-1]),
-        cap_idle_s=float(core._cap_idles[-1]),
+        requested_idle_s=float(core._waits[-1]),
+        cap_idle_s=float(core._cap_waits[-1]),
         stall_s=float(core._stalls[-1]),
         download_start_s=float(download.start_s),
         download_finish_s=float(download.finish_s),

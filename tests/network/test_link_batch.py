@@ -128,13 +128,14 @@ def test_ragged_lane_widths_padding_inert():
 
 
 # ---------------------------------------------------------------------------
-# Multi-block rows. Each padded row is a whole number of
-# StackedLinks.BLOCK-entry blocks, so these cases use traces long enough
-# to span many blocks, lanes of different lengths whose rows end
-# mid-block, and targets pinned to block edges.
+# Long and ragged rows. Each padded row is as wide as the longest table
+# plus one +inf entry, so these cases use traces long enough to give
+# rows hundreds of entries, lanes of different lengths, and targets
+# pinned to table entries every BLOCK entries ("block edges": a fixed
+# spacing that spreads the pinned targets over the whole row).
 # ---------------------------------------------------------------------------
 
-BLOCK = StackedLinks.BLOCK
+BLOCK = 32
 
 
 def _long_rates(num_intervals, seed, zero_runs):
@@ -231,6 +232,28 @@ def test_bisect_left_matches_bisect_on_every_block_edge():
             within[k] = target
             found = stacked._bisect_left(within)
             assert found[k] == bisect_left(links[k]._cumulative_bits.tolist(), target)
+
+
+def test_rows_ending_one_entry_apart():
+    # The shorter row's last finite entry sits right before the longer
+    # row's, so one row has two +inf entries and the other exactly one.
+    rates = _long_rates(70, 7, [(31, 3, 2)])
+    links = [
+        TraceLink(NetworkTrace("a", 1.0, rates[:-1])),
+        TraceLink(NetworkTrace("b", 1.0, rates)),
+    ]
+    stacked = StackedLinks(links)
+    assert stacked._cum_flat.size == 2 * (len(rates) + 2)
+    for k, link in enumerate(links):
+        cum = link._cumulative_bits.tolist()
+        for target in _block_edge_targets(link) + [cum[-1], cum[-2]]:
+            within = np.zeros(len(links))
+            within[k] = target
+            assert stacked._bisect_left(within)[k] == bisect_left(cum, target)
+    # From time 0, a size one ULP below a row's total crosses in its
+    # last interval.
+    sizes = [np.nextafter(link._cumulative_bits[-1], -np.inf) for link in links]
+    _assert_stack_matches_scalar(links, sizes, [0.0, 0.0])
 
 
 def test_download_finish_lte_width_1081():

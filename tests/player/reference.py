@@ -151,10 +151,15 @@ def reference_live_session(
     link,
     config: Optional[LiveSessionConfig] = None,
     estimator: Optional[BandwidthEstimator] = None,
+    stall_terms: Optional[list] = None,
 ) -> LiveSessionResult:
     """Watch the broadcast of ``manifest`` from its start over ``link``.
 
     Chunk ``i`` is produced at ``i * delta``; the player joins at time 0.
+    A chunk's ``stall_s`` entry sums two terms, the stall while waiting
+    at the live edge and the stall while downloading; ``stall_terms``,
+    when given, receives every term in the order the player incurs it,
+    as ``(chunk index, term)`` pairs.
     """
     config = LiveSessionConfig() if config is None else config
     estimator = HarmonicMeanEstimator() if estimator is None else estimator
@@ -175,7 +180,10 @@ def reference_live_session(
         stall = 0.0
         if wait > 0:
             if playing:
-                stall += buffer.drain(wait)
+                term = buffer.drain(wait)
+                stall += term
+                if stall_terms is not None:
+                    stall_terms.append((i, term))
             now += wait
 
         # Keep the backlog inside the latency budget.
@@ -198,7 +206,10 @@ def reference_live_session(
         download = link.download(size, now)
         download_s = download.finish_s - download.start_s
         if playing:
-            stall += buffer.drain(download_s)
+            term = buffer.drain(download_s)
+            stall += term
+            if stall_terms is not None:
+                stall_terms.append((i, term))
         now = download.finish_s
         buffer.fill(delta)
         estimator.observe(size, download_s, now)

@@ -1,16 +1,21 @@
 """Event-driven session cores vs the reference §6.1 loops.
 
 :class:`VodSessionCore` and :class:`LiveSessionCore` are the only
-per-chunk implementations of the player model: ``StreamingSession.run``
-and ``LiveStreamingSession.run`` drive them over a private link, and the
-fleet simulator drives thousands of them over shared bottlenecks. These
-tests pin both kinds of driving, bitwise and for every registered
-scheme, to the plain loops in :mod:`tests.player.reference` — a lone
-session on an uncontended :class:`SharedLink` must be indistinguishable
-from a private :class:`TraceLink` session.
+per-chunk implementations of the player model: two mode classes over
+one base that lands each chunk, decides and speaks the action protocol
+for both, each adding only its between-chunks steps.
+``StreamingSession.run`` and ``LiveStreamingSession.run`` drive them
+over a private link through one loop, and the fleet simulator drives
+thousands of them over shared bottlenecks. These tests pin both kinds
+of driving, bitwise and for every registered scheme, to the plain loops
+in :mod:`tests.player.reference` — a lone session on an uncontended
+:class:`SharedLink` must be indistinguishable from a private
+:class:`TraceLink` session. ``test_core_differential.py`` draws the
+sessions at random instead.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +23,8 @@ import pytest
 from repro.abr.registry import make_scheme, needs_quality_manifest, scheme_names
 from repro.core.cava import cava_live
 from repro.faults.plan import FaultedLink, LatencyFault
-from repro.network.link import TraceLink
+from repro.network.estimator import HarmonicMeanEstimator
+from repro.network.link import MIN_DOWNLOAD_DURATION_S, TraceLink
 from repro.player.core import DONE, FETCH, WAIT, LiveSessionCore, VodSessionCore
 from repro.player.live import LiveSessionConfig, LiveStreamingSession
 from repro.player.session import SessionConfig, StreamingSession
@@ -286,6 +292,43 @@ class TestLiveEquivalence:
         core = LiveSessionCore(make_scheme("RBA"), short_video.manifest())
         with pytest.raises(ValueError, match="record_arrays"):
             core.result()
+
+
+class TestObservedDuration:
+    """The landing step's duration floor: VoD floors the observed
+    download duration at ``MIN_DOWNLOAD_DURATION_S``, live observes it
+    raw, and either estimator path validates what it observes alike."""
+
+    @pytest.fixture(params=[False, True], ids=["inlined", "method"])
+    def estimator(self, request):
+        return HarmonicMeanEstimator(window=10) if request.param else None
+
+    @pytest.mark.parametrize(
+        "finish_s, start_s, message",
+        [(0.0, 0.0, "got 0.0"), (1.0, 2.0, "got -1.0")],
+    )
+    def test_live_rejects_non_positive_duration(
+        self, short_video, estimator, finish_s, start_s, message
+    ):
+        core = LiveSessionCore(make_scheme("RBA"), short_video.manifest(), estimator=estimator)
+        assert core.begin(0.0)[0] == FETCH
+        with pytest.raises(ValueError, match=f"duration_s must be positive, {message}"):
+            core.on_fetch_done(finish_s, start_s)
+
+    def test_vod_floors_non_positive_duration(self, short_video, estimator):
+        core = VodSessionCore(make_scheme("RBA"), short_video.manifest(), estimator=estimator)
+        core.begin(0.0)
+        core.on_fetch_done(1.0, 2.0)  # a -1 s download, before playback
+        assert core.chunk == 1
+        sample = core.total_bits / MIN_DOWNLOAD_DURATION_S
+        assert core.estimator.predict_bps(1.0) == 1 / (1.0 / sample)
+
+    @pytest.mark.parametrize("finish_s", [math.inf, math.nan])
+    def test_vod_rejects_non_finite_duration(self, short_video, estimator, finish_s):
+        core = VodSessionCore(make_scheme("RBA"), short_video.manifest(), estimator=estimator)
+        core.begin(0.0)
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            core.on_fetch_done(finish_s)
 
 
 class TestQualityAccounting:

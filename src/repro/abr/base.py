@@ -168,7 +168,8 @@ class ABRAlgorithm:
     def bind_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach (or detach, with None) the session's telemetry sink.
 
-        Called by :class:`~repro.player.session.StreamingSession` before
+        Called by :class:`~repro.player.session.StreamingSession` and
+        :class:`~repro.player.live.LiveStreamingSession` before
         :meth:`prepare`; passing None every untraced session keeps a
         reused algorithm instance from leaking records into a stale
         tracer.

@@ -64,21 +64,6 @@ class PIDController:
         self._u_min = config.u_min
         self._u_max = config.u_max
 
-    def __repr__(self) -> str:
-        return (
-            f"PIDController(config={self.config!r}, "
-            f"chunk_duration_s={self.chunk_duration_s!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not PIDController:
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
-
-    __hash__ = None  # mutable state: compares by value, like a dataclass
-
     def reset(self) -> None:
         """Clear the integral and the clock (new session)."""
         self._integral = 0.0

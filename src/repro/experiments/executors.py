@@ -17,10 +17,11 @@ one contract — given a planned grid they must produce the exact result
 list the engine's in-process serial path would, bit for bit. Every path
 runs a unit through :func:`~repro.experiments.worker.run_unit`:
 
-- :class:`PoolExecutorBackend` — the default: fan work units over
-  :func:`drain_pool`, settling each through :class:`SweepLedger` (store
-  write-back, the skip/retry policy, progress). The engine's serial
-  path settles through the same ledger.
+- :class:`PoolExecutorBackend` — the default: fan co-units (work units
+  of several specs over the same traces, joined to share the lockstep
+  engine's slices) over :func:`drain_pool`, settling each member unit
+  through :class:`SweepLedger` (store write-back, the skip/retry policy,
+  progress). The engine's serial path settles through the same ledger.
 - :class:`MultiHostExecutorBackend` — cooperative workers on any number
   of machines sharing one store directory: each participant derives the
   same canonical unit catalogue, claims units through atomic lease
@@ -62,11 +63,13 @@ from repro.experiments.scheduler import (
     SweepWorkerError,
     WorkUnit,
     contiguous_runs,
+    join_co_units,
     sweep_grid_id,
 )
 from repro.experiments.worker import (
     POOL_RESPAWNS_METRIC,
     WORKERS_METRIC,
+    UnitOutcome,
     init_worker,
     run_batch_in_worker,
     run_unit,
@@ -195,14 +198,16 @@ def drain_pool(
     run here. Assets are published once through the shm data plane
     (inline initializer pickles when shared memory is unavailable) and
     every worker is set up by :func:`init_worker` with ``specs`` and
-    ``config``. A task returns ``(result, snapshot, error, spans)``: a
-    failure comes back as a value, so the metric and span snapshots of
-    a failed unit still reach the parent (either may be None).
+    ``config``. A task returns ``(result, snapshot, spans)``, with any
+    failure of its own inside ``result``, so the metric and span
+    snapshots of a failed unit still reach the parent (either may be
+    None).
 
     ``settle(order, attempt, result, error)`` folds each finished
     attempt, in unit order within a completion batch, and returns True
-    to run the unit again with a charged attempt. ``error`` is the
-    task's error value, or the exception the task raised. When settle
+    to run the unit again with a charged attempt, or a new argument
+    tuple to run it again with those arguments. ``error`` is the
+    exception the task raised (``result`` is then None), else None. When settle
     raises, the drain stops scheduling, lets in-flight units finish and
     re-raises the error of the earliest-ordered failing unit. A broken
     pool (a worker killed) is respawned once and its unfinished units
@@ -256,6 +261,7 @@ def drain_pool(
         else mp_context
     )
 
+    tasks = list(tasks)
     attempts = [0] * len(tasks)
     # (unit order, attempt, snapshot): merged after the pool drains,
     # sorted by key, so telemetry is deterministic regardless of
@@ -303,13 +309,17 @@ def drain_pool(
             # initializer crash): settle sees the exception itself.
             result, error = None, exc
         else:
-            result, snapshot, error, unit_spans = future.result()
+            result, snapshot, unit_spans = future.result()
             keep_telemetry(order, snapshot, unit_spans)
+            error = None
         try:
-            return "retry" if settle(order, attempts[order], result, error) else None
+            verdict = settle(order, attempts[order], result, error)
         except Exception as fatal_error:  # noqa: BLE001 - re-raised below
             fatal.append((order, fatal_error))
             return None
+        if isinstance(verdict, tuple):
+            tasks[order] = verdict
+        return "retry" if verdict else None
 
     pool = make_pool()
     futures: Dict[Future, int] = {}
@@ -368,7 +378,7 @@ def drain_pool(
             for future in sorted(futures, key=futures.__getitem__):
                 if future.cancelled() or future.exception() is not None:
                     continue
-                _result, snapshot, _error, unit_spans = future.result()
+                _result, snapshot, unit_spans = future.result()
                 keep_telemetry(futures[future], snapshot, unit_spans)
             futures.clear()
     finally:
@@ -404,15 +414,25 @@ class SweepLedger:
     Shared by the pool backend (through :func:`drain_pool`) and the
     engine's in-process serial path: store write-back, the per-spec
     result parts, the raise/skip/retry ladder with its
-    :class:`FailedUnit` records, and progress.
+    :class:`FailedUnit` records, and progress. Both run co-units
+    (:func:`~repro.experiments.scheduler.join_co_units`); the ledger
+    settles each member unit on its own and re-runs only the members
+    that asked for a retry.
     """
 
     def __init__(
-        self, engine, ctx: PlanContext, units: Sequence[WorkUnit], workers: int
+        self,
+        engine,
+        ctx: PlanContext,
+        units: Sequence[WorkUnit],
+        co_units: Sequence[Tuple[WorkUnit, ...]],
+        workers: int,
     ) -> None:
         self.engine = engine
         self.ctx = ctx
         self.units = units
+        #: The members of each co-unit still to run.
+        self.pending: List[Tuple[WorkUnit, ...]] = list(co_units)
         self.parts = ctx.seed_parts()
         self.failures: List[List[FailedUnit]] = [[] for _ in ctx.specs]
         self.done_units = self.failed_units = self.completed_sessions = 0
@@ -431,6 +451,36 @@ class SweepLedger:
             completed_sessions=0,
             cached_sessions=ctx.cached_sessions(),
         )
+
+    def task(self, index: int) -> Tuple[Tuple[int, ...], int, int]:
+        """Pool task arguments of co-unit ``index``'s pending members."""
+        members = self.pending[index]
+        return (
+            tuple(unit.spec_idx for unit in members),
+            members[0].start,
+            members[0].stop,
+        )
+
+    def settle_co_unit(
+        self,
+        index: int,
+        attempt: int,
+        outcomes: Optional[Sequence[UnitOutcome]],
+        error: Optional[BaseException] = None,
+    ):
+        """Fold one attempt of co-unit ``index``: one outcome per pending
+        member, or ``error`` for all of them when the task itself
+        raised. Returns the task arguments that re-run the members due
+        a retry, or False when none is."""
+        members = self.pending[index]
+        if outcomes is None:
+            outcomes = [(None, error)] * len(members)
+        self.pending[index] = tuple(
+            unit
+            for unit, (metrics, unit_error) in zip(members, outcomes)
+            if self.settle(unit.order, attempt, metrics, unit_error)
+        )
+        return self.task(index) if self.pending[index] else False
 
     def settle(
         self,
@@ -496,13 +546,14 @@ class PoolExecutorBackend(ExecutorBackend):
 
     def execute(self, engine, ctx: PlanContext) -> List[SweepResult]:
         units = engine.scheduler.plan_units(ctx.specs, ctx.runs, ctx.workers)
+        co_units = join_co_units(ctx.specs, units)
         # Never spin up more workers than there are tasks.
-        workers = min(ctx.workers, len(units))
-        ledger = SweepLedger(engine, ctx, units, workers)
+        workers = min(ctx.workers, len(co_units))
+        ledger = SweepLedger(engine, ctx, units, co_units, workers)
         drain_pool(
             run_batch_in_worker,
-            [(unit.spec_idx, unit.start, unit.stop) for unit in units],
-            ledger.settle,
+            [ledger.task(index) for index in range(len(co_units))],
+            ledger.settle_co_unit,
             specs=ctx.specs,
             config=ctx.config,
             videos=ctx.videos,
@@ -596,8 +647,8 @@ class MultiHostExecutorBackend(ExecutorBackend):
                         video = videos[spec.video_key]
                         traces = ctx.traces_by_plan[spec.fault_plan]
                         for run_start, run_stop in contiguous_runs(missing):
-                            run_metrics, error = run_unit(
-                                spec,
+                            [(run_metrics, error)] = run_unit(
+                                [spec],
                                 video,
                                 traces[run_start:run_stop],
                                 ctx.config,

@@ -45,7 +45,8 @@ Design points:
   the parent (:mod:`repro.experiments.dataplane`); workers attach by
   name and rebuild videos/traces as read-only views, so nothing big is
   pickled per worker (let alone per task) even under ``spawn``. Per-task
-  payloads are three integers: a spec index and two batch indices.
+  payloads are a few integers: a co-unit's spec indices and two batch
+  indices.
   Specs and the session config ship once through the pool initializer.
   When shared memory is unavailable the engine falls back to inline
   initializer pickling with identical results.
@@ -64,6 +65,12 @@ Design points:
   amortize pool startup — runs in-process through the same
   :func:`~repro.experiments.worker.run_unit`, settled by the same ledger,
   with the same cache and failure-policy semantics.
+- **Shared lockstep slices.** Engine-routed units of several specs over
+  the same (video, network, fault plan, trace range) join into one
+  co-unit (:func:`~repro.experiments.scheduler.join_co_units`), so the
+  schemes share one stacked link plane and the scheme-independent step
+  work; the ledger still settles one result per member unit. Joining
+  changes no unit's bounds or route.
 - **Sweep telemetry.** Attach a
   :class:`~repro.telemetry.metrics.MetricsRegistry` and every work unit
   reports sessions completed/failed, wall time, and artifact-cache
@@ -136,6 +143,7 @@ from repro.experiments.scheduler import (
     SweepSpec,
     SweepWorkerError,
     WorkUnit,
+    join_co_units,
 )
 from repro.experiments.store import SessionStore
 from repro.experiments.worker import (
@@ -582,31 +590,35 @@ class ParallelSweepRunner:
 
     def _run_serial(self, ctx: PlanContext) -> List[SweepResult]:
         # One work unit per missing run (without a store that is one
-        # unit per spec), settled by the same ledger as the pool.
+        # unit per spec), joined into co-units and settled by the same
+        # ledger as the pool.
         units: List[WorkUnit] = []
         for spec_idx, spec_runs in enumerate(ctx.runs):
             for start, stop in spec_runs:
                 units.append(WorkUnit(len(units), spec_idx, start, stop))
-        ledger = SweepLedger(self, ctx, units, workers=1)
+        co_units = join_co_units(ctx.specs, units)
+        ledger = SweepLedger(self, ctx, units, co_units, workers=1)
         cache = ArtifactCache()
 
-        def attempt_unit(unit: WorkUnit):
-            spec = ctx.specs[unit.spec_idx]
+        def attempt_co_unit(index: int):
+            members = ledger.pending[index]
+            specs = [ctx.specs[unit.spec_idx] for unit in members]
+            start, stop = members[0].start, members[0].stop
             return run_unit(
-                spec,
-                ctx.videos[spec.video_key],
-                ctx.traces_by_plan[spec.fault_plan][unit.start : unit.stop],
+                specs,
+                ctx.videos[specs[0].video_key],
+                ctx.traces_by_plan[specs[0].fault_plan][start:stop],
                 ctx.config,
                 cache,
                 self.registry,
                 self.tracer,
-                start=unit.start,
-                stop=unit.stop,
+                start=start,
+                stop=stop,
             )
 
-        for unit in units:
+        for index in range(len(co_units)):
             attempt = 1
-            while ledger.settle(unit.order, attempt, *attempt_unit(unit)):
+            while ledger.settle_co_unit(index, attempt, attempt_co_unit(index)):
                 attempt += 1
         return ledger.results()
 

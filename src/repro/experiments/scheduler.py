@@ -41,7 +41,7 @@ from contextlib import nullcontext
 
 from repro.abr.base import ABRAlgorithm
 from repro.abr.registry import resolve_scheme_name
-from repro.experiments.batch import batch_capability
+from repro.experiments.batch import BatchCapability, batch_capability
 from repro.experiments.runner import (
     EstimatorFactory,
     FailedUnit,
@@ -61,6 +61,8 @@ __all__ = [
     "contiguous_runs",
     "session_cost",
     "engine_break_even",
+    "engine_route",
+    "join_co_units",
     "batch_bounds",
     "SweepScheduler",
     "sweep_grid_id",
@@ -234,6 +236,16 @@ def _cost_key(spec: SweepSpec) -> Optional[str]:
         return spec.scheme
 
 
+def _capability(spec: SweepSpec) -> BatchCapability:
+    return batch_capability(
+        spec.scheme,
+        network=spec.network,
+        algorithm_factory=spec.algorithm_factory,
+        estimator_factory=spec.estimator_factory,
+        fault_plan=spec.fault_plan,
+    )
+
+
 def session_cost(spec: SweepSpec) -> float:
     """Estimated per-session cost of one spec, in CAVA equivalents.
 
@@ -242,15 +254,8 @@ def session_cost(spec: SweepSpec) -> float:
     whose decider later declines merely runs in larger-than-ideal
     scalar units.
     """
-    batchable = batch_capability(
-        spec.scheme,
-        network=spec.network,
-        algorithm_factory=spec.algorithm_factory,
-        estimator_factory=spec.estimator_factory,
-        fault_plan=spec.fault_plan,
-    )
     key = _cost_key(spec)
-    if batchable:
+    if _capability(spec):
         return BATCH_SCHEME_COSTS.get(key, BATCH_DEFAULT_COST)
     return SCHEME_COSTS.get(key, 1.0)
 
@@ -271,6 +276,63 @@ def engine_break_even(spec: SweepSpec) -> int:
     )
     fixed = BATCH_UNIT_COSTS.get(key, BATCH_DEFAULT_UNIT_COST)
     return max(MIN_ENGINE_LANES, math.floor(fixed / saving) + 1)
+
+
+def engine_route(spec: SweepSpec, lanes: int) -> str:
+    """Why a unit of ``lanes`` traces of ``spec`` runs on the scalar loop.
+
+    Empty when it takes the lockstep engine: the engine can replay the
+    spec (:func:`~repro.experiments.batch.batch_capability`) and is
+    cheaper at this width (:func:`engine_break_even`). The one routing
+    rule, read by the unit runner and by :func:`join_co_units`.
+    """
+    capability = _capability(spec)
+    if not capability:
+        return capability.reason
+    break_even = engine_break_even(spec)
+    if lanes < break_even:
+        return f"{lanes} lanes below break-even {break_even}"
+    return ""
+
+
+def join_co_units(
+    specs: Sequence[SweepSpec], units: Sequence[WorkUnit]
+) -> List[Tuple[WorkUnit, ...]]:
+    """Group planned units into co-units that share one lockstep slice.
+
+    Units join when they stream the same (video, network, fault plan)
+    over the same [start, stop) trace run, each one already takes the
+    engine on its own (:func:`engine_route`) and their deciders share a
+    lane cap (``BatchCapability.lane_cap``), so a planner never narrows
+    a CAVA or RBA slice; the session config is one per sweep. A
+    co-unit's schemes then share one stacked link plane and the
+    scheme-independent step work. Every other unit is a co-unit of one.
+    Joining never changes a unit's bounds or route, only how many slices
+    run them. Co-units are listed in the order of their first member.
+    """
+    # Lane cap of each engine-routed (spec, width); 0 on the scalar loop.
+    caps: Dict[Tuple[int, int], int] = {}
+    joined: Dict[tuple, List[WorkUnit]] = {}
+    co_units: List[List[WorkUnit]] = []
+    for unit in units:
+        spec = specs[unit.spec_idx]
+        width = unit.stop - unit.start
+        route = (unit.spec_idx, width)
+        if route not in caps:
+            caps[route] = 0 if engine_route(spec, width) else _capability(spec).lane_cap
+        cap = caps[route]
+        if not cap:
+            co_units.append([unit])
+            continue
+        key = (
+            spec.video_key, spec.network, spec.fault_plan, unit.start, unit.stop, cap
+        )
+        members = joined.get(key)
+        if members is None:
+            joined[key] = members = []
+            co_units.append(members)
+        members.append(unit)
+    return [tuple(members) for members in co_units]
 
 
 def batch_bounds(

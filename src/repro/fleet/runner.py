@@ -334,7 +334,7 @@ def run_edge_in_worker(edge_index: int):
     :func:`~repro.experiments.worker.init_worker` pinned the fleet spec
     (the one entry of ``specs``), the videos and the edge traces (the
     unperturbed ``None`` plan; fault plans were applied parent-side).
-    Returns the drain's ``(result, snapshot, error, spans)`` shape; an
+    Returns the drain's ``(result, snapshot, spans)`` shape; an
     edge that raises propagates through its future. Under a tracer the
     edge loop times its stages, shipped back as aggregate stage spans
     tagged with the edge, the same spans a serial traced run records.
@@ -351,9 +351,9 @@ def run_edge_in_worker(edge_index: int):
         stage_timer=timer,
     )
     if tracer is None:
-        return edge, None, None, None
+        return edge, None, None
     tracer.record_stages(timer, cat="fleet", edge=edge_index)
-    return edge, None, None, tracer.snapshot()
+    return edge, None, tracer.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -286,21 +286,24 @@ class StackedLinks:
 
     The lockstep batch engine's data plane: the per-link cumulative-bits
     tables (possibly shared-memory views published by the sweep data
-    plane) are stacked into one dense ``(lanes, width)`` matrix, padded
-    with ``+inf`` so short rows never participate in the crossing search.
-    ``download_finish`` then advances every lane with a handful of
-    vectorized operations, so one call costs about the same at 2 lanes
-    as at 64.
+    plane) are stacked into one dense ``(rows, width)`` matrix, one row
+    per link, padded with ``+inf`` so short rows never participate in
+    the crossing search. ``rows`` maps each lane to the row it downloads
+    over, so several lanes can stream one trace: the schemes of a sweep
+    that share a lockstep slice give each trace one lane per scheme but
+    one row. The default is one lane per link. ``download_finish`` then
+    advances every lane with a handful of vectorized operations, so one
+    call costs about the same at 2 lanes as at 64.
 
     **Bit-identity contract**: each lane's result is the exact double
-    :meth:`TraceLink.download` would produce. Every branch of the scalar
-    path becomes a mask:
+    :meth:`TraceLink.download` over its row's link would produce. Every
+    branch of the scalar path becomes a mask:
 
     - the wrap fold and interval split mirror ``_cumulative_at_array``
       (the scalar method's proven numpy twin);
     - ``bisect_left(cum_row, within)`` is the index of the first table
       entry not below ``within`` (left insertion point), found by one
-      ``searchsorted`` over every lane's table at once (see
+      ``searchsorted`` over every row's table at once (see
       :meth:`_bisect_left`) — ``+inf`` padding is never below a finite
       target, so it never moves the result;
     - the three offset branches (already-crossed / zero-rate / fractional
@@ -323,29 +326,40 @@ class StackedLinks:
     validation has no batch counterpart.
     """
 
-    def __init__(self, links: Sequence[TraceLink]) -> None:
+    def __init__(
+        self, links: Sequence[TraceLink], rows: Optional[Sequence[int]] = None
+    ) -> None:
         if not links:
             raise ValueError("need at least one link")
-        self.links = list(links)
-        lanes = len(self.links)
-        self.lanes = lanes
-        self.trace_names = [link.trace.name for link in self.links]
-        self._interval = np.array([link._interval for link in self.links])
-        self._period_s = np.array([link._period_s for link in self.links])
+        links = list(links)
+        num_rows = len(links)
+        if rows is None:
+            rows = np.arange(num_rows)
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim != 1 or not rows.size:
+                raise ValueError("rows must map at least one lane")
+            if rows.min() < 0 or rows.max() >= num_rows:
+                raise ValueError(f"rows must lie in 0..{num_rows - 1}")
+        self.lanes = len(rows)
+        self.trace_names = [links[row].trace.name for row in rows.tolist()]
+        # Per-lane constants: each row's value, gathered through the map.
+        self._interval = np.array([link._interval for link in links])[rows]
+        self._period_s = np.array([link._period_s for link in links])[rows]
         self._bits_per_period = np.array(
-            [link._bits_per_period for link in self.links]
-        )
+            [link._bits_per_period for link in links]
+        )[rows]
         self._min_period_s = float(self._period_s.min())
         self._min_bits_per_period = float(self._bits_per_period.min())
         self._last_interval = np.array(
-            [link._num_intervals - 1 for link in self.links], dtype=np.int64
-        )
+            [link._num_intervals - 1 for link in links], dtype=np.int64
+        )[rows]
         # Row width: the longest table (num_intervals + 1 entries) plus
         # one +inf entry, so every row ends in +inf (see _bisect_left).
-        width = max(link._num_intervals for link in self.links) + 2
-        cum = np.full((lanes, width), _INF)
-        rates = np.zeros((lanes, width))
-        for j, link in enumerate(self.links):
+        width = max(link._num_intervals for link in links) + 2
+        cum = np.full((num_rows, width), _INF)
+        rates = np.zeros((num_rows, width))
+        for j, link in enumerate(links):
             n_j = link._num_intervals
             cum[j, : n_j + 1] = link._cumulative_bits
             rates[j, :n_j] = link.trace.throughputs_bps
@@ -353,18 +367,17 @@ class StackedLinks:
         # measurably cheaper than a 2-D fancy gather on this hot path.
         self._cum_flat = cum.ravel()
         self._rates_flat = rates.ravel()
-        self._row_offset = np.arange(lanes) * width
-        # The crossing search's keys: entry k of lane j is the complex
+        self._row_offset = rows * width
+        # The crossing search's keys: entry k of row j is the complex
         # number j + 1j * cum[j, k]. numpy orders complex numbers by real
         # part, then imaginary part, so the flat table is sorted (rows
         # ascend, each row is non-decreasing) and the query j + 1j * x
         # lands inside row j; no arithmetic touches the table values.
-        lane_ids = np.arange(lanes, dtype=float)
-        self._keys = np.empty(lanes * width, dtype=complex)
-        self._keys.real = np.repeat(lane_ids, width)
+        self._keys = np.empty(num_rows * width, dtype=complex)
+        self._keys.real = np.repeat(np.arange(num_rows, dtype=float), width)
         self._keys.imag = self._cum_flat
-        self._queries = np.empty(lanes, dtype=complex)
-        self._queries.real = lane_ids
+        self._queries = np.empty(self.lanes, dtype=complex)
+        self._queries.real = rows
 
     def _bisect_left(self, within: np.ndarray) -> np.ndarray:
         """Per-lane ``bisect_left(cum_row, within)`` (left insertion point).
@@ -372,10 +385,11 @@ class StackedLinks:
         ``bisect_left`` is the index of the first entry not below
         ``within``. ``searchsorted`` (left side) over the lexicographic
         keys returns the flat position of the first key not below
-        ``j + 1j * within[j]``: the first entry of row ``j`` not below
-        ``within[j]``, and one always exists because every row ends in
-        ``+inf``. The row offset turns it into the same exact integer
-        the scalar ``bisect_left`` returns.
+        ``r + 1j * within[j]``, where ``r`` is lane ``j``'s row: the
+        first entry of row ``r`` not below ``within[j]``, and one always
+        exists because every row ends in ``+inf``. The row offset turns
+        it into the same exact integer the scalar ``bisect_left``
+        returns.
         """
         queries = self._queries
         queries.imag = within

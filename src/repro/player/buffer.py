@@ -36,22 +36,6 @@ class PlaybackBuffer:
         self.level_s = level_s
         self.total_stall_s = total_stall_s
 
-    def __repr__(self) -> str:
-        return (
-            f"PlaybackBuffer(level_s={self.level_s!r}, "
-            f"total_stall_s={self.total_stall_s!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not PlaybackBuffer:
-            return NotImplemented
-        return (self.level_s, self.total_stall_s) == (
-            other.level_s,
-            other.total_stall_s,
-        )
-
-    __hash__ = None  # mutable state: compares by value, like a dataclass
-
     def fill(self, duration_s: float) -> None:
         """Add one downloaded chunk's worth of playback time."""
         # Fast-accept validation (hot path: one fill per chunk): the

@@ -66,6 +66,9 @@ class LiveStreamingSession:
         advancing the clock through its waits and downloading each
         requested chunk over ``link``.
         """
+        # Live sessions are untraced: detach any tracer a previous
+        # (VoD) session bound, so a reused algorithm cannot report into it.
+        algorithm.bind_tracer(None)
         core = LiveSessionCore(
             algorithm, manifest, self.config, estimator, record_arrays=True
         )

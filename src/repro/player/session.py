@@ -8,16 +8,17 @@ the §6.1 player steps — against the caller's private link through
 :class:`~repro.player.live.LiveStreamingSession`: it advances the clock
 through the core's waits and downloads each requested chunk.
 :func:`run_lockstep_sessions` is the batch accelerator: it replays the
-same core arithmetic for N sessions of one (scheme, video) pair with
-numpy lanes and returns its per-chunk record as one
-:class:`LockstepRecord` of ``(chunks, lanes)`` matrices.
+same core arithmetic for N sessions of one video with numpy lanes,
+split into one lane range per decider (:class:`LockstepGroup`), and
+returns each group's per-chunk record as one :class:`LockstepRecord` of
+``(chunks, lanes)`` matrices.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +36,7 @@ if TYPE_CHECKING:  # annotation-only imports (telemetry is an optional layer)
 __all__ = [
     "SessionConfig",
     "SessionResult",
+    "LockstepGroup",
     "LockstepRecord",
     "StreamingSession",
     "drive_over_link",
@@ -151,17 +153,18 @@ def _chunk_record(core: VodSessionCore, download, buffer_before_s, estimate_bps)
 
 @dataclass(frozen=True)
 class LockstepRecord:
-    """The per-chunk record of one lockstep slice, one column per lane.
+    """The per-chunk record of one decider group, one column per lane.
 
     Column ``j`` of each ``(chunks, lanes)`` matrix is the array the
     :class:`SessionResult` of lane ``j`` holds in the field of the same
     name; ``startup_delay_s`` is the ``(lanes,)`` vector of startup
-    delays. The sweep reduces metrics straight from the matrices
-    (:func:`repro.player.metrics.summarize_lockstep`); no per-lane
-    :class:`SessionResult` is built (``tests/experiments/reference.py``
-    expands a record into them for the batch/scalar equality tests).
-    Batchable schemes never request idle time, so the only idle is the
-    buffer cap's.
+    delays. In a slice of several groups the matrices are column views
+    of the slice's shared record. The sweep reduces metrics straight
+    from the matrices (:func:`repro.player.metrics.summarize_lockstep`);
+    no per-lane :class:`SessionResult` is built
+    (``tests/experiments/reference.py`` expands a record into them for
+    the batch/scalar equality tests). Batchable schemes never request
+    idle time, so the only idle is the buffer cap's.
     """
 
     scheme: str
@@ -182,27 +185,50 @@ class LockstepRecord:
         return int(self.levels.shape[0])
 
 
+@dataclass(frozen=True)
+class LockstepGroup:
+    """One decider's contiguous lane range in a lockstep slice.
+
+    ``manifest`` is the one the decider was built for; every group of a
+    slice must stream the same chunk sizes (a quality manifest and the
+    size-only one of the same video do). ``stage_timer`` receives the
+    group's ``batch.decide`` cost when the slice is timed (the slice's
+    own timer does when it is None).
+    """
+
+    scheme: str
+    manifest: Manifest
+    decider: BatchDecider
+    lanes: int
+    stage_timer: Optional[StageTimer] = None
+
+
 def run_lockstep_sessions(
-    scheme: str,
-    manifest: Manifest,
-    decider: BatchDecider,
+    groups: Sequence[LockstepGroup],
     links: StackedLinks,
     config: Optional[SessionConfig] = None,
     estimator: Optional[BatchHarmonicMeanEstimator] = None,
     stage_timer: Optional[StageTimer] = None,
-) -> LockstepRecord:
-    """Advance N sessions of one (scheme, video) pair in lockstep.
+) -> List[LockstepRecord]:
+    """Advance N sessions of one video in lockstep, one record per group.
 
-    Every lane streams the same manifest over its own trace, so all
-    lanes share the chunk index, chunk duration, and decision schedule;
-    per-lane divergence (clock, buffer, level history) lives in
-    ``(lanes,)`` arrays updated with masked numpy ops; playback starts
-    after the same chunk on every lane, so its state is one flag. This is
-    an accelerator, not a second player model: the arithmetic replays
+    Every lane streams the same chunk sizes over its own row of
+    ``links``, so all lanes share the chunk index, chunk duration, and
+    decision schedule; per-lane divergence (clock, buffer, level
+    history) lives in ``(lanes,)`` arrays updated with masked numpy ops;
+    playback starts after the same chunk on every lane, so its state is
+    one flag. The lanes are split into ``groups``, contiguous ranges in
+    order, each with its own decider (the schemes of a sweep share one
+    slice this way): clock, buffer, cap idle, download, stall, estimator
+    and record are computed once for every lane, and each decider sees
+    views of the context arrays for its own range and writes its levels
+    into its part of the step's level row. One group is the
+    single-scheme case. This is an accelerator, not a second player
+    model: the arithmetic replays
     :class:`~repro.player.core.VodSessionCore` branch for branch, so
-    each lane of the returned :class:`LockstepRecord` is bit-identical
-    to the :class:`StreamingSession` run of that (scheme, video, trace)
-    triple, which the golden-snapshot tests pin.
+    each lane of the returned records is bit-identical to the
+    :class:`StreamingSession` run of that (scheme, video, trace) triple,
+    which the golden-snapshot tests pin.
 
     The engine only supports deciders whose scalar twin never requests
     idle time (``requested_idle_s`` returning 0.0 keeps the core's
@@ -211,13 +237,32 @@ def run_lockstep_sessions(
 
     ``stage_timer`` (an optional
     :class:`~repro.telemetry.spans.StageTimer`) accumulates per-stage
-    wall/CPU totals for the loop's estimate / decide / advance phases.
-    The disabled path costs one boolean test per stage per chunk — no
-    allocation, no clock reads — and results are identical either way.
+    wall/CPU totals for the loop's estimate, decide and advance phases;
+    a group with a ``stage_timer`` of its own takes its decide phase
+    there instead. The disabled path costs
+    one boolean test per stage per chunk — no allocation, no clock
+    reads — and results are identical either way.
     """
+    if not groups:
+        raise ValueError("need at least one decider group")
     if config is None:
         config = SessionConfig()
     lanes = links.lanes
+    if sum(group.lanes for group in groups) != lanes:
+        raise ValueError(
+            f"decider groups cover {sum(g.lanes for g in groups)} lanes, "
+            f"links {lanes}"
+        )
+    manifest = groups[0].manifest
+    for group in groups[1:]:
+        other = group.manifest
+        if other is not manifest and not (
+            other.chunk_duration_s == manifest.chunk_duration_s
+            and np.array_equal(other.chunk_sizes_bits, manifest.chunk_sizes_bits)
+        ):
+            raise ValueError(
+                f"{group.scheme} streams other chunks than {groups[0].scheme}"
+            )
     n = manifest.num_chunks
     num_tracks = manifest.num_tracks
     delta = manifest.chunk_duration_s
@@ -240,11 +285,26 @@ def run_lockstep_sessions(
     # apply to playing lanes only, so they wait for it too.
     playing = False
     startup = now
-    last_levels: Optional[np.ndarray] = None
-    # One context per slice, rewritten before every decision.
-    ctx = BatchDecisionContext(
-        0, now, buffer, None, None, np.zeros(lanes, dtype=bool)
-    )
+    # Each group's lane range.
+    parts: List[slice] = []
+    lo = 0
+    for group in groups:
+        parts.append(slice(lo, lo + group.lanes))
+        lo += group.lanes
+    # One context per group, rewritten before every decision.
+    not_playing = np.zeros(lanes, dtype=bool)
+    ctxs = [
+        BatchDecisionContext(0, now[part], buffer[part], None, None, not_playing[part])
+        for part in parts
+    ]
+    steps = list(zip(groups, parts, ctxs))
+    # The array each group's decider returned for its latest chunk: the
+    # next decision's ``last_levels`` and the ``notify_downloads`` input.
+    chosen: List[Optional[np.ndarray]] = [None] * len(groups)
+    decide_timers = [
+        stage_timer if group.stage_timer is None else group.stage_timer
+        for group in groups
+    ]
 
     rec_levels = np.empty((n, lanes), dtype=int)
     rec_sizes = np.empty((n, lanes))
@@ -263,28 +323,28 @@ def run_lockstep_sessions(
             c0 = time.process_time()
         # 1. decision. Batchable schemes never request idle time, so the
         #    core's pre-decision idle branch contributes exactly 0.0.
-        ctx.chunk_index = i
-        ctx.now_s = now
-        ctx.buffer_s = buffer
-        ctx.last_levels = last_levels
-        ctx.bandwidth_bps = estimator.predict_bps()
+        bandwidth = estimator.predict_bps()
         if timed:
             w1 = time.perf_counter()
             c1 = time.process_time()
             stage_timer.add("batch.estimate", w1 - w0, c1 - c0)
-        levels = decider.select_levels(ctx)
-        lo = int(levels[levels.argmin()])
-        hi = int(levels[levels.argmax()])
-        if lo < 0 or hi >= num_tracks:
-            bad = lo if lo < 0 else hi
-            raise ValueError(
-                f"{scheme} selected invalid level {bad} "
-                f"for chunk {i} (valid: 0..{num_tracks - 1})"
-            )
-        if timed:
-            w2 = time.perf_counter()
-            c2 = time.process_time()
-            stage_timer.add("batch.decide", w2 - w1, c2 - c1)
+        row = rec_levels[i]
+        for k, (group, part, ctx) in enumerate(steps):
+            ctx.chunk_index = i
+            ctx.last_levels = chosen[k]
+            ctx.now_s = now[part]
+            ctx.buffer_s = buffer[part]
+            ctx.bandwidth_bps = bandwidth[part]
+            levels = group.decider.select_levels(ctx)
+            row[part] = levels
+            chosen[k] = levels
+            if timed:
+                w2 = time.perf_counter()
+                c2 = time.process_time()
+                decide_timers[k].add("batch.decide", w2 - w1, c2 - c1)
+                w1, c1 = w2, c2
+        if int(row[row.argmin()]) < 0 or int(row[row.argmax()]) >= num_tracks:
+            _raise_invalid_level(steps, row, i, num_tracks)
 
         # 2. respect the buffer cap: idle until one chunk fits. Adding
         #    the zero idle of unaffected lanes is exact (their clocks and
@@ -301,7 +361,7 @@ def run_lockstep_sessions(
             rec_cap_idles[i] = cap_idle
 
         # 3. download; a playing buffer drains (and may stall) meanwhile
-        size = sizes_by_chunk[i].take(levels, out=rec_sizes[i])
+        size = sizes_by_chunk[i].take(row, out=rec_sizes[i])
         start = now
         now = links.download_finish(size, start)
         download_s = now - start
@@ -320,24 +380,27 @@ def run_lockstep_sessions(
         # 4. learn from the observation (duration floored exactly like
         #    the core, although StackedLinks never returns zero)
         estimator.observe(size, np.maximum(download_s, MIN_DOWNLOAD_DURATION_S))
-        decider.notify_downloads(i, levels, size, download_s, buffer, now)
+        for (group, part, _ctx), levels in zip(steps, chosen):
+            group.decider.notify_downloads(
+                i, levels, size[part], download_s[part], buffer[part], now[part]
+            )
 
-        rec_levels[i] = levels
         rec_starts[i] = start
         rec_finishes[i] = now
-        last_levels = levels
 
         # 5. startup: playback begins once the initial target is met
         #    (every lane holds the same buffer until then)
         if not playing and buffer[0] >= startup_latency_s:
             playing = True
             startup = now
-            ctx.playing = np.ones(lanes, dtype=bool)
+            all_playing = np.ones(lanes, dtype=bool)
+            for _group, part, ctx in steps:
+                ctx.playing = all_playing[part]
         if timed:
             stage_timer.add(
                 "batch.advance",
-                time.perf_counter() - w2,
-                time.process_time() - c2,
+                time.perf_counter() - w1,
+                time.process_time() - c1,
             )
 
     # Very short video: lanes that never reached the startup target
@@ -345,19 +408,38 @@ def run_lockstep_sessions(
     if not playing:
         startup = now
 
-    return LockstepRecord(
-        scheme=scheme,
-        video_name=manifest.video_name,
-        trace_names=links.trace_names,
-        levels=rec_levels,
-        sizes_bits=rec_sizes,
-        download_start_s=rec_starts,
-        download_finish_s=rec_finishes,
-        stall_s=rec_stalls,
-        buffer_after_s=rec_buffers,
-        cap_idle_s=rec_cap_idles,
-        startup_delay_s=startup,
-    )
+    records: List[LockstepRecord] = []
+    for group, part, _ctx in steps:
+        records.append(
+            LockstepRecord(
+                scheme=group.scheme,
+                video_name=manifest.video_name,
+                trace_names=links.trace_names[part],
+                levels=rec_levels[:, part],
+                sizes_bits=rec_sizes[:, part],
+                download_start_s=rec_starts[:, part],
+                download_finish_s=rec_finishes[:, part],
+                stall_s=rec_stalls[:, part],
+                buffer_after_s=rec_buffers[:, part],
+                cap_idle_s=rec_cap_idles[:, part],
+                startup_delay_s=startup[part],
+            )
+        )
+    return records
+
+
+def _raise_invalid_level(steps, row: np.ndarray, chunk: int, num_tracks: int) -> None:
+    """Name the first group whose chunk-``chunk`` levels leave 0..n-1."""
+    for group, part, _ctx in steps:
+        levels = row[part]
+        lo = int(levels[levels.argmin()])
+        hi = int(levels[levels.argmax()])
+        if lo < 0 or hi >= num_tracks:
+            bad = lo if lo < 0 else hi
+            raise ValueError(
+                f"{group.scheme} selected invalid level {bad} "
+                f"for chunk {chunk} (valid: 0..{num_tracks - 1})"
+            )
 
 
 def run_session(

@@ -34,12 +34,14 @@ span name               recorded by
 ``sweep.merge``         scheduler: result assembly + snapshot merging
 ``unit.run``            worker: one (spec, trace-batch) work unit (a
                         worker's first carries ``shm_attach_s``, its
-                        initializer's data-plane attach time)
-``unit.batch``          worker: the unit's lockstep batch-engine run
+                        initializer's data-plane attach time); a
+                        co-unit's members nest, one span each
+``unit.batch``          worker: the (co-)unit's lockstep batch-engine run
 ``session.scalar``      worker: one scalar-path session
 ``batch.prepare``       batch engine: decider + stacked-link build
 ``batch.estimate``      lockstep loop: bandwidth prediction (aggregate)
-``batch.decide``        lockstep loop: level selection (aggregate)
+``batch.decide``        lockstep loop: level selection (aggregate, one
+                        per scheme of the slice)
 ``batch.advance``       lockstep loop: download + state update (aggregate)
 ======================  ================================================
 """

@@ -72,9 +72,9 @@ def run_batch_sessions(
     """
     if cache is None:
         cache = ArtifactCache()
-    records = _lockstep_records(
-        scheme, video, traces, network, config, cache,
-        algorithm_factory, max_lanes, None,
+    [records] = _lockstep_records(
+        [scheme], video, traces, network, config, cache,
+        [algorithm_factory], max_lanes, None, None,
     )
     if records is None:
         return None

@@ -175,8 +175,8 @@ def test_batch_metrics_equal_scalar_summaries(scheme, video, traces, max_lanes):
         summarize_session(session, video, GOLDEN_METRIC)
         for session in scalar_sessions(scheme, video, traces)
     ]
-    batched = run_batch_metrics(
-        scheme, video, traces, network=GOLDEN_NETWORK, max_lanes=max_lanes
+    [batched] = run_batch_metrics(
+        [scheme], video, traces, network=GOLDEN_NETWORK, max_lanes=max_lanes
     )
     assert batched == expected
 
@@ -186,8 +186,8 @@ def test_batch_metrics_leave_scalar_link_tables_unbuilt(video, traces):
     scalar fast path stay unbuilt on every cached link."""
     cache = ArtifactCache()
     assert run_batch_metrics(
-        "CAVA", video, traces, network=GOLDEN_NETWORK, cache=cache
-    ) is not None
+        ["CAVA"], video, traces, network=GOLDEN_NETWORK, cache=cache
+    ) != [None]
     for trace in traces:
         link = cache.link(trace)
         assert "_cumulative_list" not in link.__dict__
@@ -244,8 +244,12 @@ class TestSweepDispatch:
         pooled = engine.run_comparison(schemes, video, traces, network=GOLDEN_NETWORK)
         for scheme in schemes:
             assert pooled[scheme].metrics == scalar[scheme].metrics
+        # CAVA and a planner have different lane caps, so they never
+        # share a slice: one unit.batch and one batch.decide per scheme.
         batched = unit_spans(tracer, "unit.batch")
         assert {span["meta"]["scheme"] for span in batched} == set(schemes)
+        decided = unit_spans(tracer, "batch.decide")
+        assert {span["meta"]["scheme"] for span in decided} == set(schemes)
         assert all(
             span["meta"]["engine"] == "batch" for span in unit_spans(tracer, "unit.run")
         )

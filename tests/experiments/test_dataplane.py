@@ -128,8 +128,9 @@ class TestZeroCopyDataPlaneInSweeps:
         engine.run_comparison(SCHEMES, short_video, engine_traces)
         sizes = _PayloadMeasuringPool.payload_sizes
         assert sizes, "pool path was not exercised"
-        # (spec_idx, start, stop): a constant few dozen bytes per task,
-        # no matter how large the videos and traces are.
+        # ((spec indices of the co-unit), start, stop): a constant few
+        # dozen bytes per task, no matter how large the videos and
+        # traces are.
         assert max(sizes) < 128
         assert len(set(sizes)) <= 2  # int widths, not asset sizes
 

@@ -344,14 +344,16 @@ class TestSweepTelemetry:
         serial_units, pooled_units = len(SCHEMES), len(SCHEMES) * 2
         assert serial[BATCHES_METRIC]["value"] == serial_units
         assert pooled[BATCHES_METRIC]["value"] == pooled_units
-        # The lockstep batch engine looks up the link once per session
-        # but the manifest and classifier once per *unit*; the scalar
-        # loop would do all three per session, so these counts hold only
-        # if every unit ran on the engine.
+        # The two schemes' units over the same traces share each
+        # lockstep slice (a co-unit): it looks up each trace's link once
+        # and the classifier once, and the manifest once per unit. The
+        # scalar loop would do all three per session, so these counts
+        # hold only if every unit ran on the engine, sharing slices.
         for snap, units in ((serial, serial_units), (pooled, pooled_units)):
             assert snap[SESSIONS_COMPLETED_METRIC]["value"] == sessions
             lookups = snap[CACHE_HITS_METRIC]["value"] + snap[CACHE_MISSES_METRIC]["value"]
-            assert lookups == sessions + 2 * units
+            co_units = units // len(SCHEMES)
+            assert lookups == len(traces) + co_units + units
 
     def test_narrow_units_report_scalar_lookups(self, short_video, lte_traces):
         # Units below the break-even width run the scalar loop, which

@@ -175,8 +175,8 @@ class TestStitchedTimeline:
             with ProcessPoolExecutor(
                 max_workers=1, initializer=init_worker, initargs=initargs
             ) as pool:
-                first = pool.submit(run_batch_in_worker, 0, 0, width).result()[3]
-                later = pool.submit(run_batch_in_worker, 0, width, 2 * width).result()[3]
+                first = pool.submit(run_batch_in_worker, (0,), 0, width).result()[2]
+                later = pool.submit(run_batch_in_worker, (0,), width, 2 * width).result()[2]
         finally:
             plane.close_and_unlink()
         assert [s["name"] for s in first] == [s["name"] for s in later]

@@ -228,3 +228,23 @@ class TestEmptySession:
             assert result.peak_latency_s == 0.0
             assert result.total_stall_s == 0.0
             assert result.data_usage_bits == 0.0
+
+
+class TestTracerBinding:
+    def test_live_run_detaches_a_vod_tracer(self, ed_youtube_video):
+        """A CAVA instance traced in a VoD session, then streamed live:
+        the live session must not report into the VoD session's tracer."""
+        from repro.player.session import StreamingSession
+        from repro.telemetry.tracer import SessionTracer
+
+        cava = cava_p123()
+        link = TraceLink(constant_trace(5.0))
+        tracer = SessionTracer()
+        StreamingSession().run(cava, ed_youtube_video.manifest(), link, tracer=tracer)
+        records = len(tracer.trace.records)
+        assert records == ed_youtube_video.num_chunks
+        assert not tracer._pending_steps
+        LiveStreamingSession().run(cava, ed_youtube_video.manifest(), link)
+        assert cava.tracer is None
+        assert len(tracer.trace.records) == records
+        assert not tracer._pending_steps

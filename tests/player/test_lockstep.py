@@ -109,8 +109,8 @@ def test_every_lane_equals_reference(
         scheme, video, traces, network=NETWORK, config=config, max_lanes=max_lanes
     )
     assert batched is not None
-    summaries = run_batch_metrics(
-        scheme, video, traces, network=NETWORK, config=config, max_lanes=max_lanes
+    [summaries] = run_batch_metrics(
+        [scheme], video, traces, network=NETWORK, config=config, max_lanes=max_lanes
     )
     assert len(summaries) == len(batched) == len(traces)
     manifest = video.manifest(include_quality=needs_quality_manifest(scheme))
@@ -209,7 +209,7 @@ def test_extreme_samples_raise_no_warning():
 
     from repro.abr.rba import RateBasedAlgorithm
     from repro.network.estimator import BatchHarmonicMeanEstimator
-    from repro.player.session import run_lockstep_sessions
+    from repro.player.session import LockstepGroup, run_lockstep_sessions
     from repro.video.model import Manifest
 
     base = short_video(8, 2.0).manifest()
@@ -226,10 +226,12 @@ def test_extreme_samples_raise_no_warning():
     algorithm = RateBasedAlgorithm()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        record = run_lockstep_sessions(
-            algorithm.name,
-            manifest,
-            algorithm.batch_decider(manifest, 2),
+        [record] = run_lockstep_sessions(
+            [
+                LockstepGroup(
+                    algorithm.name, manifest, algorithm.batch_decider(manifest, 2), 2
+                )
+            ],
             _SlowLinks(traces),
             config,
         )

@@ -208,8 +208,9 @@ def drain_pool(
     to run the unit again with a charged attempt, or a new argument
     tuple to run it again with those arguments. ``error`` is the
     exception the task raised (``result`` is then None), else None. When settle
-    raises, the drain stops scheduling, lets in-flight units finish and
-    re-raises the error of the earliest-ordered failing unit. A broken
+    raises, the drain stops scheduling, lets in-flight units finish,
+    settles each of them without running any again, and re-raises the
+    error of the earliest-ordered failing unit. A broken
     pool (a worker killed) is respawned once and its unfinished units
     requeued without charging an attempt; a second break raises
     :class:`BrokenProcessPool`. Worker snapshots are folded into
@@ -370,16 +371,16 @@ def drain_pool(
             for order, count_attempt in rerun:
                 submit(order, count_attempt=count_attempt)
         if fatal:
-            # Orderly abort: stop scheduling, let in-flight units
-            # finish, and keep their telemetry before re-raising.
+            # Orderly abort: stop scheduling and let in-flight units
+            # finish. Each finished one is settled (never run again), so
+            # its telemetry is kept and its own fatal error, if earlier
+            # in unit order, is the one re-raised.
             for future in futures:
                 future.cancel()
             wait(list(futures))
             for future in sorted(futures, key=futures.__getitem__):
-                if future.cancelled() or future.exception() is not None:
-                    continue
-                _result, snapshot, unit_spans = future.result()
-                keep_telemetry(futures[future], snapshot, unit_spans)
+                if not future.cancelled():
+                    consume(future, futures[future])
             futures.clear()
     finally:
         drain.__exit__(None, None, None)

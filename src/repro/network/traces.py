@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -169,6 +170,14 @@ _LTE_TRANSITIONS = np.array(
     ]
 )
 
+#: Per-row CDFs of ``_LTE_TRANSITIONS``, built the way
+#: ``Generator.choice(p=row)`` builds them (``cumsum``, then divide by the
+#: last entry), so ``bisect_right(cdf, rng.random())`` draws the same
+#: regime as ``rng.choice(4, p=row)`` and consumes the same single double.
+_LTE_SWITCH_CDFS = tuple(
+    (row.cumsum() / row.cumsum()[-1]).tolist() for row in _LTE_TRANSITIONS
+)
+
 
 def synthesize_lte_trace(
     name: str,
@@ -186,20 +195,32 @@ def synthesize_lte_trace(
     n = int(math.ceil(duration_s / interval_s))
     base_bps = mbps_to_bps(float(rng.lognormal(np.log(1.9), 0.55)))
 
-    throughputs = np.empty(n, dtype=float)
     regime = int(rng.integers(0, 2))  # start in good or medium
     remaining = float(rng.exponential(_LTE_REGIMES[regime][2]))
     smooth = _LTE_REGIMES[regime][1]
-    for k in range(n):
+    smooths: List[float] = []
+    fades: List[np.ndarray] = []
+    while len(smooths) < n:
         if remaining <= 0:
-            regime = int(rng.choice(len(_LTE_REGIMES), p=_LTE_TRANSITIONS[regime]))
+            regime = bisect_right(_LTE_SWITCH_CDFS[regime], rng.random())
             remaining = float(rng.exponential(_LTE_REGIMES[regime][2]))
+        # The dwell's length comes from its countdown, which draws
+        # nothing, so its per-second fades are one block draw.
+        steps = 1
         remaining -= 1.0
+        while remaining > 0 and len(smooths) + steps < n:
+            remaining -= 1.0
+            steps += 1
+        fades.append(rng.lognormal(0.0, 0.30, size=steps))
+        # AR(1) pull toward the regime mean, on plain floats: the
+        # recursion is sequential and its operand order fixes the bits.
         target = _LTE_REGIMES[regime][1]
-        # AR(1) pull toward the regime mean plus per-second fading noise.
-        smooth = 0.7 * smooth + 0.3 * target
-        sample = base_bps * smooth * float(rng.lognormal(0.0, 0.30))
-        throughputs[k] = max(sample, 1_000.0)  # never exactly zero
+        for _ in range(steps):
+            smooth = 0.7 * smooth + 0.3 * target
+            smooths.append(smooth)
+    # Per-second fading noise on the smoothed regime level.
+    samples = base_bps * np.array(smooths) * np.concatenate(fades)
+    throughputs = np.maximum(samples, 1_000.0)  # never exactly zero
     return NetworkTrace(name=name, interval_s=interval_s, throughputs_bps=throughputs)
 
 

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
+    "check_all_in_range",
+    "check_all_positive",
     "check_finite",
     "check_in_range",
     "check_non_negative",
@@ -55,3 +59,17 @@ def check_in_range(value: float, name: str, low: float, high: float) -> float:
     if not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     return value
+
+
+def check_all_positive(values: np.ndarray, name: str) -> None:
+    """Array form of :func:`check_positive`: its error for the first bad element."""
+    bad = ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        check_positive(values.flat[int(np.argmax(bad))], name)
+
+
+def check_all_in_range(values: np.ndarray, name: str, low: float, high: float) -> None:
+    """Array form of :func:`check_in_range`: its error for the first bad element."""
+    bad = ~(np.isfinite(values) & (values >= low) & (values <= high))
+    if bad.any():
+        check_in_range(values.flat[int(np.argmax(bad))], name, low, high)

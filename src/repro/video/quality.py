@@ -29,7 +29,12 @@ from typing import Dict
 
 import numpy as np
 
-from repro.util.validation import check_in_range, check_positive
+from repro.util.validation import (
+    check_all_in_range,
+    check_all_positive,
+    check_in_range,
+    check_positive,
+)
 
 __all__ = [
     "RESOLUTION_PIXELS",
@@ -72,16 +77,31 @@ _PHONE_RESOLUTION_CEILING: Dict[int, float] = {
 }
 
 
-def complexity_bit_demand(complexity: float, demand_exponent: float = 3.4) -> float:
+def _float_pow(base, exponent) -> np.ndarray:
+    """``base ** exponent`` elementwise with Python's float power.
+
+    numpy's array ``power`` rounds differently from the C library's
+    ``pow`` (which Python floats and numpy scalars both call) in a few
+    percent of doubles, so the surfaces raise element by element to keep
+    every chunk's bits and scores identical to a per-chunk evaluation.
+    """
+    base, exponent = np.broadcast_arrays(base, exponent)
+    powers = [b**e for b, e in zip(base.ravel().tolist(), exponent.ravel().tolist())]
+    return np.array(powers).reshape(base.shape)
+
+
+def complexity_bit_demand(complexity, demand_exponent: float = 3.4) -> np.ndarray:
     """Bits-per-pixel multiplier a scene of given complexity needs.
 
     Defined as ``2 ** (demand_exponent * (complexity - 0.35))`` so that a
     middling scene (c = 0.35) has demand 1, the simplest scenes need a
     fraction of the bits, and the most complex several times more — the
     spread that makes a 2x VBR cap bind on complex scenes (§3.3).
+    Elementwise over an array of complexities (a scalar gives a 0-d array).
     """
-    check_in_range(complexity, "complexity", 0.0, 1.0)
-    return float(2.0 ** (demand_exponent * (complexity - 0.35)))
+    complexity = np.asarray(complexity, dtype=float)
+    check_all_in_range(complexity, "complexity", 0.0, 1.0)
+    return _float_pow(2.0, demand_exponent * (complexity - 0.35))
 
 
 @dataclass(frozen=True)
@@ -134,93 +154,84 @@ class QualityModel:
     def latent_score(
         self,
         resolution: int,
-        chunk_bits: float,
+        chunk_bits,
         chunk_duration_s: float,
-        complexity: float,
-    ) -> float:
+        complexity,
+    ) -> np.ndarray:
         """Latent quality in (0, 1) before metric-specific shaping.
 
         The latent score is a logistic in log2 of *effective* bits per
         pixel — actual bpp divided by the scene's bit demand — scaled by
-        the complexity hardness ceiling (see ``hardness``).
+        the complexity hardness ceiling (see ``hardness``). Elementwise
+        over per-chunk ``chunk_bits`` and ``complexity`` arrays.
         """
         if resolution not in RESOLUTION_PIXELS:
             raise ValueError(
                 f"unknown resolution {resolution}; known: {sorted(RESOLUTION_PIXELS)}"
             )
-        check_positive(chunk_bits, "chunk_bits")
+        chunk_bits = np.asarray(chunk_bits, dtype=float)
+        check_all_positive(chunk_bits, "chunk_bits")
         check_positive(chunk_duration_s, "chunk_duration_s")
         pixels_per_chunk = RESOLUTION_PIXELS[resolution] * self.frames_per_second * chunk_duration_s
         bpp = chunk_bits / pixels_per_chunk
         demand = complexity_bit_demand(complexity, self.demand_exponent)
         x = (np.log2(bpp / demand) - np.log2(self.half_quality_bpp)) / self.logistic_width
-        return float(self.hardness_ceiling(complexity) / (1.0 + np.exp(-x)))
+        return self.hardness_ceiling(complexity) / (1.0 + np.exp(-x))
 
-    def hardness_ceiling(self, complexity: float) -> float:
-        """Maximum latent score reachable at a given scene complexity."""
-        check_in_range(complexity, "complexity", 0.0, 1.0)
+    def hardness_ceiling(self, complexity) -> np.ndarray:
+        """Maximum latent score reachable at each scene complexity."""
+        complexity = np.asarray(complexity, dtype=float)
+        check_all_in_range(complexity, "complexity", 0.0, 1.0)
         gate = 1.0 / (1.0 + np.exp(-(complexity - self.hardness_midpoint) / self.hardness_width))
-        return float(1.0 - self.hardness * gate)
+        return 1.0 - self.hardness * gate
 
     # ------------------------------------------------------------------
     # Metric surfaces
     # ------------------------------------------------------------------
-    def vmaf(
-        self,
-        resolution: int,
-        chunk_bits: float,
-        chunk_duration_s: float,
-        complexity: float,
-        model: str = "tv",
-    ) -> float:
-        """VMAF score in [0, 100] under the TV or phone viewing model."""
-        if model == "tv":
-            ceiling = _TV_RESOLUTION_CEILING[resolution]
-        elif model == "phone":
-            ceiling = _PHONE_RESOLUTION_CEILING[resolution]
-        else:
-            raise ValueError(f"model must be 'tv' or 'phone', got {model!r}")
-        latent = self.latent_score(resolution, chunk_bits, chunk_duration_s, complexity)
-        return 100.0 * ceiling * latent
-
-    def psnr(
-        self,
-        resolution: int,
-        chunk_bits: float,
-        chunk_duration_s: float,
-        complexity: float,
-    ) -> float:
-        """Median-frame PSNR in dB (≈26 dB poor to ≈50 dB transparent)."""
-        latent = self.latent_score(resolution, chunk_bits, chunk_duration_s, complexity)
-        ceiling = _TV_RESOLUTION_CEILING[resolution]
-        return 26.0 + 24.0 * ceiling * latent
-
-    def ssim(
-        self,
-        resolution: int,
-        chunk_bits: float,
-        chunk_duration_s: float,
-        complexity: float,
-    ) -> float:
-        """SSIM in [0, 1] (practically 0.70–0.995 for watchable video)."""
-        latent = self.latent_score(resolution, chunk_bits, chunk_duration_s, complexity)
-        ceiling = _TV_RESOLUTION_CEILING[resolution]
-        return 0.70 + 0.295 * ceiling * latent**0.8
-
     def all_metrics(
         self,
         resolution: int,
-        chunk_bits: float,
+        chunk_bits,
         chunk_duration_s: float,
-        complexity: float,
-    ) -> Dict[str, float]:
-        """All four metrics of §3.1.2 for one encoded chunk."""
+        complexity,
+    ) -> Dict[str, np.ndarray]:
+        """All four metrics of §3.1.2 per encoded chunk, from one latent score.
+
+        - VMAF in [0, 100] under the TV and the phone viewing model;
+        - median-frame PSNR in dB (≈26 dB poor to ≈50 dB transparent);
+        - SSIM in [0, 1] (practically 0.70–0.995 for watchable video).
+        """
+        latent = self.latent_score(resolution, chunk_bits, chunk_duration_s, complexity)
+        ceiling = _TV_RESOLUTION_CEILING[resolution]
         return {
-            "vmaf_tv": self.vmaf(resolution, chunk_bits, chunk_duration_s, complexity, "tv"),
-            "vmaf_phone": self.vmaf(resolution, chunk_bits, chunk_duration_s, complexity, "phone"),
-            "psnr": self.psnr(resolution, chunk_bits, chunk_duration_s, complexity),
-            "ssim": self.ssim(resolution, chunk_bits, chunk_duration_s, complexity),
+            "vmaf_tv": 100.0 * ceiling * latent,
+            "vmaf_phone": 100.0 * _PHONE_RESOLUTION_CEILING[resolution] * latent,
+            "psnr": 26.0 + 24.0 * ceiling * latent,
+            "ssim": 0.70 + 0.295 * ceiling * _float_pow(latent, 0.8),
         }
+
+    def vmaf(
+        self,
+        resolution: int,
+        chunk_bits,
+        chunk_duration_s: float,
+        complexity,
+        model: str = "tv",
+    ) -> np.ndarray:
+        """VMAF under the TV or phone viewing model (see :meth:`all_metrics`)."""
+        if model not in ("tv", "phone"):
+            raise ValueError(f"model must be 'tv' or 'phone', got {model!r}")
+        return self.all_metrics(resolution, chunk_bits, chunk_duration_s, complexity)[
+            f"vmaf_{model}"
+        ]
+
+    def psnr(self, resolution: int, chunk_bits, chunk_duration_s: float, complexity) -> np.ndarray:
+        """PSNR in dB (see :meth:`all_metrics`)."""
+        return self.all_metrics(resolution, chunk_bits, chunk_duration_s, complexity)["psnr"]
+
+    def ssim(self, resolution: int, chunk_bits, chunk_duration_s: float, complexity) -> np.ndarray:
+        """SSIM (see :meth:`all_metrics`)."""
+        return self.all_metrics(resolution, chunk_bits, chunk_duration_s, complexity)["ssim"]
 
     # ------------------------------------------------------------------
     # Inverse: bits needed for a target latent score
@@ -229,9 +240,9 @@ class QualityModel:
         self,
         resolution: int,
         chunk_duration_s: float,
-        complexity: float,
+        complexity,
         latent: float,
-    ) -> float:
+    ) -> np.ndarray:
         """Invert :meth:`latent_score`: bits needed for a target latent score.
 
         Used by the encoder model's first (CRF-like) pass, which aims at
@@ -239,15 +250,16 @@ class QualityModel:
         target unreachable, the encoder spends what a near-saturated score
         (logistic value 0.95) costs and accepts the shortfall — this is
         the regime where complex scenes devour bits yet stay behind.
+        Elementwise over a per-chunk ``complexity`` array.
         """
         check_in_range(latent, "latent", 1e-6, 1.0 - 1e-6)
         pixels_per_chunk = RESOLUTION_PIXELS[resolution] * self.frames_per_second * chunk_duration_s
         ceiling = self.hardness_ceiling(complexity)
-        logistic_target = min(latent / ceiling, 0.95)
+        logistic_target = np.minimum(latent / ceiling, 0.95)
         x = np.log(logistic_target / (1.0 - logistic_target))
         log2_bpp = x * self.logistic_width + np.log2(self.half_quality_bpp)
         demand = complexity_bit_demand(complexity, self.demand_exponent)
-        return float(2.0**log2_bpp * demand * pixels_per_chunk)
+        return _float_pow(2.0, log2_bpp) * demand * pixels_per_chunk
 
 
 #: Shared default instance; the dataset builder and tests use this.

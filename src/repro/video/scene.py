@@ -183,22 +183,29 @@ def synthesize_scene_timeline(
     scene_complexities = rng.beta(profile.complexity_alpha, profile.complexity_beta, size=len(durations))
 
     num_chunks = int(round(duration_s / chunk_duration_s))
-    complexity = np.empty(num_chunks, dtype=float)
-    scene_ids = np.empty(num_chunks, dtype=int)
-
-    boundaries = np.cumsum(durations)
+    # All drift noise in one draw: the loop below draws nothing else, so
+    # the generator ends in the same state as one draw per chunk.
+    noise = rng.normal(0.0, 0.035, size=num_chunks).tolist()
+    boundaries = np.cumsum(durations).tolist()
+    levels = scene_complexities.tolist()
+    clipped: List[float] = []
+    ids: List[int] = []
     scene_index = 0
     # Small AR(1) drift inside a scene: panning, gradual motion changes.
+    # A plain-float loop: the recursion is sequential, and clipping by
+    # comparison gives np.clip's result without a call per chunk.
     drift = 0.0
     for chunk in range(num_chunks):
         midpoint = (chunk + 0.5) * chunk_duration_s
         while scene_index < len(boundaries) - 1 and midpoint > boundaries[scene_index]:
             scene_index += 1
             drift = 0.0
-        drift = 0.6 * drift + rng.normal(0.0, 0.035)
-        complexity[chunk] = np.clip(scene_complexities[scene_index] + drift, 0.0, 1.0)
-        scene_ids[chunk] = scene_index
+        drift = 0.6 * drift + noise[chunk]
+        value = levels[scene_index] + drift
+        clipped.append(0.0 if value < 0.0 else 1.0 if value > 1.0 else value)
+        ids.append(scene_index)
 
+    complexity = np.array(clipped)
     si, ti = _si_ti_from_complexity(rng, complexity, profile)
     # Per-chunk "texture" factor: content-specific encodability quirks
     # (film grain, smoke, water) that move a chunk's bit cost the same way
@@ -209,7 +216,7 @@ def synthesize_scene_timeline(
         complexity=complexity,
         si=si,
         ti=ti,
-        scene_ids=scene_ids,
+        scene_ids=np.array(ids, dtype=int),
         chunk_duration_s=chunk_duration_s,
         genre=genre,
         texture=texture,

@@ -150,6 +150,21 @@ def apply_bitrate_cap(bits: np.ndarray, cap_ratio: float, max_rounds: int = 32) 
     return bits
 
 
+def _crf_pass(
+    timeline: SceneTimeline, resolution: int, config: EncoderConfig, quality_model: QualityModel
+) -> np.ndarray:
+    """Pass 1 (CRF): ideal constant-quality bits per chunk.
+
+    Includes the track-consistent texture factor from the timeline and
+    the resolution's demand compression.
+    """
+    exponent = _resolution_demand_exponent(resolution, quality_model.demand_exponent)
+    track_model = replace(quality_model, demand_exponent=exponent)
+    return timeline.texture * track_model.bits_for_latent(
+        resolution, timeline.chunk_duration_s, timeline.complexity, config.target_latent
+    )
+
+
 def encode_track_vbr(
     rng: np.random.Generator,
     timeline: SceneTimeline,
@@ -167,17 +182,7 @@ def encode_track_vbr(
     if resolution not in RESOLUTION_PIXELS:
         raise ValueError(f"unknown resolution {resolution}")
     duration = timeline.chunk_duration_s
-    exponent = _resolution_demand_exponent(resolution, quality_model.demand_exponent)
-    track_model = replace(quality_model, demand_exponent=exponent)
-
-    # Pass 1 (CRF): ideal constant-quality bits per chunk, including the
-    # track-consistent texture factor from the timeline.
-    ideal_bits = timeline.texture * np.array(
-        [
-            track_model.bits_for_latent(resolution, duration, c, config.target_latent)
-            for c in timeline.complexity
-        ]
-    )
+    ideal_bits = _crf_pass(timeline, resolution, config, quality_model)
     total_bits = float(np.sum(ideal_bits)) * config.codec_efficiency
 
     # Pass 2–3 (two-pass VBR): allocate the budget with imperfect
@@ -192,8 +197,8 @@ def encode_track_vbr(
     if config.encoder_noise_sigma > 0:
         bits = bits * rng.lognormal(0.0, config.encoder_noise_sigma, size=bits.size)
 
-    qualities = _evaluate_qualities(
-        quality_model, resolution, bits / config.codec_efficiency, duration, timeline.complexity
+    qualities = quality_model.all_metrics(
+        resolution, bits / config.codec_efficiency, duration, timeline.complexity
     )
     return Track(
         level=level,
@@ -220,21 +225,14 @@ def encode_track_cbr(
     setting in which VBR's quality advantage shows (§1).
     """
     duration = timeline.chunk_duration_s
-    exponent = _resolution_demand_exponent(resolution, quality_model.demand_exponent)
-    track_model = replace(quality_model, demand_exponent=exponent)
-    ideal_bits = timeline.texture * np.array(
-        [
-            track_model.bits_for_latent(resolution, duration, c, config.target_latent)
-            for c in timeline.complexity
-        ]
-    )
+    ideal_bits = _crf_pass(timeline, resolution, config, quality_model)
     total_bits = float(np.sum(ideal_bits)) * config.codec_efficiency
     bits = np.full(timeline.num_chunks, total_bits / timeline.num_chunks)
     if config.encoder_noise_sigma > 0:
         bits = bits * rng.lognormal(0.0, config.encoder_noise_sigma / 2.0, size=bits.size)
 
-    qualities = _evaluate_qualities(
-        quality_model, resolution, bits / config.codec_efficiency, duration, timeline.complexity
+    qualities = quality_model.all_metrics(
+        resolution, bits / config.codec_efficiency, duration, timeline.complexity
     )
     return Track(
         level=level,
@@ -263,19 +261,3 @@ def encode_ladder(
         encode(rng, timeline, resolution, level, config, quality_model)
         for level, resolution in enumerate(resolutions)
     ]
-
-
-def _evaluate_qualities(
-    quality_model: QualityModel,
-    resolution: int,
-    effective_bits: np.ndarray,
-    duration: float,
-    complexity: np.ndarray,
-) -> Dict[str, np.ndarray]:
-    """Per-chunk quality arrays for all metrics of §3.1.2."""
-    metrics: Dict[str, List[float]] = {"vmaf_tv": [], "vmaf_phone": [], "psnr": [], "ssim": []}
-    for bits, c in zip(effective_bits, complexity):
-        values = quality_model.all_metrics(resolution, float(bits), duration, float(c))
-        for name, value in values.items():
-            metrics[name].append(value)
-    return {name: np.array(values) for name, values in metrics.items()}

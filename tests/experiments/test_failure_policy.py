@@ -13,6 +13,8 @@ The load-bearing properties:
 - failure telemetry is exact: two simultaneously failing units count as
   two failed sessions, because workers ship their telemetry snapshot
   back even when the unit fails;
+- when every unit fails, the raised error is the earliest-ordered
+  unit's, whatever order the pool finishes them in;
 - fault-injected sweeps are bit-identical at any worker count.
 
 ``REPRO_MP_START_METHOD`` (set by CI) forces the pool start method, so
@@ -300,6 +302,22 @@ class TestFailureTelemetry:
         assert len(sweep.failures) == 2
         assert [f.start for f in sweep.failures] == [0, 2]
         assert sweep.metrics == []
+
+
+class TestAbortOrder:
+    def test_earliest_unit_named_when_every_unit_fails(self, short_video, lte_traces):
+        # Every unit raises (an outage on every interval leaves no bits
+        # to download), and both units of the two-worker pool are in
+        # flight together. Whichever settles first, the abort settles
+        # the other as well, so the raised error is always unit 0's.
+        plan = FaultPlan((OutageFault(p=1.0, duration_intervals=1),), seed=0)
+        named = []
+        for _ in range(10):
+            engine = make_engine(n_workers=2, fault_plan=plan)
+            with pytest.raises(SweepWorkerError) as info:
+                engine.run_comparison(["CAVA", "RBA"], short_video, lte_traces)
+            named.append((info.value.spec_label, info.value.trace_name))
+        assert named == [("CAVA", lte_traces[0].name)] * 10
 
 
 class TestFaultInjection:

@@ -14,6 +14,11 @@ those steps as methods:
 ``tests/network`` pins these to :meth:`TraceLink.download` and to the
 processor-sharing semantics; ``tests/fleet/reference.py`` builds the
 method-path edge loop the fused one is held to.
+
+It also keeps the per-second form of the LTE trace generator,
+:func:`synthesize_lte_trace`: one ``rng.choice`` per regime switch and
+one ``rng.lognormal`` per second, which the shipped generator's block
+draws are held to (``tests/network/test_traces_reference.py``).
 """
 
 from __future__ import annotations
@@ -23,11 +28,20 @@ import math
 from bisect import bisect_left
 from typing import Hashable, Optional, Tuple
 
+import numpy as np
+
 from repro.network.link import MIN_DOWNLOAD_DURATION_S, TraceLink
 from repro.network.shared import _MIN_COMPACT_SIZE, SharedLink
+from repro.network.traces import (
+    _LTE_REGIMES,
+    _LTE_TRANSITIONS,
+    MIN_TRACE_DURATION_S,
+    NetworkTrace,
+)
+from repro.util.units import mbps_to_bps
 from repro.util.validation import check_non_negative, check_positive
 
-__all__ = ["finish_time", "ReferenceSharedLink"]
+__all__ = ["finish_time", "ReferenceSharedLink", "synthesize_lte_trace"]
 
 _INF = math.inf
 
@@ -157,3 +171,30 @@ class ReferenceSharedLink(SharedLink):
             heap = self._heap
             if len(heap) > _MIN_COMPACT_SIZE and len(heap) > 2 * len(self._flows):
                 self._compact_heap()
+
+
+def synthesize_lte_trace(
+    name: str,
+    rng: np.random.Generator,
+    duration_s: float = MIN_TRACE_DURATION_S,
+    interval_s: float = 1.0,
+) -> NetworkTrace:
+    """``repro.network.traces.synthesize_lte_trace``, one second at a time."""
+    check_positive(duration_s, "duration_s")
+    n = int(math.ceil(duration_s / interval_s))
+    base_bps = mbps_to_bps(float(rng.lognormal(np.log(1.9), 0.55)))
+
+    throughputs = np.empty(n, dtype=float)
+    regime = int(rng.integers(0, 2))
+    remaining = float(rng.exponential(_LTE_REGIMES[regime][2]))
+    smooth = _LTE_REGIMES[regime][1]
+    for k in range(n):
+        if remaining <= 0:
+            regime = int(rng.choice(len(_LTE_REGIMES), p=_LTE_TRANSITIONS[regime]))
+            remaining = float(rng.exponential(_LTE_REGIMES[regime][2]))
+        remaining -= 1.0
+        target = _LTE_REGIMES[regime][1]
+        smooth = 0.7 * smooth + 0.3 * target
+        sample = base_bps * smooth * float(rng.lognormal(0.0, 0.30))
+        throughputs[k] = max(sample, 1_000.0)
+    return NetworkTrace(name=name, interval_s=interval_s, throughputs_bps=throughputs)
